@@ -5,37 +5,39 @@ words the speaker uttered; an enquirer policy, trained with PPO, picks
 which words to request under a tight budget.  Corpora are synthetic or
 loaded from a JSON Lines interchange format, and everything runs on plain
 numpy with a fully checked hand-rolled gradient stack.
+
+The names below load their module, and with it numpy, on first access, so
+``import isrlab.cli`` can cap the BLAS thread pool before numpy starts it.
 """
 
-from .corpus import (Corpus, CorpusFormatError, SynthConfig, corpus_fingerprint,
-                     generate_synthetic, load_corpus, save_corpus, split_speakers,
-                     synthetic_split)
-from .enquirer import (EnquirerConfig, EnquirerModel, PpoConfig, RewardCollapse,
-                       Trajectory, compute_gae, enquirer_forward, evaluate_enquirer,
-                       ppo_update, sample_action, sample_actions, train_enquirer)
-from .evaluation import (DiversityReport, HeuristicConfig, HeuristicResult,
-                         SweepResult, cosine_nearest_print_accuracy, diversity_index,
-                         guest_sweep, heuristic_baseline, jaccard, word_sweep)
-from .game import (GameConfig, GameState, StepOutcome, new_game, step,
-                   terminal_reward, write_episode_trace)
-from .guesser import (GuesserConfig, GuesserModel, GuesserTrainConfig,
-                      TrainingDiverged, evaluate_guesser, guesser_forward,
-                      guesser_loss, train_guesser)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Corpus", "CorpusFormatError", "SynthConfig", "corpus_fingerprint",
-    "generate_synthetic", "load_corpus", "save_corpus", "split_speakers",
-    "synthetic_split",
-    "GameConfig", "GameState", "StepOutcome", "new_game", "step",
-    "terminal_reward", "write_episode_trace",
-    "GuesserConfig", "GuesserModel", "GuesserTrainConfig", "TrainingDiverged",
-    "evaluate_guesser", "guesser_forward", "guesser_loss", "train_guesser",
-    "EnquirerConfig", "EnquirerModel", "PpoConfig", "RewardCollapse", "Trajectory",
-    "compute_gae", "enquirer_forward", "evaluate_enquirer", "ppo_update",
-    "sample_action", "sample_actions", "train_enquirer",
-    "DiversityReport", "HeuristicConfig", "HeuristicResult", "SweepResult",
-    "cosine_nearest_print_accuracy", "diversity_index", "guest_sweep",
-    "heuristic_baseline", "jaccard", "word_sweep",
-]
+_EXPORTS = {
+    "corpus": ("Corpus", "CorpusFormatError", "SynthConfig", "corpus_fingerprint",
+               "generate_synthetic", "load_corpus", "save_corpus", "split_speakers",
+               "synthetic_split"),
+    "game": ("GameConfig", "GameState", "StepOutcome", "new_game", "step",
+             "terminal_reward", "write_episode_trace"),
+    "guesser": ("GuesserConfig", "GuesserModel", "GuesserTrainConfig", "TrainingDiverged",
+                "evaluate_guesser", "guesser_forward", "guesser_loss", "train_guesser"),
+    "enquirer": ("EnquirerConfig", "EnquirerModel", "PpoConfig", "RewardCollapse",
+                 "Trajectory", "compute_gae", "enquirer_forward", "evaluate_enquirer",
+                 "ppo_update", "sample_actions", "train_enquirer"),
+    "evaluation": ("DiversityReport", "HeuristicConfig", "HeuristicResult", "SweepResult",
+                   "cosine_nearest_print_accuracy", "diversity_index", "guest_sweep",
+                   "heuristic_baseline", "jaccard", "word_sweep"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -281,7 +281,6 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     else:
         policy = ns.policy or "random"
         rows = []
-        tuples_for_diversity = None
         for seed in seeds:
             if policy == "random":
                 acc, err = evaluate_guesser(guesser, corpus, cfg["guests"],
@@ -306,7 +305,6 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                 res = evaluate_enquirer(enquirer, guesser, corpus, cfg["guests"],
                                         cfg["words"], cfg["games"], seed)
                 acc, err = res.success_rate, res.stderr
-                tuples_for_diversity = res.word_tuples
             else:
                 raise ValueError(f"unknown policy {policy!r}")
             rows.append({"variable": "none", "value": cfg["words"], "policy": policy,

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import neural
+
 
 class CorpusFormatError(ValueError):
     """Raised when an interchange file violates the corpus contract."""
@@ -110,16 +112,6 @@ class Corpus:
         return self.utterances[self._row[speaker_id], word_id]
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    # inf * 0 alignment produces nan; call that exactly uninformative
-    return np.where(np.isnan(x), 0.5, out)
-
-
 def generate_synthetic(config: SynthConfig) -> Corpus:
     """Build a corpus where word informativeness varies per speaker.
 
@@ -147,7 +139,9 @@ def generate_synthetic(config: SynthConfig) -> Corpus:
 
     alignment = prototypes @ queries.T / np.sqrt(d_dim)        # (S, V)
     with np.errstate(invalid="ignore"):
-        info = _stable_sigmoid(config.sharpness * alignment)   # (S, V)
+        logits = config.sharpness * alignment
+        # inf * 0 alignment produces nan; call that exactly uninformative
+        info = np.where(np.isnan(logits), 0.5, neural.sigmoid(logits))   # (S, V)
     utterances = (info[:, :, None] * prototypes[:, None, :]
                   + (1.0 - info)[:, :, None] * anchors[None, :, :]
                   + config.utterance_noise * utter_eps)

@@ -7,6 +7,12 @@ a softmax over the vocabulary and a scalar value baseline.  Words already
 requested in a game are masked to exactly zero probability, during
 training as well as evaluation.
 
+The trunk reads only the last position, where the backward direction has
+taken a single step, so that direction runs one step per forward pass.
+Rollouts and evaluation also carry the forward direction's state from
+turn to turn: a T-word game costs 2T LSTM cell steps instead of the
+T(T+1) of re-encoding each prefix, with bit-identical outputs.
+
 Training maximizes the clipped PPO surrogate plus an entropy bonus minus
 a value regression term, with GAE advantages and a single Adam step with
 global-norm clipping per minibatch.  The terminal reward of an episode is
@@ -90,11 +96,8 @@ class EnquirerOutput:
     _mask: np.ndarray = None
 
 
-def _forward_core(model: EnquirerModel, mean_guest: np.ndarray, uttered: np.ndarray,
-                  mask: np.ndarray) -> EnquirerOutput:
-    hidden, lstm_cache = neural.bilstm_forward(
-        model.store, "lstm", model.lstm_spec, uttered, model.store.values["start"])
-    trunk = np.concatenate([hidden[:, -1, :], mean_guest], axis=1)
+def _heads(model: EnquirerModel, trunk: np.ndarray, mask: np.ndarray,
+           lstm_cache=None) -> EnquirerOutput:
     logits, policy_cache = neural.mlp_forward(model.store, "policy", model.policy_spec, trunk)
     value, value_cache = neural.mlp_forward(model.store, "value", model.value_spec, trunk)
     log_probs = neural.masked_log_softmax(logits, mask)
@@ -102,6 +105,13 @@ def _forward_core(model: EnquirerModel, mean_guest: np.ndarray, uttered: np.ndar
     return EnquirerOutput(probs=probs, log_probs=log_probs, value=value[:, 0],
                           _lstm_cache=lstm_cache, _policy_cache=policy_cache,
                           _value_cache=value_cache, _mask=mask)
+
+
+def _forward_core(model: EnquirerModel, mean_guest: np.ndarray, uttered: np.ndarray,
+                  mask: np.ndarray) -> EnquirerOutput:
+    last, lstm_cache = neural.bilstm_last(
+        model.store, "lstm", model.lstm_spec, uttered, model.store.values["start"])
+    return _heads(model, np.concatenate([last, mean_guest], axis=1), mask, lstm_cache)
 
 
 def enquirer_forward(model: EnquirerModel, guests: np.ndarray, uttered: np.ndarray,
@@ -165,12 +175,6 @@ def sample_actions(probs: np.ndarray, mode: str, rng: np.random.Generator | None
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     return int(actions[0]) if squeeze else actions
-
-
-def sample_action(distribution: np.ndarray, mode: str,
-                  rng: np.random.Generator | None = None) -> int:
-    """Single-game convenience wrapper around ``sample_actions``."""
-    return sample_actions(np.asarray(distribution), mode, rng)
 
 
 @dataclass(frozen=True)
@@ -333,44 +337,84 @@ def _default_reward(guesser: GuesserModel):
     return reward
 
 
+@dataclass
+class _PlayedGames:
+    """A batch of games played to the word budget, with each turn's record."""
+
+    guests: np.ndarray       # (B, K, D)
+    targets: np.ndarray      # (B,)
+    mean_guest: np.ndarray   # (B, D)
+    uttered: np.ndarray      # (B, T, D)
+    masks: np.ndarray        # (B, T, V) words already requested before each turn
+    actions: np.ndarray      # (B, T)
+    log_probs: np.ndarray    # (B, T) of the chosen words
+    values: np.ndarray       # (B, T)
+
+
+def _play_games(model: EnquirerModel, corpus: Corpus, n_games: int, n_guests: int,
+                word_budget: int, mode: str,
+                rng: np.random.Generator) -> _PlayedGames:
+    """Deal ``n_games`` games from ``rng`` and play them with the policy.
+
+    Each turn costs two LSTM cell steps: the forward direction's state is
+    carried from turn to turn, and the backward direction, read only at
+    the newest position, is one step from the zero state.  The outputs
+    are those of ``_forward_core`` on each turn's whole prefix.
+    """
+    b, t_max, v = n_games, word_budget, corpus.vocab_size
+    guest_rows, targets = sample_game_batch(corpus, b, n_guests, rng)
+    guests = corpus.voice_prints[guest_rows]
+    target_rows = guest_rows[np.arange(b), targets]
+    mean_guest = guests.mean(axis=1)
+
+    store, hidden = model.store, model.config.lstm_hidden
+    w_f, b_f = store.values["lstm/Wf"], store.values["lstm/bf"]
+    w_b, b_b = store.values["lstm/Wb"], store.values["lstm/bb"]
+    zero = np.zeros((b, hidden))
+    h, c = zero, zero
+    x = np.broadcast_to(store.values["start"], (b, corpus.dimension))
+
+    rows = np.arange(b)
+    uttered = np.zeros((b, t_max, corpus.dimension))
+    masks = np.zeros((b, t_max, v), dtype=bool)
+    actions = np.zeros((b, t_max), dtype=np.int64)
+    log_probs = np.zeros((b, t_max))
+    values = np.zeros((b, t_max))
+    mask_now = np.zeros((b, v), dtype=bool)
+    for turn in range(t_max):
+        h, c, _ = neural.lstm_cell(w_f, b_f, x, h, c, hidden)
+        h_b, _, _ = neural.lstm_cell(w_b, b_b, x, zero, zero, hidden)
+        masks[:, turn] = mask_now
+        out = _heads(model, np.concatenate([h, h_b, mean_guest], axis=1), mask_now)
+        acts = sample_actions(out.probs, mode, rng)
+        actions[:, turn] = acts
+        log_probs[:, turn] = out.log_probs[rows, acts]
+        values[:, turn] = out.value
+        mask_now[rows, acts] = True
+        x = uttered[:, turn] = corpus.utterances[target_rows, acts]
+    return _PlayedGames(guests, targets, mean_guest, uttered, masks, actions,
+                        log_probs, values)
+
+
 def _collect_rollout(model: EnquirerModel, corpus: Corpus, n_episodes: int,
                      config: PpoConfig, rng: np.random.Generator,
                      reward_fn) -> tuple[TransitionBatch, np.ndarray]:
-    e, t_max, v = n_episodes, config.word_budget, corpus.vocab_size
-    guest_rows, targets = sample_game_batch(corpus, e, config.n_guests, rng)
-    guests = corpus.voice_prints[guest_rows]
-    target_rows = guest_rows[np.arange(e), targets]
-    mean_guest = guests.mean(axis=1)
-
-    uttered = np.zeros((e, t_max, corpus.dimension))
-    masks = np.zeros((e, t_max, v), dtype=bool)
-    actions = np.zeros((e, t_max), dtype=np.int64)
-    log_probs = np.zeros((e, t_max))
-    values = np.zeros((e, t_max))
-    mask_now = np.zeros((e, v), dtype=bool)
-    for turn in range(t_max):
-        masks[:, turn] = mask_now
-        out = _forward_core(model, mean_guest, uttered[:, :turn], mask_now)
-        acts = sample_actions(out.probs, "explore", rng)
-        actions[:, turn] = acts
-        log_probs[:, turn] = out.log_probs[np.arange(e), acts]
-        values[:, turn] = out.value
-        mask_now = mask_now.copy()
-        mask_now[np.arange(e), acts] = True
-        uttered[:, turn] = corpus.utterances[target_rows, acts]
-
-    episode_rewards = np.asarray(reward_fn(actions, guests, uttered, targets),
-                                 dtype=np.float64)
+    e, t_max = n_episodes, config.word_budget
+    games = _play_games(model, corpus, e, config.n_guests, t_max, "explore", rng)
+    episode_rewards = np.asarray(
+        reward_fn(games.actions, games.guests, games.uttered, games.targets),
+        dtype=np.float64)
     rewards = np.zeros((e, t_max))
     rewards[:, -1] = episode_rewards
-    advantages, returns = compute_gae(rewards, values, config.gamma, config.gae_lambda)
+    advantages, returns = compute_gae(rewards, games.values, config.gamma,
+                                      config.gae_lambda)
 
     batch = TransitionBatch(
-        mean_guest=np.repeat(mean_guest, t_max, axis=0),
-        episode_uttered=np.repeat(uttered, t_max, axis=0),
+        mean_guest=np.repeat(games.mean_guest, t_max, axis=0),
+        episode_uttered=np.repeat(games.uttered, t_max, axis=0),
         turns=np.tile(np.arange(t_max), e),
-        masks=masks.reshape(e * t_max, v),
-        actions=actions.ravel(), behavior_log_probs=log_probs.ravel(),
+        masks=games.masks.reshape(e * t_max, corpus.vocab_size),
+        actions=games.actions.ravel(), behavior_log_probs=games.log_probs.ravel(),
         advantages=advantages.ravel(), returns=returns.ravel())
     return batch, episode_rewards
 
@@ -453,21 +497,10 @@ def evaluate_enquirer(enquirer: EnquirerModel, guesser: GuesserModel, corpus: Co
     done = 0
     while done < n_games:
         b = min(chunk, n_games - done)
-        guest_rows, targets = sample_game_batch(corpus, b, n_guests, rng)
-        guests = corpus.voice_prints[guest_rows]
-        target_rows = guest_rows[np.arange(b), targets]
-        mean_guest = guests.mean(axis=1)
-        uttered = np.zeros((b, word_budget, corpus.dimension))
-        mask_now = np.zeros((b, corpus.vocab_size), dtype=bool)
-        actions = np.zeros((b, word_budget), dtype=np.int64)
-        for turn in range(word_budget):
-            out = _forward_core(enquirer, mean_guest, uttered[:, :turn], mask_now)
-            acts = sample_actions(out.probs, "greedy")
-            actions[:, turn] = acts
-            mask_now[np.arange(b), acts] = True
-            uttered[:, turn] = corpus.utterances[target_rows, acts]
-        hits += int(guesser_success(guesser, guests, uttered, targets).sum())
-        tuples.append(actions)
+        games = _play_games(enquirer, corpus, b, n_guests, word_budget, "greedy", rng)
+        hits += int(guesser_success(guesser, games.guests, games.uttered,
+                                    games.targets).sum())
+        tuples.append(games.actions)
         done += b
     rate = hits / n_games
     stderr = float(np.sqrt(rate * (1.0 - rate) / n_games))

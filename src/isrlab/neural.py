@@ -36,12 +36,10 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, without a
+    # branch: exp only ever sees a non-positive argument, so never overflows.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def uniform_fan_in(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -265,6 +263,21 @@ class BiLstmCache:
         self.consumed = False
 
 
+def lstm_cell(W: np.ndarray, bias: np.ndarray, x: np.ndarray, h: np.ndarray,
+              c: np.ndarray, hidden: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """One LSTM step on a batch: the new ``(h, c)`` and the step's
+    intermediates ``(xh, i, f, g, o, c_prev, tanh_c)`` for the backward pass."""
+    xh = np.concatenate([x, h], axis=1)
+    gates = _mm(xh, W) + bias
+    # one sigmoid over the whole slab; its cell-candidate quarter goes unused
+    s = sigmoid(gates)
+    i, f, o = s[:, :hidden], s[:, hidden:2 * hidden], s[:, 3 * hidden:]
+    g = np.tanh(gates[:, 2 * hidden:3 * hidden])
+    c_next = f * c + i * g
+    tanh_c = np.tanh(c_next)
+    return o * tanh_c, c_next, (xh, i, f, g, o, c, tanh_c)
+
+
 def _lstm_direction_forward(W, bias, inputs, order, hidden):
     batch = inputs.shape[0]
     h = np.zeros((batch, hidden))
@@ -272,19 +285,23 @@ def _lstm_direction_forward(W, bias, inputs, order, hidden):
     states = np.zeros((batch, inputs.shape[1], hidden))
     steps = []
     for pos in order:
-        xh = np.concatenate([inputs[:, pos, :], h], axis=1)
-        gates = _mm(xh, W) + bias
-        i = sigmoid(gates[:, :hidden])
-        f = sigmoid(gates[:, hidden:2 * hidden])
-        g = np.tanh(gates[:, 2 * hidden:3 * hidden])
-        o = sigmoid(gates[:, 3 * hidden:])
-        c_prev = c
-        c = f * c_prev + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
+        h, c, step = lstm_cell(W, bias, inputs[:, pos, :], h, c, hidden)
         states[:, pos, :] = h
-        steps.append((pos, xh, i, f, g, o, c_prev, tanh_c))
+        steps.append((pos, *step))
     return states, steps
+
+
+def _bilstm_inputs(spec: BiLstmSpec, sequence, start_token) -> np.ndarray:
+    """Validate and prepend the start token: (batch, T+1, in_width)."""
+    sequence = np.asarray(sequence, dtype=np.float64)
+    if sequence.ndim != 3 or sequence.shape[2] != spec.in_width:
+        raise ValueError(f"expected sequence of shape (n, t, {spec.in_width}), got {sequence.shape}")
+    start_token = np.asarray(start_token, dtype=np.float64)
+    if start_token.shape != (spec.in_width,):
+        raise ValueError(f"start token must have shape ({spec.in_width},), got {start_token.shape}")
+    batch = sequence.shape[0]
+    return np.concatenate(
+        [np.broadcast_to(start_token, (batch, 1, spec.in_width)), sequence], axis=1)
 
 
 def bilstm_forward(store: ParamStore, prefix: str, spec: BiLstmSpec,
@@ -297,16 +314,8 @@ def bilstm_forward(store: ParamStore, prefix: str, spec: BiLstmSpec,
     produces one output.  Position t carries the concatenation of the
     forward state and the backward state at t.
     """
-    sequence = np.asarray(sequence, dtype=np.float64)
-    if sequence.ndim != 3 or sequence.shape[2] != spec.in_width:
-        raise ValueError(f"expected sequence of shape (n, t, {spec.in_width}), got {sequence.shape}")
-    start_token = np.asarray(start_token, dtype=np.float64)
-    if start_token.shape != (spec.in_width,):
-        raise ValueError(f"start token must have shape ({spec.in_width},), got {start_token.shape}")
-    batch, t_len = sequence.shape[:2]
-    inputs = np.concatenate(
-        [np.broadcast_to(start_token, (batch, 1, spec.in_width)), sequence], axis=1)
-    length = t_len + 1
+    inputs = _bilstm_inputs(spec, sequence, start_token)
+    length = inputs.shape[1]
     states_f, steps_f = _lstm_direction_forward(
         store.values[f"{prefix}/Wf"], store.values[f"{prefix}/bf"],
         inputs, range(length), spec.hidden)
@@ -315,6 +324,30 @@ def bilstm_forward(store: ParamStore, prefix: str, spec: BiLstmSpec,
         inputs, range(length - 1, -1, -1), spec.hidden)
     hidden = np.concatenate([states_f, states_b], axis=2)
     return hidden, BiLstmCache(inputs, steps_f, steps_b)
+
+
+def bilstm_last(store: ParamStore, prefix: str, spec: BiLstmSpec,
+                sequence: np.ndarray,
+                start_token: np.ndarray) -> tuple[np.ndarray, BiLstmCache]:
+    """The last position of ``bilstm_forward``, (batch, 2*hidden), in T+2
+    cell steps instead of 2(T+1).
+
+    At the last position the backward direction has taken one step from
+    the zero state, so only that step runs.  The cache holds just that
+    backward step; ``bilstm_backward`` takes it as it is, given a
+    ``d_hidden`` that is zero except at the last position, because the
+    steps left out would only carry zero gradients.
+    """
+    inputs = _bilstm_inputs(spec, sequence, start_token)
+    length = inputs.shape[1]
+    states_f, steps_f = _lstm_direction_forward(
+        store.values[f"{prefix}/Wf"], store.values[f"{prefix}/bf"],
+        inputs, range(length), spec.hidden)
+    states_b, steps_b = _lstm_direction_forward(
+        store.values[f"{prefix}/Wb"], store.values[f"{prefix}/bb"],
+        inputs, [length - 1], spec.hidden)
+    last = np.concatenate([states_f[:, -1], states_b[:, -1]], axis=1)
+    return last, BiLstmCache(inputs, steps_f, steps_b)
 
 
 def _lstm_direction_backward(store, w_name, b_name, steps, d_states, hidden):

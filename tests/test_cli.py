@@ -214,3 +214,22 @@ class TestHelp:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "gen-corpus" in proc.stdout
+
+
+class TestLazyPackage:
+    def test_importing_the_cli_does_not_load_numpy(self):
+        # --threads sets the BLAS thread variables in main(); numpy must not
+        # have started its thread pool before then
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, isrlab.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_every_exported_name_resolves(self):
+        import isrlab
+        for name in isrlab.__all__:
+            assert getattr(isrlab, name).__module__.startswith("isrlab."), name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            isrlab.no_such_name

@@ -9,8 +9,9 @@ from isrlab.corpus import SynthConfig, generate_synthetic
 from isrlab.enquirer import (EnquirerConfig, EnquirerModel, PpoConfig, RewardCollapse,
                              Trajectory, _collect_rollout, _forward_core, compute_gae,
                              enquirer_forward, evaluate_enquirer, ppo_update,
-                             sample_action, sample_actions, train_enquirer)
-from isrlab.guesser import GuesserConfig, GuesserModel, GuesserTrainConfig, train_guesser
+                             sample_actions, train_enquirer)
+from isrlab.guesser import (GuesserConfig, GuesserModel, GuesserTrainConfig,
+                            guesser_success, sample_game_batch, train_guesser)
 
 
 @pytest.fixture(scope="module")
@@ -62,13 +63,14 @@ class TestForward:
 
 class TestSampling:
     def test_greedy_takes_the_mode(self):
-        assert sample_action(np.array([0.1, 0.7, 0.2]), "greedy") == 1
+        action = sample_actions(np.array([0.1, 0.7, 0.2]), "greedy")
+        assert action == 1 and isinstance(action, int)
 
     def test_explore_is_reproducible(self):
         probs = np.array([0.25, 0.25, 0.5])
-        a = sample_action(probs, "explore", np.random.default_rng(9))
-        b = sample_action(probs, "explore", np.random.default_rng(9))
-        assert a == b
+        a = sample_actions(probs, "explore", np.random.default_rng(9))
+        b = sample_actions(probs, "explore", np.random.default_rng(9))
+        assert a == b and isinstance(a, int)
 
     def test_explore_frequency_matches_probabilities(self):
         # 1e5 draws from a fair coin: 4-sigma binomial band
@@ -87,9 +89,9 @@ class TestSampling:
 
     def test_degenerate_distribution_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            sample_action(np.zeros(4), "explore", np.random.default_rng(0))
+            sample_actions(np.zeros(4), "explore", np.random.default_rng(0))
         with pytest.raises(ValueError, match="mode"):
-            sample_action(np.array([1.0]), "melt", np.random.default_rng(0))
+            sample_actions(np.array([1.0]), "melt", np.random.default_rng(0))
 
 
 class TestGae:
@@ -155,16 +157,26 @@ class TestPpoUpdate:
         return config, _collect_rollout(model, corpus, n_episodes, config, rng, reward)
 
     def test_first_update_ratios_are_exactly_one(self, corpus, model):
-        config, (batch, _) = self.collect(corpus, model)
+        # the rollout carries LSTM state across turns; re-encoding each
+        # whole prefix must give the same log-probs and values, bit for bit
+        config, (batch, episode_rewards) = self.collect(corpus, model)
         rows = np.arange(len(batch))
         logps = np.zeros(len(batch))
+        values = np.zeros(len(batch))
         for turn in np.unique(batch.turns):
             sel = rows[batch.turns == turn]
             out = _forward_core(model, batch.mean_guest[sel],
                                 batch.episode_uttered[sel, :turn], batch.masks[sel])
             logps[sel] = out.log_probs[np.arange(len(sel)), batch.actions[sel]]
+            values[sel] = out.value
         ratios = np.exp(logps - batch.behavior_log_probs)
         assert np.all(ratios == 1.0)
+        rewards = np.zeros((len(episode_rewards), config.word_budget))
+        rewards[:, -1] = episode_rewards
+        advantages, returns = compute_gae(rewards, values.reshape(rewards.shape),
+                                          config.gamma, config.gae_lambda)
+        assert np.array_equal(advantages.ravel(), batch.advantages)
+        assert np.array_equal(returns.ravel(), batch.returns)
 
     def test_unit_ratio_surrogate_is_mean_normalized_advantage(self, corpus, model):
         config, (batch, _) = self.collect(corpus, model)
@@ -265,6 +277,29 @@ class TestEvaluate:
         res = evaluate_enquirer(enquirer, guesser, corpus, 3, 2, 400, seed=2)
         assert res.word_tuples.shape == (400, 2)
         assert all(len(set(row)) == 2 for row in res.word_tuples.tolist())
+
+    @pytest.mark.parametrize("budget", [3, 8])
+    def test_matches_full_prefix_replay(self, trained_pair, budget):
+        # evaluation carries LSTM state across turns; a replay that
+        # re-encodes every prefix must pick the same words and score the same
+        enquirer, guesser, corpus = trained_pair
+        n_games, seed = 300, 5
+        res = evaluate_enquirer(enquirer, guesser, corpus, 3, budget, n_games, seed)
+        guest_rows, targets = sample_game_batch(corpus, n_games, 3,
+                                                np.random.default_rng(seed))
+        guests = corpus.voice_prints[guest_rows]
+        target_rows = guest_rows[np.arange(n_games), targets]
+        uttered = np.zeros((n_games, budget, corpus.dimension))
+        mask = np.zeros((n_games, corpus.vocab_size), dtype=bool)
+        words = np.zeros((n_games, budget), dtype=np.int64)
+        for turn in range(budget):
+            out = _forward_core(enquirer, guests.mean(axis=1), uttered[:, :turn], mask)
+            words[:, turn] = sample_actions(out.probs, "greedy")
+            mask[np.arange(n_games), words[:, turn]] = True
+            uttered[:, turn] = corpus.utterances[target_rows, words[:, turn]]
+        assert np.array_equal(res.word_tuples, words)
+        hits = guesser_success(guesser, guests, uttered, targets).sum()
+        assert res.success_rate == hits / n_games
 
     def test_full_vocabulary_budget_matches_random_policy(self, trained_pair):
         # with the budget equal to the vocabulary every policy utters

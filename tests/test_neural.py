@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from isrlab import neural
 from isrlab.neural import (BiLstmSpec, MlpSpec, ParamStore, adam_step,
-                           bilstm_backward, bilstm_forward, dropout_mask,
+                           bilstm_backward, bilstm_forward, bilstm_last, dropout_mask,
                            init_bilstm, init_mlp, load_params, max_relative_error,
                            mlp_backward, mlp_forward, numerical_gradient,
-                           save_params, softmax, softmax_cross_entropy)
+                           save_params, sigmoid, softmax, softmax_cross_entropy)
 
 GRAD_TOL = 1e-4
 
@@ -253,6 +253,76 @@ class TestBiLstm:
         init_bilstm(store, "lstm", spec, rng)
         with pytest.raises(ValueError, match="shape"):
             bilstm_forward(store, "lstm", spec, np.zeros((1, 2, 4)), np.zeros(3))
+
+
+class TestLastPosition:
+    """``bilstm_last`` is the last position of ``bilstm_forward``, bit for bit."""
+
+    def encoder(self, length, seed=20):
+        rng = np.random.default_rng(seed)
+        spec = BiLstmSpec(3, 4)
+        store = ParamStore()
+        init_bilstm(store, "lstm", spec, rng)
+        seq = rng.standard_normal((5, length, 3))
+        start = rng.standard_normal(3)
+        return rng, spec, store, seq, start
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 3])
+    def test_output_equals_full_encoder_last_row(self, length):
+        _, spec, store, seq, start = self.encoder(length)
+        last, _ = bilstm_last(store, "lstm", spec, seq, start)
+        hidden, _ = bilstm_forward(store, "lstm", spec, seq, start)
+        assert last.shape == (5, 8)
+        assert np.array_equal(last, hidden[:, -1])
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 3])
+    def test_gradients_equal_full_path(self, length):
+        rng, spec, store, seq, start = self.encoder(length)
+        d_hidden = np.zeros((5, length + 1, 8))
+        d_hidden[:, -1] = rng.standard_normal((5, 8))
+
+        _, cache = bilstm_forward(store, "lstm", spec, seq, start)
+        full_inputs = bilstm_backward(store, "lstm", spec, cache, d_hidden)
+        full_grads = {k: g.copy() for k, g in store.grads.items()}
+        store.zero_grads()
+        _, cache = bilstm_last(store, "lstm", spec, seq, start)
+        last_inputs = bilstm_backward(store, "lstm", spec, cache, d_hidden)
+        assert np.array_equal(last_inputs, full_inputs)
+        for name, grad in full_grads.items():
+            assert np.array_equal(store.grads[name], grad), name
+
+    def test_backward_direction_runs_one_step(self):
+        _, spec, store, seq, start = self.encoder(3)
+        _, cache = bilstm_last(store, "lstm", spec, seq, start)
+        assert [step[0] for step in cache.steps_f] == [0, 1, 2, 3]
+        assert [step[0] for step in cache.steps_b] == [3]
+
+
+def _masked_sigmoid(x):
+    # the boolean-mask formula the branch-free sigmoid replaced
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_equals_masked_formula(self):
+        rng = np.random.default_rng(21)
+        x = np.concatenate([rng.standard_normal(4000) * 8.0,
+                            [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan]])
+        assert np.array_equal(sigmoid(x), _masked_sigmoid(x), equal_nan=True)
+
+    def test_equals_masked_formula_on_gate_slabs(self):
+        x = np.random.default_rng(22).standard_normal((171, 512)) * 4.0
+        assert np.array_equal(sigmoid(x), _masked_sigmoid(x))
+
+    def test_extremes_saturate_without_overflow(self):
+        with np.errstate(over="raise"):
+            y = sigmoid(np.array([-800.0, -0.0, 0.0, 800.0]))
+        assert np.array_equal(y, [0.0, 0.5, 0.5, 1.0])
 
 
 class TestSoftmaxCrossEntropy:
