@@ -100,9 +100,6 @@ class Corpus:
     def vocab_size(self) -> int:
         return len(self.vocab)
 
-    def row_index(self, speaker_id: int) -> int:
-        return self._row[speaker_id]
-
     def voice_print(self, speaker_id: int) -> np.ndarray:
         return self.voice_prints[self._row[speaker_id]]
 

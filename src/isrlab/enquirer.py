@@ -22,7 +22,7 @@ whether a frozen guesser picks the target from the collected utterances.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -45,9 +45,7 @@ class EnquirerConfig:
     value_hidden: int = 256
 
     def arch(self) -> dict:
-        return {"model": "enquirer", "dim": self.dim, "vocab_size": self.vocab_size,
-                "lstm_hidden": self.lstm_hidden, "policy_hidden": self.policy_hidden,
-                "value_hidden": self.value_hidden}
+        return {"model": "enquirer", **asdict(self)}
 
 
 class EnquirerModel:
@@ -78,10 +76,8 @@ class EnquirerModel:
         store, kind, arch = neural.load_params(path)
         if kind != "enquirer":
             raise ValueError(f"checkpoint holds a {kind!r} model, not an enquirer")
-        config = EnquirerConfig(dim=arch["dim"], vocab_size=arch["vocab_size"],
-                                lstm_hidden=arch["lstm_hidden"],
-                                policy_hidden=arch["policy_hidden"],
-                                value_hidden=arch["value_hidden"])
+        config = EnquirerConfig(**{f.name: arch[f.name] for f in fields(EnquirerConfig)})
+        neural.check_params(store, cls.init(config, np.random.default_rng(0)).store)
         return cls(config, store)
 
 

@@ -14,7 +14,7 @@ word sets, no policy involved.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -35,8 +35,7 @@ class GuesserConfig:
     dropout: float = 0.5
 
     def arch(self) -> dict:
-        return {"model": "guesser", "dim": self.dim, "attn_hidden": self.attn_hidden,
-                "score_hidden": self.score_hidden, "dropout": self.dropout}
+        return {"model": "guesser", **asdict(self)}
 
 
 class GuesserModel:
@@ -64,8 +63,8 @@ class GuesserModel:
         store, kind, arch = neural.load_params(path)
         if kind != "guesser":
             raise ValueError(f"checkpoint holds a {kind!r} model, not a guesser")
-        config = GuesserConfig(dim=arch["dim"], attn_hidden=arch["attn_hidden"],
-                               score_hidden=arch["score_hidden"], dropout=arch["dropout"])
+        config = GuesserConfig(**{f.name: arch[f.name] for f in fields(GuesserConfig)})
+        neural.check_params(store, cls.init(config, np.random.default_rng(0)).store)
         return cls(config, store)
 
 

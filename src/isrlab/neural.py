@@ -31,10 +31,6 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, without a
     # branch: exp only ever sees a non-positive argument, so never overflows.
@@ -75,9 +71,6 @@ class ParamStore:
         self._m[name] = np.zeros_like(v)
         self._v[name] = np.zeros_like(v)
         return v
-
-    def names(self) -> list[str]:
-        return list(self.values)
 
     def n_parameters(self) -> int:
         return sum(v.size for v in self.values.values())
@@ -161,16 +154,14 @@ def init_mlp(store: ParamStore, prefix: str, spec: MlpSpec,
         store.add(f"{prefix}/b{i}", np.zeros(b))
 
 
+@dataclass(eq=False, slots=True)
 class MlpCache:
     """Intermediates for one forward pass; consumable exactly once."""
 
-    __slots__ = ("affine_inputs", "relu_outputs", "dropout_masks", "consumed")
-
-    def __init__(self, affine_inputs, relu_outputs, dropout_masks):
-        self.affine_inputs = affine_inputs
-        self.relu_outputs = relu_outputs
-        self.dropout_masks = dropout_masks
-        self.consumed = False
+    affine_inputs: list
+    relu_outputs: list
+    dropout_masks: list
+    consumed: bool = False
 
 
 def mlp_forward(store: ParamStore, prefix: str, spec: MlpSpec, x: np.ndarray,
@@ -180,6 +171,9 @@ def mlp_forward(store: ParamStore, prefix: str, spec: MlpSpec, x: np.ndarray,
 
     Dropout is applied after each ReLU only when ``train`` is true; eval
     mode is the identity thanks to inverted-dropout scaling at train time.
+    Bias and ReLU are applied in place to each matmul's fresh result, so
+    ``x`` is never written; without dropout, each cached ReLU output is the
+    array the next layer read.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.in_width:
@@ -192,22 +186,25 @@ def mlp_forward(store: ParamStore, prefix: str, spec: MlpSpec, x: np.ndarray,
     affine_inputs, relu_outputs, dropout_masks = [], [], []
     for i in range(n_affine):
         affine_inputs.append(h)
-        h = _mm(h, store.values[f"{prefix}/W{i}"]) + store.values[f"{prefix}/b{i}"]
+        h = _mm(h, store.values[f"{prefix}/W{i}"])
+        h += store.values[f"{prefix}/b{i}"]
         if i < n_affine - 1:
-            h = relu(h)
+            np.maximum(h, 0.0, out=h)
             relu_outputs.append(h)
-            if use_dropout:
-                mask = dropout_mask(rng, h.shape, spec.dropout)
+            mask = dropout_mask(rng, h.shape, spec.dropout) if use_dropout else None
+            dropout_masks.append(mask)
+            if mask is not None:
                 h = h * mask
-                dropout_masks.append(mask)
-            else:
-                dropout_masks.append(None)
     return h, MlpCache(affine_inputs, relu_outputs, dropout_masks)
 
 
 def mlp_backward(store: ParamStore, prefix: str, spec: MlpSpec,
                  cache: MlpCache, dout: np.ndarray) -> np.ndarray:
-    """Accumulate parameter gradients; return the gradient w.r.t. the input."""
+    """Accumulate parameter gradients; return the gradient w.r.t. the input.
+
+    The masks multiply each matmul's fresh result in place, so neither
+    ``dout`` nor the cache is written.
+    """
     if cache.consumed:
         raise ValueError("mlp backward cache already consumed")
     cache.consumed = True
@@ -220,8 +217,8 @@ def mlp_backward(store: ParamStore, prefix: str, spec: MlpSpec,
         if i > 0:
             mask = cache.dropout_masks[i - 1]
             if mask is not None:
-                d = d * mask
-            d = d * (cache.relu_outputs[i - 1] > 0.0)
+                d *= mask
+            d *= cache.relu_outputs[i - 1] > 0.0
     return d
 
 
@@ -253,14 +250,12 @@ def init_bilstm(store: ParamStore, prefix: str, spec: BiLstmSpec,
         store.add(f"{prefix}/b{tag}", bias)
 
 
+@dataclass(eq=False, slots=True)
 class BiLstmCache:
-    __slots__ = ("inputs", "steps_f", "steps_b", "consumed")
-
-    def __init__(self, inputs, steps_f, steps_b):
-        self.inputs = inputs
-        self.steps_f = steps_f
-        self.steps_b = steps_b
-        self.consumed = False
+    inputs: np.ndarray
+    steps_f: list
+    steps_b: list
+    consumed: bool = False
 
 
 def lstm_cell(W: np.ndarray, bias: np.ndarray, x: np.ndarray, h: np.ndarray,
@@ -542,3 +537,15 @@ def load_params(path) -> tuple[ParamStore, str, dict]:
         store.add(name, np.asarray(rec["values"], dtype=np.float64).reshape(rec["shape"]))
     store.step_count = int(payload.get("step_count", 0))
     return store, payload["kind"], arch
+
+
+def check_params(store: ParamStore, expected: ParamStore) -> None:
+    """Raise ValueError naming a parameter missing, unexpected or misshapen."""
+    for name in sorted(store.values.keys() | expected.values.keys()):
+        if name not in store.values:
+            raise ValueError(f"checkpoint is missing parameter {name!r}")
+        if name not in expected.values:
+            raise ValueError(f"checkpoint has unexpected parameter {name!r}")
+        got, want = store.values[name].shape, expected.values[name].shape
+        if got != want:
+            raise ValueError(f"checkpoint parameter {name!r} has shape {got}, expected {want}")

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -226,6 +227,26 @@ class TestLazyPackage:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts threads in /proc/self/task")
+    def test_threads_flag_caps_blas(self, tmp_path):
+        # the thread variables are cleared first, so only --threads can
+        # keep BLAS from starting one thread per core when numpy loads
+        script = textwrap.dedent("""
+            import os, sys
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                os.environ.pop(var, None)
+            from isrlab import cli
+            code = cli.main(["gen-corpus", "--threads", "1", "--out", sys.argv[1],
+                             "--train-speakers", "8", "--test-speakers", "2"])
+            assert code == 0
+            print(len(os.listdir("/proc/self/task")))
+            """)
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "c.jsonl")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "1"
 
     def test_every_exported_name_resolves(self):
         import isrlab

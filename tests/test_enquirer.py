@@ -1,5 +1,7 @@
 """Policy masking, sampling, GAE identities, and PPO update mechanics."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,6 +321,22 @@ class TestCheckpoint:
         assert loaded.config == model.config
         for name in model.store.values:
             assert np.array_equal(loaded.store.values[name], model.store.values[name])
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("lstm/Wb", lambda p: p.pop("lstm/Wb"), "missing"),
+        ("value/W2", lambda p: p.update({"value/W2": {"shape": [1], "values": [0.0]}}),
+         "unexpected"),
+        ("start", lambda p: p["start"].update({"shape": [2, 3]}), r"\(2, 3\)"),
+    ], ids=["missing", "unexpected", "misshapen"])
+    def test_parameter_defect_rejected_by_name(self, model, tmp_path, name, edit, message):
+        path = tmp_path / "enquirer.json"
+        model.save(path)
+        payload = json.loads(path.read_text())
+        edit(payload["params"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message) as exc:
+            EnquirerModel.load(path)
+        assert repr(name) in str(exc.value)
 
     def test_wrong_kind_rejected(self, tmp_path):
         guesser = GuesserModel.init(GuesserConfig(dim=4), np.random.default_rng(0))

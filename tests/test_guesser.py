@@ -1,5 +1,7 @@
 """Attention pooling, scoring symmetry, gradient flow, and training loop."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -193,3 +195,30 @@ class TestEvaluate:
                                   np.random.default_rng(1))
         acc, _ = evaluate_guesser(model, test, 5, 2, "random", 10_000, seed=11)
         assert abs(acc - 0.2) < 0.05
+
+
+class TestCheckpoint:
+    def test_round_trip(self, tiny_model, tmp_path):
+        path = tmp_path / "guesser.json"
+        tiny_model.save(path)
+        loaded = GuesserModel.load(path)
+        assert loaded.config == tiny_model.config
+        for name in tiny_model.store.values:
+            assert np.array_equal(loaded.store.values[name], tiny_model.store.values[name])
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("score/W1", lambda p: p.pop("score/W1"), "missing"),
+        ("score/W2", lambda p: p.update({"score/W2": {"shape": [1], "values": [0.0]}}),
+         "unexpected"),
+        ("attn/W0", lambda p: p["attn/W0"].update({"shape": [5, 8]}), r"\(5, 8\)"),
+    ], ids=["missing", "unexpected", "misshapen"])
+    def test_parameter_defect_rejected_by_name(self, tiny_model, tmp_path, name, edit,
+                                               message):
+        path = tmp_path / "guesser.json"
+        tiny_model.save(path)
+        payload = json.loads(path.read_text())
+        edit(payload["params"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message) as exc:
+            GuesserModel.load(path)
+        assert repr(name) in str(exc.value)

@@ -164,6 +164,108 @@ class TestDropout:
             assert max_relative_error(store.grads[name], num) < GRAD_TOL, name
 
 
+def _allocating_mlp(store, spec, x, dout, train=False, rng=None):
+    # the allocating forward and backward formulas the in-place passes
+    # replaced: returns the output, input gradient, parameter gradients
+    # and ReLU outputs
+    n_affine = len(spec.hidden) + 1
+    h = x
+    inputs, relus, masks = [], [], []
+    for i in range(n_affine):
+        inputs.append(h)
+        h = neural._mm(h, store.values[f"net/W{i}"]) + store.values[f"net/b{i}"]
+        if i < n_affine - 1:
+            h = np.maximum(h, 0.0)
+            relus.append(h)
+            mask = dropout_mask(rng, h.shape, spec.dropout) if train else None
+            masks.append(mask)
+            if mask is not None:
+                h = h * mask
+    y, d, grads = h, dout, {}
+    for i in reversed(range(n_affine)):
+        grads[f"net/W{i}"] = inputs[i].T @ d
+        grads[f"net/b{i}"] = d.sum(axis=0)
+        d = d @ store.values[f"net/W{i}"].T
+        if i > 0:
+            if masks[i - 1] is not None:
+                d = d * masks[i - 1]
+            d = d * (relus[i - 1] > 0.0)
+    return y, d, grads, relus
+
+
+class TestInPlacePasses:
+    """The in-place MLP passes equal the allocating formulas, bit for bit,
+    and write into neither their inputs nor the cache."""
+
+    def check(self, store, spec, x, dout, train=False, seed=None):
+        x_before, dout_before = x.copy(), dout.copy()
+        rng = None if seed is None else np.random.default_rng(seed)
+        y, cache = mlp_forward(store, "net", spec, x, train=train, rng=rng)
+        cached = [a.copy() for a in cache.affine_inputs + cache.relu_outputs]
+        dx = mlp_backward(store, "net", spec, cache, dout)
+
+        rng = None if seed is None else np.random.default_rng(seed)
+        ref_y, ref_dx, ref_grads, ref_relus = _allocating_mlp(
+            store, spec, x_before, dout_before, train=train, rng=rng)
+        assert np.array_equal(y, ref_y, equal_nan=True)
+        assert np.array_equal(dx, ref_dx, equal_nan=True)
+        for name, grad in ref_grads.items():
+            assert np.array_equal(store.grads[name], grad, equal_nan=True), name
+        for got, want in zip(cache.relu_outputs, ref_relus):
+            assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(x, x_before, equal_nan=True)
+        assert np.array_equal(dout, dout_before, equal_nan=True)
+        for got, want in zip(cache.affine_inputs + cache.relu_outputs, cached):
+            assert np.array_equal(got, want, equal_nan=True)
+        return cache
+
+    def test_eval_mode(self):
+        rng = np.random.default_rng(30)
+        spec = MlpSpec(6, (16, 8), 3, dropout=0.5)
+        store = make_mlp(spec, rng)
+        cache = self.check(store, spec, rng.standard_normal((37, 6)),
+                           rng.standard_normal((37, 3)))
+        # without dropout each cached ReLU output is the next layer's input
+        for relu_out, next_in in zip(cache.relu_outputs, cache.affine_inputs[1:]):
+            assert relu_out is next_in
+
+    def test_train_mode_with_dropout(self):
+        rng = np.random.default_rng(31)
+        spec = MlpSpec(6, (16, 8), 3, dropout=0.5)
+        store = make_mlp(spec, rng)
+        self.check(store, spec, rng.standard_normal((37, 6)),
+                   rng.standard_normal((37, 3)), train=True, seed=32)
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_single_row_takes_the_padded_path(self, train):
+        rng = np.random.default_rng(33)
+        spec = MlpSpec(6, (16,), 1, dropout=0.5)
+        store = make_mlp(spec, rng)
+        self.check(store, spec, rng.standard_normal((1, 6)),
+                   rng.standard_normal((1, 1)), train=train, seed=34)
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_signed_zero_nan_and_huge_pre_activations(self, train):
+        # an identity first layer passes the inputs through, and the bias
+        # adds to them: the pre-activations hold zeros, nan, inf, +-1e308
+        # and negative subnormals (a zero sum leaves gemm as +0.0, so the
+        # signed zeros of the inputs and the bias all arrive as +0.0)
+        spec = MlpSpec(6, (6,), 2, dropout=0.5)
+        store = ParamStore()
+        store.add("net/W0", np.eye(6))
+        store.add("net/b0", np.array([-0.0, 0.0, np.nan, 1e308, -0.0, -7.5]))
+        store.add("net/W1", np.random.default_rng(35).standard_normal((6, 2)))
+        store.add("net/b1", np.zeros(2))
+        x = np.array([[0.0, -0.0, 1.0, 1e308, -1e308, 7.5], [-0.0] * 6,
+                      [1e308] * 6, [-1e-320] * 6])
+        with np.errstate(over="ignore", invalid="ignore"):
+            pre = x @ store.values["net/W0"] + store.values["net/b0"]
+            self.check(store, spec, x, np.random.default_rng(36).standard_normal((4, 2)),
+                       train=train, seed=37)
+        assert np.isnan(pre).any() and np.isposinf(pre).any() and (pre == 0.0).any()
+        assert (pre == -1e308).any() and ((pre < 0.0) & (pre > -1e-300)).any()
+
+
 class TestBiLstm:
     def test_empty_sequence_encodes_start_token_alone(self):
         rng = np.random.default_rng(10)
