@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,13 +206,29 @@ def save_corpus(corpus: Corpus, path, enrollments: np.ndarray | None = None) -> 
                                      "embedding": corpus.utterances[i, w].tolist()}) + "\n")
 
 
+def _field(rec: dict, name: str, line_no: int):
+    if name not in rec:
+        raise CorpusFormatError(f"line {line_no}: {rec.get('type')} record has no {name!r} field")
+    return rec[name]
+
+
+def _int_field(rec: dict, name: str, line_no: int) -> int:
+    value = _field(rec, name, line_no)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise CorpusFormatError(
+            f"line {line_no}: field {name!r} is not an integer: {value!r}") from None
+
+
 def load_corpus(path, split: str = "full") -> Corpus:
     """Load and validate an interchange file.
 
-    Rejections name what is wrong: missing (speaker, word) cells are listed,
-    as are dimension mismatches and speakers with no way to get a voice
-    print.  Voice prints fall back to the mean of enrollment records when
-    no explicit voiceprint record exists.
+    Rejections name what is wrong: a malformed record is named by its line
+    and field, missing (speaker, word) cells are listed, as are dimension
+    mismatches and speakers with no way to get a voice print.  Voice
+    prints fall back to the mean of enrollment records when no explicit
+    voiceprint record exists.
     """
     header = None
     utter: dict[tuple[int, int], np.ndarray] = {}
@@ -228,26 +245,44 @@ def load_corpus(path, split: str = "full") -> Corpus:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"line {line_no}: invalid JSON ({exc})") from exc
+            if not isinstance(rec, dict):
+                raise CorpusFormatError(f"line {line_no}: record is not a JSON object")
             kind = rec.get("type")
             if kind == "header":
                 if header is not None:
                     raise CorpusFormatError(f"line {line_no}: duplicate header")
                 header = rec
+                dimension = _int_field(rec, "dimension", line_no)
+                vocab = _field(rec, "vocab", line_no)
+                if dimension < 1:
+                    raise CorpusFormatError(f"line {line_no}: field 'dimension' must be >= 1")
+                if not isinstance(vocab, list):
+                    raise CorpusFormatError(f"line {line_no}: field 'vocab' is not a list")
                 continue
             if header is None:
                 raise CorpusFormatError("first record must be the header")
             if kind not in ("utterance", "enrollment", "voiceprint"):
                 raise CorpusFormatError(f"line {line_no}: unknown record type {kind!r}")
-            vec = np.asarray(rec["embedding"], dtype=np.float64)
-            if vec.shape != (header["dimension"],):
+            embedding = _field(rec, "embedding", line_no)
+            try:
+                vec = np.asarray(embedding, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise CorpusFormatError(
+                    f"line {line_no}: field 'embedding' is not a list of numbers") from exc
+            if vec.shape != (dimension,):
                 raise CorpusFormatError(
                     f"line {line_no}: embedding of length {vec.shape[0] if vec.ndim == 1 else vec.shape}"
-                    f" does not match header dimension {header['dimension']}")
-            sid = int(rec["speaker"])
+                    f" does not match header dimension {dimension}")
+            # v.v is finite unless an entry is nan or inf or the sum
+            # overflows, which the exact test then clears; per record it is
+            # several times cheaper than isfinite
+            if not math.isfinite(vec @ vec) and not np.isfinite(vec).all():
+                raise CorpusFormatError(f"line {line_no}: field 'embedding' holds a non-finite value")
+            sid = _int_field(rec, "speaker", line_no)
             speakers.add(sid)
             if kind == "utterance":
-                wid = int(rec["word"])
-                if not 0 <= wid < len(header["vocab"]):
+                wid = _int_field(rec, "word", line_no)
+                if not 0 <= wid < len(vocab):
                     raise CorpusFormatError(f"line {line_no}: word id {wid} out of range")
                 if (sid, wid) in utter:
                     raise CorpusFormatError(f"line {line_no}: duplicate utterance cell ({sid}, {wid})")
@@ -261,7 +296,7 @@ def load_corpus(path, split: str = "full") -> Corpus:
 
     if header is None:
         raise CorpusFormatError("file has no header record")
-    vocab = tuple(header["vocab"])
+    vocab = tuple(vocab)
     speaker_ids = tuple(sorted(speakers))
 
     missing = [(sid, wid) for sid in speaker_ids for wid in range(len(vocab))
@@ -279,7 +314,7 @@ def load_corpus(path, split: str = "full") -> Corpus:
     utterances = np.stack([
         np.stack([utter[(sid, wid)] for wid in range(len(vocab))])
         for sid in speaker_ids])
-    return Corpus(dimension=int(header["dimension"]), vocab=vocab,
+    return Corpus(dimension=dimension, vocab=vocab,
                   speaker_ids=speaker_ids, voice_prints=voice_prints,
                   utterances=utterances, split=split)
 

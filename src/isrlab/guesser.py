@@ -74,7 +74,7 @@ class GuesserActivations:
 
     ``attn_weights`` rows sum to 1 and ``pooled`` is their convex
     combination of the uttered embeddings; ``probs`` rows sum to 1 over
-    the K guests.
+    the K guests.  Only a training pass keeps the two nets' caches.
     """
 
     mean_guest: np.ndarray    # (B, D)
@@ -114,20 +114,14 @@ def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray
         raise ValueError("need at least one guest and one uttered word")
 
     mean_guest = guests.mean(axis=1)                                    # (B, D)
-    attn_in = np.concatenate(
-        [uttered, np.broadcast_to(mean_guest[:, None, :], (b, t, d))], axis=2)
-    e_flat, attn_cache = neural.mlp_forward(
-        model.store, "attn", model.attn_spec, attn_in.reshape(b * t, 2 * d),
-        train=train, rng=rng)
+    e_flat, attn_cache = _run_net(model, "attn", model.attn_spec,
+                                  _paired_rows(uttered, mean_guest), train, rng)
     attn_logits = e_flat.reshape(b, t)
     attn_weights = neural.softmax(attn_logits, axis=1)
     pooled = np.einsum("bt,btd->bd", attn_weights, uttered)
 
-    score_in = np.concatenate(
-        [guests, np.broadcast_to(pooled[:, None, :], (b, k, d))], axis=2)
-    s_flat, score_cache = neural.mlp_forward(
-        model.store, "score", model.score_spec, score_in.reshape(b * k, 2 * d),
-        train=train, rng=rng)
+    s_flat, score_cache = _run_net(model, "score", model.score_spec,
+                                   _paired_rows(guests, pooled), train, rng)
     score_logits = s_flat.reshape(b, k)
     probs = neural.softmax(score_logits, axis=1)
     return GuesserActivations(
@@ -137,27 +131,51 @@ def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray
         _attn_cache=attn_cache, _score_cache=score_cache)
 
 
+def _paired_rows(items: np.ndarray, context: np.ndarray) -> np.ndarray:
+    """(B, N, D) items each beside their game's (B, D) context: (B*N, 2D)."""
+    b, n, d = items.shape
+    return np.concatenate(
+        [items, np.broadcast_to(context[:, None, :], (b, n, d))], axis=2).reshape(b * n, 2 * d)
+
+
+def _run_net(model: GuesserModel, prefix: str, spec: MlpSpec, rows: np.ndarray,
+             train: bool, rng: np.random.Generator | None):
+    """A training pass keeps its cache; an eval pass runs in row blocks and
+    keeps none."""
+    if train:
+        return neural.mlp_forward(model.store, prefix, spec, rows, train=True, rng=rng)
+    return neural.mlp_predict(model.store, prefix, spec, rows), None
+
+
 def guesser_loss(model: GuesserModel, acts: GuesserActivations, targets) -> float:
     """Mean cross-entropy at the target guests; accumulates parameter grads.
 
     The backward pass runs through the score net, the attention pooling,
-    the attention net, and the mean-guest branch.
+    the attention net, and the mean-guest branch.  Eval-mode activations
+    carry no MLP caches, so each net is run once more on the same inputs
+    to rebuild them.
     """
     targets = np.atleast_1d(np.asarray(targets))
     b, k = acts.probs.shape
     t = acts.attn_weights.shape[1]
     d = acts.pooled.shape[1]
+    attn_cache, score_cache = acts._attn_cache, acts._score_cache
+    if score_cache is None:
+        _, attn_cache = neural.mlp_forward(model.store, "attn", model.attn_spec,
+                                           _paired_rows(acts._uttered, acts.mean_guest))
+        _, score_cache = neural.mlp_forward(model.store, "score", model.score_spec,
+                                            _paired_rows(acts._guests, acts.pooled))
     losses, dlogits = neural.softmax_cross_entropy(acts.score_logits, targets)
     dlogits /= b
 
     dscore_in = neural.mlp_backward(
-        model.store, "score", model.score_spec, acts._score_cache,
+        model.store, "score", model.score_spec, score_cache,
         dlogits.reshape(b * k, 1)).reshape(b, k, 2 * d)
     dpooled = dscore_in[:, :, d:].sum(axis=1)                           # (B, D)
 
     dalpha = np.einsum("bd,btd->bt", dpooled, acts._uttered)
     de = acts.attn_weights * (dalpha - (acts.attn_weights * dalpha).sum(axis=1, keepdims=True))
-    neural.mlp_backward(model.store, "attn", model.attn_spec, acts._attn_cache,
+    neural.mlp_backward(model.store, "attn", model.attn_spec, attn_cache,
                         de.reshape(b * t, 1))
     return float(losses.mean())
 

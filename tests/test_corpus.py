@@ -267,6 +267,36 @@ class TestInterchange:
         assert np.allclose(loaded.voice_prints, corpus.voice_prints, atol=1e-12, rtol=0)
 
 
+def _without(rec, field):
+    return {k: v for k, v in rec.items() if k != field}
+
+
+VOICEPRINT, UTTERANCE = full_grid()[:2]
+
+# Each case replaces one line of [HEADER] + full_grid(): line 1 is the
+# header, line 2 a voiceprint record, line 3 an utterance record; the
+# error must name that line and the field.
+MALFORMED = {
+    "record-without-speaker": (2, _without(VOICEPRINT, "speaker"), "speaker"),
+    "record-without-word": (3, _without(UTTERANCE, "word"), "word"),
+    "header-without-dimension": (1, _without(HEADER, "dimension"), "dimension"),
+    "array-record": (2, [0, 1.0, 0.0], "object"),
+    "string-embedding": (2, {**VOICEPRINT, "embedding": "0.0 1.0 0.0"}, "embedding"),
+    "nan-embedding": (3, {**UTTERANCE, "embedding": [0.0, float("nan"), 1.0]}, "embedding"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_record_named_by_line_and_field(tmp_path, case):
+    line, record, field = MALFORMED[case]
+    records = [HEADER] + full_grid()
+    records[line - 1] = record
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, records)   # json.dumps writes nan as the NaN literal
+    with pytest.raises(CorpusFormatError, match=rf"^line {line}: .*{field}"):
+        load_corpus(path)
+
+
 class TestFingerprint:
     def test_stable_and_content_sensitive(self):
         a = generate_synthetic(small_config())

@@ -1,6 +1,7 @@
 """Attention pooling, scoring symmetry, gradient flow, and training loop."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -71,6 +72,35 @@ class TestForward:
     def test_dimension_mismatch_rejected(self, tiny_model):
         with pytest.raises(ValueError, match="dimension"):
             guesser_forward(tiny_model, np.zeros((3, 5)), np.zeros((2, 5)))
+
+
+class TestBlockedEval:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts threads in /proc/self/task")
+    def test_eval_pass_equals_whole_batch_pass(self, one_blas_thread):
+        # without dropout a training pass is the whole-batch mlp_forward pass
+        # and keeps its caches, as an eval pass did before it ran in blocks
+        one_blas_thread("""
+            from isrlab.guesser import (GuesserConfig, GuesserModel,
+                                        guesser_forward, guesser_loss)
+            rng = np.random.default_rng(0)
+            model = GuesserModel.init(GuesserConfig(dim=32, dropout=0.0), rng)
+            for games, k, t in [(1, 5, 3), (2, 5, 3), (7, 5, 3), (300, 5, 3),
+                                (513, 5, 3), (5000, 5, 3), (300, 50, 20)]:
+                guests = rng.standard_normal((games, k, 32))
+                uttered = rng.standard_normal((games, t, 32))
+                targets = rng.integers(0, k, size=games)
+                probs, grads = [], []
+                for train in (True, False):
+                    acts = guesser_forward(model, guests, uttered, train=train)
+                    probs.append(acts.probs)
+                    guesser_loss(model, acts, targets)
+                    grads.append({n: g.copy() for n, g in model.store.grads.items()})
+                    model.store.zero_grads()
+                assert np.array_equal(probs[0], probs[1]), games
+                for name in grads[0]:
+                    assert np.array_equal(grads[0][name], grads[1][name]), (games, name)
+            """)
 
 
 class TestLoss:

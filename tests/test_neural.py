@@ -1,6 +1,8 @@
 """Layer-by-layer checks of the hand-rolled differentiable stack."""
 
 import json
+import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -264,6 +266,48 @@ class TestInPlacePasses:
                        train=train, seed=37)
         assert np.isnan(pre).any() and np.isposinf(pre).any() and (pre == 0.0).any()
         assert (pre == -1e308).any() and ((pre < 0.0) & (pre > -1e-300)).any()
+
+
+class TestBlockedPredict:
+    """``mlp_predict`` equals eval-mode ``mlp_forward`` at one BLAS thread
+    and holds one block of activations, not the whole batch's."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts threads in /proc/self/task")
+    def test_equals_whole_batch_forward(self, one_blas_thread):
+        one_blas_thread("""
+            from isrlab import neural
+            block = neural.PREDICT_BLOCK_ROWS
+            counts = [0, 1, 2, 7, block - 1, block, block + 1,
+                      2 * block - 1, 2 * block, 2 * block + 1, 4097]
+            rng = np.random.default_rng(0)
+            for hidden in (512, 256):
+                spec = neural.MlpSpec(64, (hidden,), 1, dropout=0.5)
+                store = neural.ParamStore()
+                neural.init_mlp(store, "net", spec, rng)
+                for value in store.values.values():
+                    value += 0.1 * rng.standard_normal(value.shape)
+                x = rng.standard_normal((max(counts), 64))
+                for n in counts:
+                    got = neural.mlp_predict(store, "net", spec, x[:n])
+                    want, _ = neural.mlp_forward(store, "net", spec, x[:n])
+                    assert got.shape == (n, 1), (hidden, n)
+                    assert np.array_equal(got, want), (hidden, n)
+            """)
+
+    def test_peak_memory_is_a_block_not_the_batch(self):
+        rng = np.random.default_rng(40)
+        spec = MlpSpec(64, (512,), 1)
+        store = make_mlp(spec, rng)
+        x = rng.standard_normal((20_480, 64))
+        whole_activation = 20_480 * 512 * x.itemsize
+        tracemalloc.start()
+        try:
+            neural.mlp_predict(store, "net", spec, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_activation / 4
 
 
 class TestBiLstm:
