@@ -281,6 +281,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     else:
         policy = ns.policy or "random"
         rows = []
+        curated = None
         for seed in seeds:
             if policy == "random":
                 acc, err = evaluate_guesser(guesser, corpus, cfg["guests"],
@@ -299,6 +300,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                                     n_guests=cfg["guests"], word_budget=cfg["words"],
                                     eval_games=cfg["games"]), seed)
                 acc, err = res.accuracy, res.stderr
+                if curated is None:     # the diversity tuples draw from the first seed's list
+                    curated = res.curated
             elif policy == "enquirer":
                 if enquirer is None:
                     raise ValueError("--policy enquirer requires --enquirer")
@@ -331,15 +334,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                                      "--words entries in --fixed-words")
                 tuples = np.tile(np.asarray(words), (n_tuples, 1))
             elif policy == "heuristic":
-                res = heuristic_baseline(
-                    guesser, corpus,
-                    HeuristicConfig(games_per_word=cfg["eta"],
-                                    curated_size=cfg["curated_size"],
-                                    n_guests=cfg["guests"], word_budget=cfg["words"],
-                                    eval_games=1), seeds[0])
                 tuples = sample_word_subsets(np.random.default_rng(seeds[0]),
-                                             n_tuples, np.asarray(res.curated),
-                                             cfg["words"])
+                                             n_tuples, np.asarray(curated), cfg["words"])
             else:
                 tuples = sample_word_subsets(np.random.default_rng(seeds[0]),
                                              n_tuples,

@@ -216,7 +216,7 @@ def _int_field(rec: dict, name: str, line_no: int) -> int:
     value = _field(rec, name, line_no)
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise CorpusFormatError(
             f"line {line_no}: field {name!r} is not an integer: {value!r}") from None
 
@@ -236,11 +236,17 @@ def load_corpus(path, split: str = "full") -> Corpus:
     enroll: dict[int, list[np.ndarray]] = {}
     speakers: set[int] = set()
 
-    with open(path, encoding="utf-8") as fh:
+    # an undecodable byte reads as a lone surrogate, caught on its own line
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise CorpusFormatError(f"line {line_no}: not valid UTF-8") from None
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from . import neural
 from .corpus import Corpus
-from .guesser import GuesserModel, guesser_success, sample_game_batch
+from .guesser import GuesserModel, guesser_success, play_games, sample_game_batch
 from .neural import BiLstmSpec, MlpSpec, ParamStore
 
 
@@ -338,7 +339,6 @@ class _PlayedGames:
     """A batch of games played to the word budget, with each turn's record."""
 
     guests: np.ndarray       # (B, K, D)
-    targets: np.ndarray      # (B,)
     mean_guest: np.ndarray   # (B, D)
     uttered: np.ndarray      # (B, T, D)
     masks: np.ndarray        # (B, T, V) words already requested before each turn
@@ -347,18 +347,17 @@ class _PlayedGames:
     values: np.ndarray       # (B, T)
 
 
-def _play_games(model: EnquirerModel, corpus: Corpus, n_games: int, n_guests: int,
-                word_budget: int, mode: str,
+def _play_games(model: EnquirerModel, corpus: Corpus, guest_rows: np.ndarray,
+                targets: np.ndarray, word_budget: int, mode: str,
                 rng: np.random.Generator) -> _PlayedGames:
-    """Deal ``n_games`` games from ``rng`` and play them with the policy.
+    """Play the dealt games with the policy; explore mode draws from ``rng``.
 
     Each turn costs two LSTM cell steps: the forward direction's state is
     carried from turn to turn, and the backward direction, read only at
     the newest position, is one step from the zero state.  The outputs
     are those of ``_forward_core`` on each turn's whole prefix.
     """
-    b, t_max, v = n_games, word_budget, corpus.vocab_size
-    guest_rows, targets = sample_game_batch(corpus, b, n_guests, rng)
+    b, t_max, v = len(targets), word_budget, corpus.vocab_size
     guests = corpus.voice_prints[guest_rows]
     target_rows = guest_rows[np.arange(b), targets]
     mean_guest = guests.mean(axis=1)
@@ -388,18 +387,17 @@ def _play_games(model: EnquirerModel, corpus: Corpus, n_games: int, n_guests: in
         values[:, turn] = out.value
         mask_now[rows, acts] = True
         x = uttered[:, turn] = corpus.utterances[target_rows, acts]
-    return _PlayedGames(guests, targets, mean_guest, uttered, masks, actions,
-                        log_probs, values)
+    return _PlayedGames(guests, mean_guest, uttered, masks, actions, log_probs, values)
 
 
 def _collect_rollout(model: EnquirerModel, corpus: Corpus, n_episodes: int,
                      config: PpoConfig, rng: np.random.Generator,
                      reward_fn) -> tuple[TransitionBatch, np.ndarray]:
     e, t_max = n_episodes, config.word_budget
-    games = _play_games(model, corpus, e, config.n_guests, t_max, "explore", rng)
+    guest_rows, targets = sample_game_batch(corpus, e, config.n_guests, rng)
+    games = _play_games(model, corpus, guest_rows, targets, t_max, "explore", rng)
     episode_rewards = np.asarray(
-        reward_fn(games.actions, games.guests, games.uttered, games.targets),
-        dtype=np.float64)
+        reward_fn(games.actions, games.guests, games.uttered, targets), dtype=np.float64)
     rewards = np.zeros((e, t_max))
     rewards[:, -1] = episode_rewards
     advantages, returns = compute_gae(rewards, games.values, config.gamma,
@@ -487,18 +485,11 @@ def evaluate_enquirer(enquirer: EnquirerModel, guesser: GuesserModel, corpus: Co
     Also returns the per-game requested word tuples, which feed the
     diversity index.
     """
-    rng = np.random.default_rng(seed)
-    hits = 0
-    tuples = []
-    done = 0
-    while done < n_games:
-        b = min(chunk, n_games - done)
-        games = _play_games(enquirer, corpus, b, n_guests, word_budget, "greedy", rng)
-        hits += int(guesser_success(guesser, games.guests, games.uttered,
-                                    games.targets).sum())
-        tuples.append(games.actions)
-        done += b
-    rate = hits / n_games
-    stderr = float(np.sqrt(rate * (1.0 - rate) / n_games))
-    return EnquirerEvalResult(success_rate=rate, stderr=stderr,
-                              word_tuples=np.concatenate(tuples, axis=0))
+    def greedy(guest_rows, targets, rng):
+        return _play_games(enquirer, corpus, guest_rows, targets, word_budget, "greedy",
+                           rng).actions
+
+    rate, stderr, tuples = play_games(corpus, n_guests, n_games, greedy,
+                                      partial(guesser_success, guesser),
+                                      np.random.default_rng(seed), chunk)
+    return EnquirerEvalResult(success_rate=rate, stderr=stderr, word_tuples=tuples)

@@ -10,12 +10,14 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .corpus import Corpus, corpus_fingerprint
-from .guesser import (GuesserModel, _gather_games, evaluate_guesser,
-                      guesser_forward, sample_game_batch, sample_word_subsets)
+from .enquirer import evaluate_enquirer
+from .guesser import (GuesserModel, evaluate_guesser, guesser_success, play_games,
+                      word_pool_policy)
 
 
 def jaccard(a, b) -> float:
@@ -63,6 +65,15 @@ def diversity_index(tuples) -> DiversityReport:
                            omega=float(pairs.mean()))
 
 
+def nearest_print_success(guests: np.ndarray, uttered: np.ndarray,
+                          targets: np.ndarray) -> np.ndarray:
+    """0/1 per game: does the mean per-word cosine pick the target's print?"""
+    sims = np.einsum("btd,bkd->btk", uttered, guests)
+    sims /= np.linalg.norm(uttered, axis=2)[:, :, None]
+    sims /= np.linalg.norm(guests, axis=2)[:, None, :]
+    return np.argmax(sims.mean(axis=1), axis=1) == targets
+
+
 def cosine_nearest_print_accuracy(corpus: Corpus, n_guests: int, n_words: int,
                                   n_games: int, seed: int,
                                   chunk: int = 4096) -> tuple[float, float]:
@@ -71,23 +82,10 @@ def cosine_nearest_print_accuracy(corpus: Corpus, n_guests: int, n_words: int,
     Serves as the independent yardstick the trained guesser is compared
     against; it never sees the training corpus.
     """
-    rng = np.random.default_rng(seed)
-    vocab = np.arange(corpus.vocab_size)
-    hits = 0
-    done = 0
-    while done < n_games:
-        b = min(chunk, n_games - done)
-        guest_rows, targets = sample_game_batch(corpus, b, n_guests, rng)
-        words = sample_word_subsets(rng, b, vocab, n_words)
-        guests, uttered = _gather_games(corpus, guest_rows, targets, words)
-        sims = np.einsum("btd,bkd->btk", uttered, guests)
-        sims /= np.linalg.norm(uttered, axis=2)[:, :, None]
-        sims /= np.linalg.norm(guests, axis=2)[:, None, :]
-        scores = sims.mean(axis=1)
-        hits += int(np.sum(np.argmax(scores, axis=1) == targets))
-        done += b
-    acc = hits / n_games
-    return acc, float(np.sqrt(acc * (1.0 - acc) / n_games))
+    rate, stderr, _ = play_games(
+        corpus, n_guests, n_games, word_pool_policy(np.arange(corpus.vocab_size), n_words),
+        nearest_print_success, np.random.default_rng(seed), chunk)
+    return rate, stderr
 
 
 @dataclass(frozen=True)
@@ -112,9 +110,10 @@ def heuristic_baseline(guesser: GuesserModel, corpus: Corpus,
     """Curate the globally most discriminant words, then play from that list.
 
     Each word is scored by guesser accuracy over games where it is forced
-    into an otherwise random word set; the top ``curated_size`` words form
-    the pool the fixed policy samples from.  The reported accuracy comes
-    from a fresh seeded evaluation run.
+    into an otherwise random word set, played in chunks of 4,096 from one
+    seeded stream; the top ``curated_size`` words form the pool the fixed
+    policy samples from.  The reported accuracy comes from a fresh seeded
+    evaluation run.
     """
     v = corpus.vocab_size
     if not config.word_budget <= config.curated_size <= v:
@@ -122,24 +121,16 @@ def heuristic_baseline(guesser: GuesserModel, corpus: Corpus,
             f"need word_budget <= curated_size <= {v}, got {config.curated_size}")
     if config.games_per_word < 1 or config.eval_games < 1:
         raise ValueError("game counts must be positive")
-    if config.n_guests > corpus.n_speakers:
-        raise ValueError(
-            f"cannot score {config.games_per_word} games: {config.n_guests} guests "
-            f"exceed the {corpus.n_speakers} corpus speakers")
+
+    def forcing(word: int):
+        rest = word_pool_policy(np.delete(np.arange(v), word), config.word_budget - 1)
+        return lambda guest_rows, targets, rng: np.concatenate(
+            [np.full((len(targets), 1), word), rest(guest_rows, targets, rng)], axis=1)
 
     rng = np.random.default_rng(seed)
-    scores = np.zeros(v)
-    for word in range(v):
-        others = np.array([w for w in range(v) if w != word])
-        guest_rows, targets = sample_game_batch(
-            corpus, config.games_per_word, config.n_guests, rng)
-        rest = sample_word_subsets(rng, config.games_per_word, others,
-                                   config.word_budget - 1)
-        words = np.concatenate(
-            [np.full((config.games_per_word, 1), word), rest], axis=1)
-        guests, uttered = _gather_games(corpus, guest_rows, targets, words)
-        probs = guesser_forward(guesser, guests, uttered).probs
-        scores[word] = np.mean(np.argmax(probs, axis=1) == targets)
+    score = partial(guesser_success, guesser)
+    scores = np.array([play_games(corpus, config.n_guests, config.games_per_word,
+                                  forcing(word), score, rng)[0] for word in range(v)])
 
     order = np.argsort(-scores, kind="stable")     # ties to the lower word id
     curated = tuple(int(w) for w in order[:config.curated_size])
@@ -182,7 +173,6 @@ def word_sweep(guesser: GuesserModel, corpus: Corpus, t_grid, n_guests: int,
                              "policy": "heuristic", "seed": int(seed),
                              "accuracy": res.accuracy, "stderr": res.stderr})
             if enquirer is not None:
-                from .enquirer import evaluate_enquirer
                 res = evaluate_enquirer(enquirer, guesser, corpus, n_guests, t,
                                         n_games, seed)
                 rows.append({"variable": "word_budget", "value": int(t),

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus
+from .guesser import sample_game_batch
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,10 @@ class StepOutcome:
 
 
 def new_game(corpus: Corpus, config: GameConfig, rng: np.random.Generator) -> GameState:
-    """Sample K distinct guests uniformly, then a uniform target among them."""
+    """Deal one game: K distinct uniform guests and a uniform target among them."""
     config.validate(corpus)
-    rows = rng.choice(corpus.n_speakers, size=config.n_guests, replace=False)
-    target = int(rng.integers(config.n_guests))
+    guest_rows, targets = sample_game_batch(corpus, 1, config.n_guests, rng)
+    rows, target = guest_rows[0], int(targets[0])
     prints = corpus.voice_prints[rows].copy()
     prints.setflags(write=False)
     return GameState(

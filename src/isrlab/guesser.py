@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -185,10 +186,12 @@ def sample_game_batch(corpus: Corpus, n_games: int, n_guests: int,
     """Uniform guests without replacement plus a uniform target per game.
 
     Returns guest row indices (n_games, K) into the corpus arrays and the
-    target column (n_games,) into each guest row.
+    target column (n_games,) into each guest row.  This is the one dealer:
+    batched evaluation, rollouts and the single-game ``game.new_game`` all
+    deal through it.
     """
     if n_guests > corpus.n_speakers:
-        raise ValueError(f"cannot seat {n_guests} guests from {corpus.n_speakers} speakers")
+        raise ValueError(f"{n_guests} guests exceed the {corpus.n_speakers} corpus speakers")
     keys = rng.random((n_games, corpus.n_speakers))
     guest_rows = np.argsort(keys, axis=1)[:, :n_guests]
     targets = rng.integers(0, n_guests, size=n_games)
@@ -212,6 +215,34 @@ def _gather_games(corpus: Corpus, guest_rows: np.ndarray, targets: np.ndarray,
     target_rows = guest_rows[np.arange(len(targets)), targets]
     uttered = corpus.utterances[target_rows[:, None], words]            # (B, T, D)
     return guests, uttered
+
+
+def play_games(corpus: Corpus, n_guests: int, n_games: int, policy, scorer,
+               rng: np.random.Generator, chunk: int = 4096) -> tuple[float, float, np.ndarray]:
+    """Deal, play and score ``n_games`` seeded games, ``chunk`` at a time.
+
+    Per chunk the games are dealt from ``rng``, then ``policy(guest_rows,
+    targets, rng)`` returns each game's (b, T) word ids and
+    ``scorer(guests, uttered, targets)`` its 0/1 successes.  Returns the
+    success rate, its binomial stderr and the (n_games, T) words played.
+    """
+    if n_games < 1:
+        raise ValueError(f"need at least one game to score, got {n_games}")
+    hits, played = 0, []
+    for start in range(0, n_games, chunk):
+        guest_rows, targets = sample_game_batch(
+            corpus, min(chunk, n_games - start), n_guests, rng)
+        words = policy(guest_rows, targets, rng)
+        guests, uttered = _gather_games(corpus, guest_rows, targets, words)
+        hits += int(scorer(guests, uttered, targets).sum())
+        played.append(words)
+    rate = hits / n_games
+    return rate, float(np.sqrt(rate * (1.0 - rate) / n_games)), np.concatenate(played)
+
+
+def word_pool_policy(pool: np.ndarray, n_words: int):
+    """The policy that draws ``n_words`` distinct words per game from ``pool``."""
+    return lambda guest_rows, targets, rng: sample_word_subsets(rng, len(targets), pool, n_words)
 
 
 @dataclass(frozen=True)
@@ -290,35 +321,19 @@ def evaluate_guesser(model: GuesserModel, corpus: Corpus, n_guests: int,
                      chunk: int = 4096) -> tuple[float, float]:
     """Mean terminal success and binomial stderr over seeded games.
 
-    ``word_policy`` is "random", a fixed pool of word ids to draw from
-    (used exactly when its length equals the budget), or an enquirer model
-    evaluated greedily.
+    ``word_policy`` is "random" or a fixed pool of word ids to draw from
+    (used exactly when its length equals the budget).
     """
     if not isinstance(word_policy, (str, list, tuple, np.ndarray)):
-        from .enquirer import EnquirerModel, evaluate_enquirer
-        if isinstance(word_policy, EnquirerModel):
-            result = evaluate_enquirer(word_policy, model, corpus, n_guests,
-                                       n_words, n_games, seed)
-            return result.success_rate, result.stderr
         raise TypeError(f"unsupported word policy: {word_policy!r}")
-
     if isinstance(word_policy, str) and word_policy != "random":
         raise ValueError(f"unknown word policy {word_policy!r}")
     pool = (np.arange(corpus.vocab_size) if isinstance(word_policy, str)
             else np.asarray(word_policy, dtype=int))
-    rng = np.random.default_rng(seed)
-    hits = 0
-    done = 0
-    while done < n_games:
-        b = min(chunk, n_games - done)
-        guest_rows, targets = sample_game_batch(corpus, b, n_guests, rng)
-        words = sample_word_subsets(rng, b, pool, n_words)
-        guests, uttered = _gather_games(corpus, guest_rows, targets, words)
-        probs = guesser_forward(model, guests, uttered).probs
-        hits += int(np.sum(np.argmax(probs, axis=1) == targets))
-        done += b
-    acc = hits / n_games
-    return acc, float(np.sqrt(acc * (1.0 - acc) / n_games))
+    rate, stderr, _ = play_games(
+        corpus, n_guests, n_games, word_pool_policy(pool, n_words),
+        partial(guesser_success, model), np.random.default_rng(seed), chunk)
+    return rate, stderr
 
 
 def guesser_success(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray,

@@ -172,6 +172,29 @@ class TestEval:
         record = json.loads(captured.err.strip())
         assert "guests" in record["message"] or "seat" in record["message"]
 
+    def test_heuristic_diversity_curates_once_per_seed(self, corpus_file, guesser_ckpt,
+                                                       tmp_path, monkeypatch):
+        from isrlab import evaluation
+        calls = []
+        original = evaluation.heuristic_baseline
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append(result.curated)
+            return result
+        monkeypatch.setattr(evaluation, "heuristic_baseline", counted)
+        code = run(["eval", "--corpus", str(corpus_file), "--guesser",
+                    str(guesser_ckpt), "--policy", "heuristic", "--eta", "200",
+                    "--curated-size", "3", "--games", "100", "--guests", "3",
+                    "--words", "2", "--seeds", "0,1", "--diversity",
+                    "--diversity-games", "40", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert len(calls) == 2
+        lines = (tmp_path / "word_tuples.jsonl").read_text().splitlines()
+        assert len(lines) == 40
+        for line in lines:
+            assert set(json.loads(line)["words"]) <= set(calls[0])
+
     def test_eval_outputs_are_reproducible(self, corpus_file, guesser_ckpt, tmp_path):
         outs = []
         for tag in ("one", "two"):

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from isrlab.corpus import (Corpus, CorpusFormatError, SynthConfig,
                            corpus_fingerprint, generate_synthetic, load_corpus,
@@ -283,6 +285,7 @@ MALFORMED = {
     "array-record": (2, [0, 1.0, 0.0], "object"),
     "string-embedding": (2, {**VOICEPRINT, "embedding": "0.0 1.0 0.0"}, "embedding"),
     "nan-embedding": (3, {**UTTERANCE, "embedding": [0.0, float("nan"), 1.0]}, "embedding"),
+    "infinite-speaker": (2, {**VOICEPRINT, "speaker": float("inf")}, "speaker"),
 }
 
 
@@ -295,6 +298,40 @@ def test_malformed_record_named_by_line_and_field(tmp_path, case):
     write_jsonl(path, records)   # json.dumps writes nan as the NaN literal
     with pytest.raises(CorpusFormatError, match=rf"^line {line}: .*{field}"):
         load_corpus(path)
+
+
+def test_invalid_utf8_named_by_line(tmp_path):
+    lines = [json.dumps(r).encode("utf-8") for r in [HEADER] + full_grid()]
+    lines[2] = lines[2].replace(b'"utterance"', b'"utter\xffance"')
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(CorpusFormatError, match=r"^line 3: .*UTF-8"):
+        load_corpus(path)
+
+
+VALID_FILE = "".join(json.dumps(r) + "\n"
+                     for r in [HEADER] + full_grid(n_speakers=3)).encode("utf-8")
+
+
+@given(op=st.sampled_from(["replace", "delete", "insert"]),
+       at=st.integers(0, len(VALID_FILE) - 1), byte=st.integers(0, 255))
+@example(op="replace", at=len(VALID_FILE) // 2, byte=0xFF)   # not UTF-8
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_one_byte_mutation_loads_or_raises_format_error(tmp_path, op, at, byte):
+    data = bytearray(VALID_FILE)
+    if op == "replace":
+        data[at] = byte
+    elif op == "delete":
+        del data[at]
+    else:
+        data.insert(at, byte)
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(bytes(data))
+    try:
+        load_corpus(path)
+    except CorpusFormatError:
+        pass
 
 
 class TestFingerprint:

@@ -1,0 +1,213 @@
+"""One dealer and one chunked play-and-score loop behind every evaluator.
+
+The reference functions below are the per-evaluator loops that
+``guesser.play_games`` replaced, kept verbatim apart from dealing the
+enquirer's games outside ``_play_games``.  Each evaluator must reproduce
+its loop exactly, across chunk boundaries.
+"""
+
+import numpy as np
+import pytest
+
+from isrlab import guesser as guesser_module
+from isrlab.corpus import SynthConfig, generate_synthetic
+from isrlab.enquirer import (EnquirerConfig, EnquirerModel, _play_games,
+                             evaluate_enquirer)
+from isrlab.evaluation import (HeuristicConfig, cosine_nearest_print_accuracy,
+                               heuristic_baseline)
+from isrlab.game import GameConfig, new_game
+from isrlab.guesser import (GuesserConfig, GuesserModel, _gather_games,
+                            evaluate_guesser, guesser_forward, guesser_success,
+                            play_games, sample_game_batch, sample_word_subsets)
+
+
+def reference_evaluate_guesser(model, corpus, n_guests, n_words, word_policy,
+                               n_games, seed, chunk=4096):
+    pool = (np.arange(corpus.vocab_size) if isinstance(word_policy, str)
+            else np.asarray(word_policy, dtype=int))
+    rng = np.random.default_rng(seed)
+    hits = 0
+    done = 0
+    while done < n_games:
+        b = min(chunk, n_games - done)
+        guest_rows, targets = sample_game_batch(corpus, b, n_guests, rng)
+        words = sample_word_subsets(rng, b, pool, n_words)
+        guests, uttered = _gather_games(corpus, guest_rows, targets, words)
+        probs = guesser_forward(model, guests, uttered).probs
+        hits += int(np.sum(np.argmax(probs, axis=1) == targets))
+        done += b
+    acc = hits / n_games
+    return acc, float(np.sqrt(acc * (1.0 - acc) / n_games))
+
+
+def reference_cosine(corpus, n_guests, n_words, n_games, seed, chunk=4096):
+    rng = np.random.default_rng(seed)
+    vocab = np.arange(corpus.vocab_size)
+    hits = 0
+    done = 0
+    while done < n_games:
+        b = min(chunk, n_games - done)
+        guest_rows, targets = sample_game_batch(corpus, b, n_guests, rng)
+        words = sample_word_subsets(rng, b, vocab, n_words)
+        guests, uttered = _gather_games(corpus, guest_rows, targets, words)
+        sims = np.einsum("btd,bkd->btk", uttered, guests)
+        sims /= np.linalg.norm(uttered, axis=2)[:, :, None]
+        sims /= np.linalg.norm(guests, axis=2)[:, None, :]
+        scores = sims.mean(axis=1)
+        hits += int(np.sum(np.argmax(scores, axis=1) == targets))
+        done += b
+    acc = hits / n_games
+    return acc, float(np.sqrt(acc * (1.0 - acc) / n_games))
+
+
+def reference_evaluate_enquirer(enquirer, guesser, corpus, n_guests, word_budget,
+                                n_games, seed, chunk=4096):
+    rng = np.random.default_rng(seed)
+    hits = 0
+    tuples = []
+    done = 0
+    while done < n_games:
+        b = min(chunk, n_games - done)
+        guest_rows, targets = sample_game_batch(corpus, b, n_guests, rng)
+        games = _play_games(enquirer, corpus, guest_rows, targets, word_budget,
+                            "greedy", rng)
+        hits += int(guesser_success(guesser, games.guests, games.uttered, targets).sum())
+        tuples.append(games.actions)
+        done += b
+    rate = hits / n_games
+    return rate, float(np.sqrt(rate * (1.0 - rate) / n_games)), np.concatenate(tuples)
+
+
+def reference_heuristic_scores(guesser, corpus, config, seed):
+    """Each word's games as one unchunked batch."""
+    v = corpus.vocab_size
+    rng = np.random.default_rng(seed)
+    scores = np.zeros(v)
+    for word in range(v):
+        others = np.array([w for w in range(v) if w != word])
+        guest_rows, targets = sample_game_batch(
+            corpus, config.games_per_word, config.n_guests, rng)
+        rest = sample_word_subsets(rng, config.games_per_word, others,
+                                   config.word_budget - 1)
+        words = np.concatenate(
+            [np.full((config.games_per_word, 1), word), rest], axis=1)
+        guests, uttered = _gather_games(corpus, guest_rows, targets, words)
+        probs = guesser_forward(guesser, guests, uttered).probs
+        scores[word] = np.mean(np.argmax(probs, axis=1) == targets)
+    return scores
+
+
+@pytest.fixture(scope="module")
+def world():
+    corpus = generate_synthetic(SynthConfig(dimension=8, vocab_size=6, train_speakers=30,
+                                            test_speakers=0, enrollments=3, seed=4))
+    rng = np.random.default_rng(5)
+    guesser = GuesserModel.init(GuesserConfig(dim=8, attn_hidden=16, score_hidden=16), rng)
+    enquirer = EnquirerModel.init(
+        EnquirerConfig(dim=8, vocab_size=6, lstm_hidden=8, policy_hidden=16,
+                       value_hidden=16), rng)
+    return corpus, guesser, enquirer
+
+
+SIZES = [(30, 7), (4097, 4096)]   # (games, chunk): both end on a partial chunk
+
+
+class TestSameOutputsAsTheLoopsReplaced:
+    @pytest.mark.parametrize("n_games, chunk", SIZES)
+    @pytest.mark.parametrize("policy", ["random", [0, 2, 3, 5]], ids=["random", "pool"])
+    def test_evaluate_guesser(self, world, n_games, chunk, policy):
+        corpus, guesser, _ = world
+        got = evaluate_guesser(guesser, corpus, 4, 3, policy, n_games, seed=1, chunk=chunk)
+        assert got == reference_evaluate_guesser(guesser, corpus, 4, 3, policy, n_games,
+                                                 seed=1, chunk=chunk)
+
+    @pytest.mark.parametrize("n_games, chunk", SIZES)
+    @pytest.mark.parametrize("n_words", [1, 3])
+    def test_cosine_yardstick(self, world, n_games, chunk, n_words):
+        corpus, _, _ = world
+        got = cosine_nearest_print_accuracy(corpus, 4, n_words, n_games, seed=2,
+                                            chunk=chunk)
+        assert got == reference_cosine(corpus, 4, n_words, n_games, seed=2, chunk=chunk)
+
+    @pytest.mark.parametrize("n_games, chunk", SIZES)
+    def test_evaluate_enquirer(self, world, n_games, chunk):
+        corpus, guesser, enquirer = world
+        got = evaluate_enquirer(enquirer, guesser, corpus, 4, 3, n_games, seed=3,
+                                chunk=chunk)
+        rate, stderr, tuples = reference_evaluate_enquirer(
+            enquirer, guesser, corpus, 4, 3, n_games, seed=3, chunk=chunk)
+        assert (got.success_rate, got.stderr) == (rate, stderr)
+        assert np.array_equal(got.word_tuples, tuples)
+
+    @pytest.mark.parametrize("games_per_word", [1, 300, 4096])
+    def test_heuristic_scores_up_to_one_chunk(self, world, games_per_word):
+        corpus, guesser, _ = world
+        config = HeuristicConfig(games_per_word=games_per_word, curated_size=3,
+                                 n_guests=4, word_budget=2, eval_games=50)
+        got = heuristic_baseline(guesser, corpus, config, seed=4).word_scores
+        assert np.array_equal(got, reference_heuristic_scores(guesser, corpus, config,
+                                                              seed=4))
+
+
+class TestPlayGames:
+    def test_returns_every_game_played_in_order(self, world):
+        corpus, _, _ = world
+        seen = []
+
+        def policy(guest_rows, targets, rng):
+            seen.append(len(targets))
+            return sample_word_subsets(rng, len(targets), np.arange(6), 2)
+
+        rate, stderr, words = play_games(
+            corpus, 3, 20, policy, lambda g, u, t: np.ones(len(t)),
+            np.random.default_rng(0), chunk=8)
+        assert seen == [8, 8, 4]
+        assert words.shape == (20, 2)
+        assert (rate, stderr) == (1.0, 0.0)
+
+    def test_oversized_guest_count_named(self, world):
+        corpus, _, _ = world
+        with pytest.raises(ValueError, match="31 guests exceed the 30 corpus speakers"):
+            play_games(corpus, 31, 5, None, None, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n_games", [0, -3])
+    def test_no_games_is_a_named_error(self, world, n_games):
+        corpus, guesser, enquirer = world
+        for call in (lambda: evaluate_guesser(guesser, corpus, 4, 3, "random", n_games, 0),
+                     lambda: cosine_nearest_print_accuracy(corpus, 4, 3, n_games, 0),
+                     lambda: evaluate_enquirer(enquirer, guesser, corpus, 4, 3, n_games, 0)):
+            with pytest.raises(ValueError, match=f"at least one game to score, got {n_games}"):
+                call()
+
+    def test_non_sequence_word_policy_rejected(self, world):
+        corpus, guesser, enquirer = world
+        with pytest.raises(TypeError, match="unsupported word policy"):
+            evaluate_guesser(guesser, corpus, 4, 3, enquirer, 10, seed=0)
+
+
+class TestOneDealer:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 123])
+    def test_new_game_seats_the_batch_dealers_game(self, world, seed):
+        corpus, _, _ = world
+        state = new_game(corpus, GameConfig(n_guests=5, word_budget=3),
+                         np.random.default_rng(seed))
+        rows, targets = sample_game_batch(corpus, 1, 5, np.random.default_rng(seed))
+        assert state.guest_ids == tuple(int(corpus.speaker_ids[r]) for r in rows[0])
+        assert state.target_index == targets[0]
+        assert np.array_equal(state.guest_prints, corpus.voice_prints[rows[0]])
+
+
+def test_heuristic_scores_at_most_one_chunk_per_guesser_call(world, monkeypatch):
+    corpus, guesser, _ = world
+    batches = []
+    original = guesser_module.guesser_forward
+
+    def recording(model, guests, uttered, *args, **kwargs):
+        batches.append(len(guests))
+        return original(model, guests, uttered, *args, **kwargs)
+    monkeypatch.setattr(guesser_module, "guesser_forward", recording)
+    config = HeuristicConfig(games_per_word=10_000, curated_size=3, n_guests=4,
+                             word_budget=2, eval_games=100)
+    heuristic_baseline(guesser, corpus, config, seed=0)
+    assert sum(batches) == corpus.vocab_size * 10_000 + 100
+    assert max(batches) <= 4096
