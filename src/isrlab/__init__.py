@@ -23,8 +23,8 @@ _EXPORTS = {
     "guesser": ("GuesserConfig", "GuesserModel", "GuesserTrainConfig", "TrainingDiverged",
                 "evaluate_guesser", "guesser_forward", "guesser_loss", "train_guesser"),
     "enquirer": ("EnquirerConfig", "EnquirerModel", "PpoConfig", "RewardCollapse",
-                 "Trajectory", "compute_gae", "enquirer_forward", "evaluate_enquirer",
-                 "ppo_update", "sample_actions", "train_enquirer"),
+                 "compute_gae", "enquirer_forward", "evaluate_enquirer", "ppo_update",
+                 "sample_actions", "train_enquirer"),
     "evaluation": ("DiversityReport", "HeuristicConfig", "HeuristicResult", "SweepResult",
                    "cosine_nearest_print_accuracy", "diversity_index", "guest_sweep",
                    "heuristic_baseline", "jaccard", "word_sweep"),

@@ -87,7 +87,11 @@ def _resolve(ns: argparse.Namespace, defaults: dict, reference_keys=()) -> dict:
         if flag is not None:
             out[key] = flag
         elif key in config_values and not (pin and key in reference_keys):
-            out[key] = type(default)(config_values[key])
+            try:
+                out[key] = type(default)(config_values[key])
+            except ValueError:
+                raise ValueError(f"{ns.config}: {key} = {config_values[key]!r} is not "
+                                 f"a valid {type(default).__name__}") from None
         else:
             out[key] = default
     return out
@@ -106,6 +110,8 @@ def _emit(path: Path) -> None:
 
 def _load_split(corpus_path: str, cfg: dict, which: str = "train"):
     from .corpus import load_corpus, split_speakers
+    if which not in ("train", "test", "full"):
+        raise ValueError(f"unknown split {which!r}: expected train, test or full")
     full = load_corpus(corpus_path)
     if which == "full":
         return full
@@ -401,10 +407,16 @@ def _add_common(parser: argparse.ArgumentParser, defaults: dict) -> None:
                             help=f"speaker split seed (default: {defaults['split_seed']})")
 
 
-def _flag(parser, name: str, defaults: dict, kind, text: str, reference=False) -> None:
-    tag = " [reference setting]" if reference else ""
-    parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind,
-                        help=f"{text} (default: {defaults[name]}){tag}")
+def _flags(parser, defaults: dict, helps: dict[str, str], reference=()) -> None:
+    """Typed --flags from ``helps``; tag the ``reference`` keys and offer pinning them."""
+    for name, text in helps.items():
+        tag = " [reference setting]" if name in reference else ""
+        parser.add_argument(f"--{name.replace('_', '-')}", dest=name,
+                            type=type(defaults[name]),
+                            help=f"{text} (default: {defaults[name]}){tag}")
+    if reference:
+        parser.add_argument("--reference-defaults", action="store_true",
+                            help="pin reference hyperparameters against --config overrides")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,32 +428,30 @@ def build_parser() -> argparse.ArgumentParser:
     d = _GEN_DEFAULTS
     p = sub.add_parser("gen-corpus", help="write a synthetic corpus JSONL file")
     p.add_argument("--out", required=True, help="corpus output path (.jsonl)")
-    _flag(p, "dim", d, int, "embedding dimension")
-    _flag(p, "vocab_size", d, int, "vocabulary size", reference=True)
-    _flag(p, "train_speakers", d, int, "speakers intended for training")
-    _flag(p, "test_speakers", d, int, "held-out speakers")
-    _flag(p, "enrollments", d, int, "enrollment vectors per voice print", reference=True)
-    _flag(p, "sharpness", d, float, "word informativeness sharpness")
-    _flag(p, "utterance_noise", d, float, "utterance noise scale")
-    _flag(p, "enrollment_noise", d, float, "enrollment noise scale")
-    _flag(p, "seed", d, int, "generator seed")
+    _flags(p, d, {"dim": "embedding dimension",
+                  "vocab_size": "vocabulary size",
+                  "train_speakers": "speakers intended for training",
+                  "test_speakers": "held-out speakers",
+                  "enrollments": "enrollment vectors per voice print",
+                  "sharpness": "word informativeness sharpness",
+                  "utterance_noise": "utterance noise scale",
+                  "enrollment_noise": "enrollment noise scale",
+                  "seed": "generator seed"})
     _add_common(p, d)
     p.set_defaults(handler=cmd_gen_corpus)
 
     d = _TRAIN_GUESSER_DEFAULTS
     p = sub.add_parser("train-guesser", help="supervised training on random-word games")
     p.add_argument("--corpus", required=True, help="corpus JSONL path")
-    _flag(p, "games", d, int, "training games", reference=True)
-    _flag(p, "batch_size", d, int, "games per Adam step", reference=True)
-    _flag(p, "lr", d, float, "learning rate", reference=True)
-    _flag(p, "guests", d, int, "guests per game", reference=True)
-    _flag(p, "words", d, int, "word budget per game", reference=True)
-    _flag(p, "dropout", d, float, "hidden dropout rate", reference=True)
-    _flag(p, "eval_games", d, int, "validation games per curve point")
-    _flag(p, "eval_every", d, int, "batches between curve points")
-    _flag(p, "seed", d, int, "training seed")
-    p.add_argument("--reference-defaults", action="store_true",
-                   help="pin reference hyperparameters against --config overrides")
+    _flags(p, d, {"games": "training games",
+                  "batch_size": "games per Adam step",
+                  "lr": "learning rate",
+                  "guests": "guests per game",
+                  "words": "word budget per game",
+                  "dropout": "hidden dropout rate",
+                  "eval_games": "validation games per curve point",
+                  "eval_every": "batches between curve points",
+                  "seed": "training seed"}, _TRAIN_GUESSER_REFERENCE)
     _add_common(p, d)
     p.set_defaults(handler=cmd_train_guesser)
 
@@ -449,23 +459,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-enquirer", help="PPO training against a frozen guesser")
     p.add_argument("--corpus", required=True, help="corpus JSONL path")
     p.add_argument("--guesser", required=True, help="guesser checkpoint path")
-    _flag(p, "episodes", d, int, "training episodes", reference=True)
-    _flag(p, "lr", d, float, "learning rate", reference=True)
-    _flag(p, "clip", d, float, "PPO clipping", reference=True)
-    _flag(p, "gamma", d, float, "discount factor", reference=True)
-    _flag(p, "gae_lambda", d, float, "advantage coefficient", reference=True)
-    _flag(p, "entropy_coef", d, float, "entropy bonus coefficient", reference=True)
-    _flag(p, "value_coef", d, float, "value loss coefficient")
-    _flag(p, "grad_clip", d, float, "global gradient norm clip", reference=True)
-    _flag(p, "horizon", d, int, "transitions per update round", reference=True)
-    _flag(p, "update_batches", d, int, "minibatches per round", reference=True)
-    _flag(p, "update_batch_size", d, int, "transitions per minibatch", reference=True)
-    _flag(p, "guests", d, int, "guests per game", reference=True)
-    _flag(p, "words", d, int, "word budget per game", reference=True)
-    _flag(p, "eval_games", d, int, "held-out greedy games for the summary")
-    _flag(p, "seed", d, int, "training seed")
-    p.add_argument("--reference-defaults", action="store_true",
-                   help="pin reference hyperparameters against --config overrides")
+    _flags(p, d, {"episodes": "training episodes",
+                  "lr": "learning rate",
+                  "clip": "PPO clipping",
+                  "gamma": "discount factor",
+                  "gae_lambda": "advantage coefficient",
+                  "entropy_coef": "entropy bonus coefficient",
+                  "value_coef": "value loss coefficient",
+                  "grad_clip": "global gradient norm clip",
+                  "horizon": "transitions per update round",
+                  "update_batches": "minibatches per round",
+                  "update_batch_size": "transitions per minibatch",
+                  "guests": "guests per game",
+                  "words": "word budget per game",
+                  "eval_games": "held-out greedy games for the summary",
+                  "seed": "training seed"}, _TRAIN_ENQUIRER_REFERENCE)
     _add_common(p, d)
     p.set_defaults(handler=cmd_train_enquirer)
 
@@ -484,15 +492,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add the heuristic policy to a words sweep")
     p.add_argument("--diversity", action="store_true",
                    help="report the word-tuple overlap index for the policy")
-    _flag(p, "grid", d, str, "comma-separated sweep grid")
-    _flag(p, "games", d, int, "games per evaluation")
-    _flag(p, "guests", d, int, "guests per game", reference=True)
-    _flag(p, "words", d, int, "word budget per game", reference=True)
-    _flag(p, "seeds", d, str, "comma-separated evaluation seeds")
-    _flag(p, "eta", d, int, "games per word when curating the heuristic", reference=True)
-    _flag(p, "curated_size", d, int, "heuristic curated list size")
-    _flag(p, "diversity_games", d, int, "word tuples for the diversity index")
-    _flag(p, "split", d, str, "corpus side to evaluate: train, test, or full")
+    _flags(p, d, {"grid": "comma-separated sweep grid",
+                  "games": "games per evaluation",
+                  "guests": "guests per game",
+                  "words": "word budget per game",
+                  "seeds": "comma-separated evaluation seeds",
+                  "eta": "games per word when curating the heuristic",
+                  "curated_size": "heuristic curated list size",
+                  "diversity_games": "word tuples for the diversity index",
+                  "split": "corpus side to evaluate: train, test, or full"})
     _add_common(p, d)
     p.set_defaults(handler=cmd_eval)
 
@@ -501,15 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="curate discriminant words and score the fixed policy")
     p.add_argument("--corpus", required=True, help="corpus JSONL path")
     p.add_argument("--guesser", required=True, help="guesser checkpoint path")
-    _flag(p, "eta", d, int, "games per candidate word", reference=True)
-    _flag(p, "curated_size", d, int, "curated list size")
-    _flag(p, "guests", d, int, "guests per game", reference=True)
-    _flag(p, "words", d, int, "word budget per game", reference=True)
-    _flag(p, "eval_games", d, int, "evaluation games for the curated policy")
-    _flag(p, "seed", d, int, "scoring seed")
-    _flag(p, "split", d, str, "corpus side to score on: train, test, or full")
-    p.add_argument("--reference-defaults", action="store_true",
-                   help="pin reference hyperparameters against --config overrides")
+    _flags(p, d, {"eta": "games per candidate word",
+                  "curated_size": "curated list size",
+                  "guests": "guests per game",
+                  "words": "word budget per game",
+                  "eval_games": "evaluation games for the curated policy",
+                  "seed": "scoring seed",
+                  "split": "corpus side to score on: train, test, or full"},
+           _HEURISTIC_REFERENCE)
     _add_common(p, d)
     p.set_defaults(handler=cmd_baseline_heuristic)
     return parser

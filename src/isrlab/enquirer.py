@@ -174,24 +174,6 @@ def sample_actions(probs: np.ndarray, mode: str, rng: np.random.Generator | None
     return int(actions[0]) if squeeze else actions
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """One episode's per-turn record for advantage estimation."""
-
-    actions: np.ndarray
-    log_probs: np.ndarray
-    values: np.ndarray
-    rewards: np.ndarray
-
-    def __post_init__(self):
-        t = len(self.actions)
-        for name in ("log_probs", "values", "rewards"):
-            if len(getattr(self, name)) != t:
-                raise ValueError(f"{name} length != {t}")
-        if t > 1 and np.any(self.rewards[:-1] != 0.0):
-            raise ValueError("only the terminal step may carry reward")
-
-
 def compute_gae(rewards: np.ndarray, values: np.ndarray, gamma: float,
                 lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Generalized advantage estimates and value targets.
@@ -245,66 +227,46 @@ class PpoConfig:
             raise ValueError("clip must be positive")
 
 
-@dataclass
-class TransitionBatch:
-    """Flattened rollout transitions ready for a PPO minibatch."""
-
-    mean_guest: np.ndarray        # (n, D)
-    episode_uttered: np.ndarray   # (n, T, D) full episode, sliced by turn
-    turns: np.ndarray             # (n,)
-    masks: np.ndarray             # (n, V)
-    actions: np.ndarray           # (n,)
-    behavior_log_probs: np.ndarray
-    advantages: np.ndarray
-    returns: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def select(self, idx: np.ndarray) -> "TransitionBatch":
-        return TransitionBatch(
-            mean_guest=self.mean_guest[idx], episode_uttered=self.episode_uttered[idx],
-            turns=self.turns[idx], masks=self.masks[idx], actions=self.actions[idx],
-            behavior_log_probs=self.behavior_log_probs[idx],
-            advantages=self.advantages[idx], returns=self.returns[idx])
-
-
-def ppo_update(model: EnquirerModel, batch: TransitionBatch,
+def ppo_update(model: EnquirerModel, games: _PlayedGames, idx: np.ndarray,
                config: PpoConfig) -> dict:
-    """One clipped-surrogate update on a minibatch of transitions.
+    """One clipped-surrogate update on the rollout transitions ``idx``.
 
-    Advantages are normalized to zero mean and unit variance within the
-    batch.  The objective is max E[min(ratio * A, clip(ratio) * A)]
-    plus an entropy bonus minus the value regression term; one Adam step
-    with global-norm clipping applies the combined gradient.
+    Transition ``i`` of the (E, T) rollout is turn ``i % T`` of episode
+    ``i // T``.  Advantages are normalized to zero mean and unit variance
+    within the minibatch.  The objective is
+    max E[min(ratio * A, clip(ratio) * A)] plus an entropy bonus minus the
+    value regression term; one Adam step with global-norm clipping applies
+    the combined gradient.
     """
-    n = len(batch)
-    adv = batch.advantages
+    n = len(idx)
+    episodes, turns = np.divmod(idx, games.actions.shape[1])
+    actions = games.actions[episodes, turns]
+    adv = games.advantages[episodes, turns]
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
-    rows = np.arange(n)
     new_log_probs = np.zeros(n)
     values = np.zeros(n)
     entropies = np.zeros(n)
     groups = []
-    for turn in np.unique(batch.turns):
-        sel = rows[batch.turns == turn]
-        out = _forward_core(model, batch.mean_guest[sel],
-                            batch.episode_uttered[sel, :turn], batch.masks[sel])
+    for turn in np.unique(turns):
+        sel = np.flatnonzero(turns == turn)
+        ep = episodes[sel]
+        out = _forward_core(model, games.mean_guest[ep], games.uttered[ep, :turn],
+                            games.masks[ep, turn])
         groups.append((sel, out))
-        new_log_probs[sel] = out.log_probs[np.arange(len(sel)), batch.actions[sel]]
+        new_log_probs[sel] = out.log_probs[np.arange(len(sel)), actions[sel]]
         values[sel] = out.value
         entropies[sel] = neural.categorical_entropy(out.probs, out.log_probs)
 
-    ratios = np.exp(new_log_probs - batch.behavior_log_probs)
+    ratios = np.exp(new_log_probs - games.log_probs[episodes, turns])
     if not np.all(np.isfinite(ratios)):
         bad = int(np.flatnonzero(~np.isfinite(ratios))[0])
         raise RuntimeError(
             f"non-finite PPO ratio at transition {bad} "
-            f"(turn {int(batch.turns[bad])}, action {int(batch.actions[bad])})")
+            f"(turn {int(turns[bad])}, action {int(actions[bad])})")
     surrogate = np.minimum(ratios * adv, np.clip(ratios, 1.0 - config.clip,
                                                  1.0 + config.clip) * adv)
-    value_err = values - batch.returns
+    value_err = values - games.returns[episodes, turns]
 
     # d(surrogate)/d(ratio) is the advantage wherever the unclipped branch
     # is active, zero on the flat clipped branch.
@@ -315,7 +277,7 @@ def ppo_update(model: EnquirerModel, batch: TransitionBatch,
 
     for sel, out in groups:
         one_hot = np.zeros_like(out.probs)
-        one_hot[np.arange(len(sel)), batch.actions[sel]] = 1.0
+        one_hot[np.arange(len(sel)), actions[sel]] = 1.0
         dlogits = d_logp[sel, None] * (one_hot - out.probs)
         safe_logp = np.where(out.probs > 0.0, out.log_probs, 0.0)
         dlogits += (config.entropy_coef / n) * out.probs * (safe_logp + entropies[sel, None])
@@ -345,6 +307,8 @@ class _PlayedGames:
     actions: np.ndarray      # (B, T)
     log_probs: np.ndarray    # (B, T) of the chosen words
     values: np.ndarray       # (B, T)
+    advantages: np.ndarray | None = None   # (B, T) GAE, set by a training rollout
+    returns: np.ndarray | None = None      # (B, T) value targets, likewise
 
 
 def _play_games(model: EnquirerModel, corpus: Corpus, guest_rows: np.ndarray,
@@ -392,7 +356,7 @@ def _play_games(model: EnquirerModel, corpus: Corpus, guest_rows: np.ndarray,
 
 def _collect_rollout(model: EnquirerModel, corpus: Corpus, n_episodes: int,
                      config: PpoConfig, rng: np.random.Generator,
-                     reward_fn) -> tuple[TransitionBatch, np.ndarray]:
+                     reward_fn) -> tuple[_PlayedGames, np.ndarray]:
     e, t_max = n_episodes, config.word_budget
     guest_rows, targets = sample_game_batch(corpus, e, config.n_guests, rng)
     games = _play_games(model, corpus, guest_rows, targets, t_max, "explore", rng)
@@ -400,17 +364,9 @@ def _collect_rollout(model: EnquirerModel, corpus: Corpus, n_episodes: int,
         reward_fn(games.actions, games.guests, games.uttered, targets), dtype=np.float64)
     rewards = np.zeros((e, t_max))
     rewards[:, -1] = episode_rewards
-    advantages, returns = compute_gae(rewards, games.values, config.gamma,
-                                      config.gae_lambda)
-
-    batch = TransitionBatch(
-        mean_guest=np.repeat(games.mean_guest, t_max, axis=0),
-        episode_uttered=np.repeat(games.uttered, t_max, axis=0),
-        turns=np.tile(np.arange(t_max), e),
-        masks=games.masks.reshape(e * t_max, corpus.vocab_size),
-        actions=games.actions.ravel(), behavior_log_probs=games.log_probs.ravel(),
-        advantages=advantages.ravel(), returns=returns.ravel())
-    return batch, episode_rewards
+    games.advantages, games.returns = compute_gae(rewards, games.values, config.gamma,
+                                                  config.gae_lambda)
+    return games, episode_rewards
 
 
 def train_enquirer(guesser: GuesserModel | None, corpus: Corpus, config: PpoConfig,
@@ -441,7 +397,7 @@ def train_enquirer(guesser: GuesserModel | None, corpus: Corpus, config: PpoConf
     start = time.perf_counter()
     while episodes_done < config.episodes:
         n_episodes = min(episodes_per_round, config.episodes - episodes_done)
-        batch, episode_rewards = _collect_rollout(
+        games, episode_rewards = _collect_rollout(
             model, corpus, n_episodes, config, rng, reward_fn)
         episodes_done += n_episodes
         reward_history.extend(episode_rewards.tolist())
@@ -455,10 +411,11 @@ def train_enquirer(guesser: GuesserModel | None, corpus: Corpus, config: PpoConf
                 f"({episodes_done} played, lr={config.lr}, clip={config.clip})")
 
         stats = []
+        n_transitions = games.actions.size
         for _ in range(config.update_batches):
-            size = min(config.update_batch_size, len(batch))
-            idx = rng.choice(len(batch), size=size, replace=False)
-            stats.append(ppo_update(model, batch.select(idx), config))
+            size = min(config.update_batch_size, n_transitions)
+            idx = rng.choice(n_transitions, size=size, replace=False)
+            stats.append(ppo_update(model, games, idx, config))
         window = reward_history[-1000:]
         curve.append({"episode": episodes_done,
                       "moving_avg_reward": float(np.mean(window)),

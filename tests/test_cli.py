@@ -94,6 +94,29 @@ class TestTrainGuesser:
         a.pop("wall_time_s"), b.pop("wall_time_s")
         assert a == b
 
+    def test_reference_defaults_pin_against_the_config_file(self, corpus_file, tmp_path):
+        conf = tmp_path / "conf.txt"
+        conf.write_text("lr = 0.1\neval_every = 1\n")
+        for pinned in (True, False):
+            out = tmp_path / ("pinned" if pinned else "free")
+            argv = ["train-guesser", "--corpus", str(corpus_file), "--games", "64",
+                    "--batch-size", "32", "--eval-games", "50", "--config", str(conf),
+                    "--out-dir", str(out)]
+            assert run(argv + ["--reference-defaults"] * pinned) == 0
+            config = json.loads((out / "guesser_summary.json").read_text())["config"]
+            assert config["lr"] == (3e-4 if pinned else 0.1)
+            assert config["eval_every"] == 1       # not a reference setting
+
+    def test_config_value_of_the_wrong_type_is_named(self, corpus_file, tmp_path, capsys):
+        conf = tmp_path / "conf.txt"
+        conf.write_text("games = 1e5\n")
+        capsys.readouterr()
+        assert run(["train-guesser", "--corpus", str(corpus_file), "--config", str(conf),
+                    "--out-dir", str(tmp_path)]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValueError"
+        assert record["message"] == f"{conf}: games = '1e5' is not a valid int"
+
 
 class TestTrainEnquirer:
     def test_missing_guesser_flag_is_a_usage_error(self, corpus_file):
@@ -195,6 +218,19 @@ class TestEval:
         for line in lines:
             assert set(json.loads(line)["words"]) <= set(calls[0])
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_unknown_split_is_named(self, corpus_file, guesser_ckpt, tmp_path, capsys, via):
+        conf = tmp_path / "conf.txt"
+        conf.write_text("split = valid\n")
+        chosen = ["--split", "valid"] if via == "flag" else ["--config", str(conf)]
+        capsys.readouterr()
+        code = run(["eval", "--corpus", str(corpus_file), "--guesser", str(guesser_ckpt),
+                    "--games", "50", "--out-dir", str(tmp_path)] + chosen)
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValueError"
+        assert record["message"] == "unknown split 'valid': expected train, test or full"
+
     def test_eval_outputs_are_reproducible(self, corpus_file, guesser_ckpt, tmp_path):
         outs = []
         for tag in ("one", "two"):
@@ -232,6 +268,24 @@ class TestHelp:
             assert exc.value.code == 0
             text = capsys.readouterr().out
             assert "default:" in text
+
+    def test_tagged_flags_are_exactly_the_pinned_ones(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")     # one line per help entry
+        pinned = {"gen-corpus": (), "train-guesser": cli._TRAIN_GUESSER_REFERENCE,
+                  "train-enquirer": cli._TRAIN_ENQUIRER_REFERENCE, "eval": (),
+                  "baseline-heuristic": cli._HEURISTIC_REFERENCE}
+        for command, keys in pinned.items():
+            with pytest.raises(SystemExit):
+                cli.main([command, "--help"])
+            tagged, flags, option = set(), set(), None
+            for line in capsys.readouterr().out.splitlines():
+                if line.lstrip().startswith("--"):
+                    option = line.split()[0]
+                    flags.add(option)
+                if "[reference setting]" in line:
+                    tagged.add(option[2:].replace("-", "_"))
+            assert tagged == set(keys), command
+            assert ("--reference-defaults" in flags) == bool(keys), command
 
     def test_console_entry_point_runs(self):
         proc = subprocess.run([sys.executable, "-m", "isrlab.cli", "--help"],

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from isrlab.corpus import SynthConfig, generate_synthetic
 from isrlab.enquirer import (EnquirerConfig, EnquirerModel, PpoConfig, RewardCollapse,
-                             Trajectory, _collect_rollout, _forward_core, compute_gae,
+                             _collect_rollout, _forward_core, compute_gae,
                              enquirer_forward, evaluate_enquirer, ppo_update,
                              sample_actions, train_enquirer)
 from isrlab.guesser import (GuesserConfig, GuesserModel, GuesserTrainConfig,
@@ -145,11 +145,6 @@ class TestGae:
         next_values = np.append(values[1:], 0.0)
         assert np.allclose(adv, rewards + 0.9 * next_values - values, atol=1e-12)
 
-    def test_trajectory_rejects_mid_episode_reward(self):
-        with pytest.raises(ValueError, match="terminal"):
-            Trajectory(actions=np.array([1, 2]), log_probs=np.zeros(2),
-                       values=np.zeros(2), rewards=np.array([1.0, 0.0]))
-
 
 class TestPpoUpdate:
     def collect(self, corpus, model, n_episodes=30, seed=3):
@@ -161,28 +156,27 @@ class TestPpoUpdate:
     def test_first_update_ratios_are_exactly_one(self, corpus, model):
         # the rollout carries LSTM state across turns; re-encoding each
         # whole prefix must give the same log-probs and values, bit for bit
-        config, (batch, episode_rewards) = self.collect(corpus, model)
-        rows = np.arange(len(batch))
-        logps = np.zeros(len(batch))
-        values = np.zeros(len(batch))
-        for turn in np.unique(batch.turns):
-            sel = rows[batch.turns == turn]
-            out = _forward_core(model, batch.mean_guest[sel],
-                                batch.episode_uttered[sel, :turn], batch.masks[sel])
-            logps[sel] = out.log_probs[np.arange(len(sel)), batch.actions[sel]]
-            values[sel] = out.value
-        ratios = np.exp(logps - batch.behavior_log_probs)
+        config, (games, episode_rewards) = self.collect(corpus, model)
+        e, t = games.actions.shape
+        logps = np.zeros((e, t))
+        values = np.zeros((e, t))
+        for turn in range(t):
+            out = _forward_core(model, games.mean_guest, games.uttered[:, :turn],
+                                games.masks[:, turn])
+            logps[:, turn] = out.log_probs[np.arange(e), games.actions[:, turn]]
+            values[:, turn] = out.value
+        ratios = np.exp(logps - games.log_probs)
         assert np.all(ratios == 1.0)
-        rewards = np.zeros((len(episode_rewards), config.word_budget))
+        rewards = np.zeros((e, t))
         rewards[:, -1] = episode_rewards
-        advantages, returns = compute_gae(rewards, values.reshape(rewards.shape),
-                                          config.gamma, config.gae_lambda)
-        assert np.array_equal(advantages.ravel(), batch.advantages)
-        assert np.array_equal(returns.ravel(), batch.returns)
+        advantages, returns = compute_gae(rewards, values, config.gamma,
+                                          config.gae_lambda)
+        assert np.array_equal(advantages, games.advantages)
+        assert np.array_equal(returns, games.returns)
 
     def test_unit_ratio_surrogate_is_mean_normalized_advantage(self, corpus, model):
-        config, (batch, _) = self.collect(corpus, model)
-        stats = ppo_update(model, batch, config)
+        config, (games, _) = self.collect(corpus, model)
+        stats = ppo_update(model, games, np.arange(games.actions.size), config)
         # with ratio 1 everywhere both surrogate branches agree and the
         # objective is the mean of the normalized advantages, which is 0
         assert stats["policy_loss"] == pytest.approx(0.0, abs=1e-12)
@@ -202,15 +196,15 @@ class TestPpoUpdate:
         assert ent[0] == pytest.approx(np.log(20.0), abs=1e-12)
 
     def test_non_finite_ratio_names_the_transition(self, corpus, model):
-        config, (batch, _) = self.collect(corpus, model)
-        batch.behavior_log_probs[5] = -np.inf
+        config, (games, _) = self.collect(corpus, model)
+        games.log_probs[1, 2] = -np.inf      # episode 1, turn 2 of 3
         with pytest.raises(RuntimeError, match="transition 5"):
-            ppo_update(model, batch, config)
+            ppo_update(model, games, np.arange(games.actions.size), config)
 
     def test_update_changes_parameters(self, corpus, model):
-        config, (batch, _) = self.collect(corpus, model)
+        config, (games, _) = self.collect(corpus, model)
         before = {k: v.copy() for k, v in model.store.values.items()}
-        ppo_update(model, batch, config)
+        ppo_update(model, games, np.arange(games.actions.size), config)
         changed = any(not np.array_equal(before[k], model.store.values[k])
                       for k in before)
         assert changed
@@ -222,10 +216,10 @@ class TestTraining:
 
     def test_rollouts_never_repeat_words(self, corpus, model):
         config = PpoConfig(word_budget=4, n_guests=3, seed=1)
-        batch, _ = _collect_rollout(model, corpus, 50, config,
+        games, _ = _collect_rollout(model, corpus, 50, config,
                                     np.random.default_rng(1), self.bandit_reward(0))
-        actions = batch.actions.reshape(50, 4)
-        assert all(len(set(row)) == 4 for row in actions.tolist())
+        assert games.actions.shape == (50, 4)
+        assert all(len(set(row)) == 4 for row in games.actions.tolist())
 
     def test_two_runs_same_seed_identical_curves(self, corpus):
         config = PpoConfig(episodes=300, horizon=60, update_batch_size=30,
