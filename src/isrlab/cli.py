@@ -2,14 +2,18 @@
 
 Subcommands: gen-corpus, train-guesser, train-enquirer, eval,
 baseline-heuristic.  Flag precedence is explicit flags, then --config file
-entries (``key = value`` lines), then built-in defaults; the defaults for
-the training hyperparameters are the published reference settings, and
+entries (``key = value`` lines; a key that is not one of the command's
+settings is rejected), then defaults.  A flag that fills a field of the
+command's library config (``SynthConfig``, ``GuesserTrainConfig``,
+``PpoConfig``, ``HeuristicConfig``) takes its default from that field, so
+the training hyperparameters default to the published reference settings;
 --reference-defaults pins them against config-file overrides.  All outputs
 are CSV/JSON/JSONL; identical flags plus --threads 1 reproduce outputs
 byte for byte (training summaries differ only in their wall_time_s field).
 
-Heavy imports happen inside the command handlers so --threads can cap the
-BLAS pool before numpy loads.
+Importing this module loads no numpy.  ``main`` reads --threads and caps the
+BLAS pool first, then builds the parser, whose defaults come from the
+numpy-importing library modules.
 """
 
 from __future__ import annotations
@@ -21,45 +25,17 @@ import sys
 import time
 from pathlib import Path
 
-_GEN_DEFAULTS = {
-    "dim": 32, "vocab_size": 20, "train_speakers": 200, "test_speakers": 60,
-    "enrollments": 8, "sharpness": 3.0, "utterance_noise": 0.6,
-    "enrollment_noise": 0.2, "seed": 0,
-}
-
 _SPLIT_DEFAULTS = {"train_fraction": 0.8, "split_seed": 0}
 
-_TRAIN_GUESSER_DEFAULTS = {
-    **_SPLIT_DEFAULTS,
-    "games": 45_000, "batch_size": 1024, "lr": 3e-4, "guests": 5, "words": 3,
-    "dropout": 0.5, "eval_games": 10_000, "eval_every": 10, "seed": 0,
-}
 _TRAIN_GUESSER_REFERENCE = ("games", "batch_size", "lr", "guests", "words", "dropout")
-
-_TRAIN_ENQUIRER_DEFAULTS = {
-    **_SPLIT_DEFAULTS,
-    "episodes": 80_000, "lr": 5e-3, "clip": 0.2, "gamma": 0.9, "gae_lambda": 0.95,
-    "entropy_coef": 0.01, "value_coef": 0.5, "grad_clip": 1.0, "horizon": 1024,
-    "update_batches": 4, "update_batch_size": 512, "guests": 5, "words": 3,
-    "eval_games": 2000, "seed": 0,
-}
 _TRAIN_ENQUIRER_REFERENCE = (
     "episodes", "lr", "clip", "gamma", "gae_lambda", "entropy_coef", "grad_clip",
     "horizon", "update_batches", "update_batch_size", "guests", "words")
-
-_EVAL_DEFAULTS = {
-    **_SPLIT_DEFAULTS,
-    "games": 10_000, "guests": 5, "words": 3, "seeds": "0",
-    "eta": 20_000, "curated_size": 6, "diversity_games": 142,
-    "grid": "", "split": "test",
-}
-
-_HEURISTIC_DEFAULTS = {
-    **_SPLIT_DEFAULTS,
-    "eta": 20_000, "curated_size": 6, "guests": 5, "words": 3,
-    "eval_games": 10_000, "seed": 0, "split": "test",
-}
 _HEURISTIC_REFERENCE = ("eta",)
+
+# flag names that differ from the library config field they fill
+_FIELD_NAMES = {"dim": "dimension", "games": "n_games", "guests": "n_guests",
+                "words": "word_budget", "eta": "games_per_word"}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -75,18 +51,24 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(ns: argparse.Namespace, defaults: dict, reference_keys=()) -> dict:
-    """Apply the flags > config file > defaults precedence."""
+def _resolve(ns: argparse.Namespace) -> tuple[dict, object]:
+    """Apply the flags > config file > defaults precedence.
+
+    Returns the settings by flag name and the library config they fill.
+    """
     config_values: dict[str, str] = {}
-    if getattr(ns, "config", None):
+    if ns.config:
         config_values = _read_config_file(ns.config)
+    for key in config_values:
+        if key not in ns.settings:
+            raise ValueError(f"{ns.config}: unknown key {key!r} for {ns.command}")
     pin = bool(getattr(ns, "reference_defaults", False))
     out = {}
-    for key, default in defaults.items():
-        flag = getattr(ns, key, None)
+    for key, default in ns.settings.items():
+        flag = getattr(ns, key)
         if flag is not None:
             out[key] = flag
-        elif key in config_values and not (pin and key in reference_keys):
+        elif key in config_values and not (pin and key in ns.reference):
             try:
                 out[key] = type(default)(config_values[key])
             except ValueError:
@@ -94,7 +76,7 @@ def _resolve(ns: argparse.Namespace, defaults: dict, reference_keys=()) -> dict:
                                  f"a valid {type(default).__name__}") from None
         else:
             out[key] = default
-    return out
+    return out, ns.library_config(**{field: out[key] for key, field in ns.fields.items()})
 
 
 def _out_dir(ns: argparse.Namespace) -> Path:
@@ -108,61 +90,58 @@ def _emit(path: Path) -> None:
     print(path)
 
 
-def _load_split(corpus_path: str, cfg: dict, which: str = "train"):
+def _load_split(corpus_path: str, cfg: dict, *sides: str) -> list:
+    """Parse the corpus once and return each named side: train, test or full."""
     from .corpus import load_corpus, split_speakers
-    if which not in ("train", "test", "full"):
-        raise ValueError(f"unknown split {which!r}: expected train, test or full")
-    full = load_corpus(corpus_path)
-    if which == "full":
-        return full
-    train, test = split_speakers(full, cfg["train_fraction"], cfg["split_seed"])
-    return {"train": train, "test": test}[which]
+    for which in sides:
+        if which not in ("train", "test", "full"):
+            raise ValueError(f"unknown split {which!r}: expected train, test or full")
+    named = {"full": load_corpus(corpus_path)}
+    if set(sides) - {"full"}:
+        named["train"], named["test"] = split_speakers(
+            named["full"], cfg["train_fraction"], cfg["split_seed"])
+    return [named[which] for which in sides]
 
 
-def _write_curve_csv(path: Path, rows: list[dict], fields: list[str]) -> None:
-    import csv
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
+def _load_guesser(path: str, corpus):
+    """The guesser checkpoint at ``path``, rejected unless it fits the corpus."""
+    from .guesser import GuesserModel
+    guesser = GuesserModel.load(path)
+    if guesser.config.dim != corpus.dimension:
+        raise ValueError(
+            f"guesser checkpoint dimension {guesser.config.dim} does not match "
+            f"corpus dimension {corpus.dimension}")
+    return guesser
+
+
+def _curve_rows(curve: list[dict]) -> list[dict]:
+    """A training curve without the wall time on its last row; summaries report it."""
+    return [{k: v for k, v in row.items() if k != "wall_time_s"} for row in curve]
 
 
 def cmd_gen_corpus(ns: argparse.Namespace) -> int:
-    from .corpus import SynthConfig, generate_synthetic, save_corpus
-    cfg = _resolve(ns, _GEN_DEFAULTS)
+    from .corpus import generate_synthetic, save_corpus
+    from .evaluation import write_summary_json
+    cfg, config = _resolve(ns)
     out = Path(ns.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    config = SynthConfig(
-        dimension=cfg["dim"], vocab_size=cfg["vocab_size"],
-        train_speakers=cfg["train_speakers"], test_speakers=cfg["test_speakers"],
-        enrollments=cfg["enrollments"], sharpness=cfg["sharpness"],
-        utterance_noise=cfg["utterance_noise"],
-        enrollment_noise=cfg["enrollment_noise"], seed=cfg["seed"])
     corpus = generate_synthetic(config)
     save_corpus(corpus, out)
     _emit(out)
     sidecar = out.with_name(out.name + ".config.json")
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump({"synth_config": cfg, "speakers": corpus.n_speakers,
-                   "dimension": corpus.dimension, "vocab": list(corpus.vocab)},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_summary_json(sidecar, {"synth_config": cfg, "speakers": corpus.n_speakers,
+                                 "dimension": corpus.dimension,
+                                 "vocab": list(corpus.vocab)})
     _emit(sidecar)
     return 0
 
 
 def cmd_train_guesser(ns: argparse.Namespace) -> int:
     from .corpus import corpus_fingerprint
-    from .evaluation import write_summary_json
-    from .guesser import GuesserTrainConfig, train_guesser
-    cfg = _resolve(ns, _TRAIN_GUESSER_DEFAULTS, _TRAIN_GUESSER_REFERENCE)
-    train = _load_split(ns.corpus, cfg, "train")
-    valid = _load_split(ns.corpus, cfg, "test")
-    config = GuesserTrainConfig(
-        n_guests=cfg["guests"], word_budget=cfg["words"],
-        batch_size=cfg["batch_size"], lr=cfg["lr"], n_games=cfg["games"],
-        dropout=cfg["dropout"], valid_games=cfg["eval_games"],
-        eval_every=cfg["eval_every"], seed=cfg["seed"])
+    from .evaluation import write_rows_csv, write_summary_json
+    from .guesser import train_guesser
+    cfg, config = _resolve(ns)
+    train, valid = _load_split(ns.corpus, cfg, "train", "test")
     started = time.perf_counter()
     model, curve = train_guesser(train, valid, config)
     wall = time.perf_counter() - started
@@ -172,8 +151,7 @@ def cmd_train_guesser(ns: argparse.Namespace) -> int:
     model.save(ckpt)
     _emit(ckpt)
     curve_path = out / "guesser_curve.csv"
-    _write_curve_csv(curve_path, curve,
-                     ["epoch", "games_seen", "train_loss", "valid_accuracy"])
+    write_rows_csv(curve_path, _curve_rows(curve))
     _emit(curve_path)
     summary = out / "guesser_summary.json"
     write_summary_json(summary, {
@@ -188,24 +166,11 @@ def cmd_train_guesser(ns: argparse.Namespace) -> int:
 
 def cmd_train_enquirer(ns: argparse.Namespace) -> int:
     from .corpus import corpus_fingerprint
-    from .enquirer import PpoConfig, evaluate_enquirer, train_enquirer
-    from .evaluation import write_summary_json
-    from .guesser import GuesserModel
-    cfg = _resolve(ns, _TRAIN_ENQUIRER_DEFAULTS, _TRAIN_ENQUIRER_REFERENCE)
-    train = _load_split(ns.corpus, cfg, "train")
-    test = _load_split(ns.corpus, cfg, "test")
-    guesser = GuesserModel.load(ns.guesser)
-    if guesser.config.dim != train.dimension:
-        raise ValueError(
-            f"guesser checkpoint dimension {guesser.config.dim} does not match "
-            f"corpus dimension {train.dimension}")
-    config = PpoConfig(
-        gamma=cfg["gamma"], gae_lambda=cfg["gae_lambda"], clip=cfg["clip"],
-        entropy_coef=cfg["entropy_coef"], value_coef=cfg["value_coef"],
-        lr=cfg["lr"], grad_clip=cfg["grad_clip"], episodes=cfg["episodes"],
-        horizon=cfg["horizon"], update_batches=cfg["update_batches"],
-        update_batch_size=cfg["update_batch_size"], word_budget=cfg["words"],
-        n_guests=cfg["guests"], seed=cfg["seed"])
+    from .enquirer import evaluate_enquirer, train_enquirer
+    from .evaluation import write_rows_csv, write_summary_json
+    cfg, config = _resolve(ns)
+    train, test = _load_split(ns.corpus, cfg, "train", "test")
+    guesser = _load_guesser(ns.guesser, train)
     started = time.perf_counter()
     model, curve = train_enquirer(guesser, train, config)
     wall = time.perf_counter() - started
@@ -217,9 +182,7 @@ def cmd_train_enquirer(ns: argparse.Namespace) -> int:
     model.save(ckpt)
     _emit(ckpt)
     curve_path = out / "enquirer_curve.csv"
-    _write_curve_csv(curve_path, curve,
-                     ["episode", "moving_avg_reward", "entropy", "value_loss",
-                      "policy_loss"])
+    write_rows_csv(curve_path, _curve_rows(curve))
     _emit(curve_path)
     summary = out / "enquirer_summary.json"
     write_summary_json(summary, {
@@ -241,19 +204,15 @@ def _parse_int_list(text: str) -> list[int]:
 
 def cmd_eval(ns: argparse.Namespace) -> int:
     from .enquirer import EnquirerModel, evaluate_enquirer
-    from .evaluation import (HeuristicConfig, aggregate_rows, diversity_index,
-                             heuristic_baseline, word_sweep, guest_sweep,
-                             write_rows_csv, write_summary_json)
-    from .guesser import (GuesserModel, evaluate_guesser, sample_word_subsets)
+    from .evaluation import (aggregate_rows, diversity_index, heuristic_baseline,
+                             word_sweep, guest_sweep, write_rows_csv,
+                             write_summary_json)
+    from .guesser import evaluate_guesser, sample_word_subsets
     import numpy as np
 
-    cfg = _resolve(ns, _EVAL_DEFAULTS)
-    corpus = _load_split(ns.corpus, cfg, cfg["split"])
-    guesser = GuesserModel.load(ns.guesser)
-    if guesser.config.dim != corpus.dimension:
-        raise ValueError(
-            f"guesser checkpoint dimension {guesser.config.dim} does not match "
-            f"corpus dimension {corpus.dimension}")
+    cfg, heuristic = _resolve(ns)
+    [corpus] = _load_split(ns.corpus, cfg, cfg["split"])
+    guesser = _load_guesser(ns.guesser, corpus)
     enquirer = EnquirerModel.load(ns.enquirer) if ns.enquirer else None
     seeds = _parse_int_list(cfg["seeds"])
     if not seeds:
@@ -266,12 +225,9 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         if not grid:
             raise ValueError("--sweep requires --grid values")
         if ns.sweep == "words":
-            heur = (HeuristicConfig(games_per_word=cfg["eta"],
-                                    curated_size=cfg["curated_size"])
-                    if ns.include_heuristic else None)
             result = word_sweep(guesser, corpus, grid, cfg["guests"], seeds,
                                 n_games=cfg["games"], enquirer=enquirer,
-                                heuristic=heur)
+                                heuristic=heuristic if ns.include_heuristic else None)
         else:
             result = guest_sweep(guesser, corpus, grid, cfg["words"], seeds,
                                  n_games=cfg["games"])
@@ -286,36 +242,28 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         written.append(summary_path)
     else:
         policy = ns.policy or "random"
+        words = "random"
+        if policy == "fixed":
+            words = _parse_int_list(ns.fixed_words or "")
+            if len(words) < cfg["words"]:
+                raise ValueError("--fixed-words needs at least --words entries")
         rows = []
         curated = None
         for seed in seeds:
-            if policy == "random":
-                acc, err = evaluate_guesser(guesser, corpus, cfg["guests"],
-                                            cfg["words"], "random", cfg["games"], seed)
-            elif policy == "fixed":
-                words = _parse_int_list(ns.fixed_words or "")
-                if len(words) < cfg["words"]:
-                    raise ValueError("--fixed-words needs at least --words entries")
+            if policy in ("random", "fixed"):
                 acc, err = evaluate_guesser(guesser, corpus, cfg["guests"],
                                             cfg["words"], words, cfg["games"], seed)
             elif policy == "heuristic":
-                res = heuristic_baseline(
-                    guesser, corpus,
-                    HeuristicConfig(games_per_word=cfg["eta"],
-                                    curated_size=cfg["curated_size"],
-                                    n_guests=cfg["guests"], word_budget=cfg["words"],
-                                    eval_games=cfg["games"]), seed)
+                res = heuristic_baseline(guesser, corpus, heuristic, seed)
                 acc, err = res.accuracy, res.stderr
                 if curated is None:     # the diversity tuples draw from the first seed's list
                     curated = res.curated
-            elif policy == "enquirer":
+            else:
                 if enquirer is None:
                     raise ValueError("--policy enquirer requires --enquirer")
                 res = evaluate_enquirer(enquirer, guesser, corpus, cfg["guests"],
                                         cfg["words"], cfg["games"], seed)
                 acc, err = res.success_rate, res.stderr
-            else:
-                raise ValueError(f"unknown policy {policy!r}")
             rows.append({"variable": "none", "value": cfg["words"], "policy": policy,
                          "seed": seed, "accuracy": acc, "stderr": err})
         csv_path = out / "eval_metrics.csv"
@@ -334,19 +282,14 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                                         cfg["words"], n_tuples, seeds[0])
                 tuples = res.word_tuples
             elif policy == "fixed":
-                words = _parse_int_list(ns.fixed_words or "")
                 if len(words) != cfg["words"]:
                     raise ValueError("--diversity with a fixed policy needs exactly "
                                      "--words entries in --fixed-words")
                 tuples = np.tile(np.asarray(words), (n_tuples, 1))
-            elif policy == "heuristic":
-                tuples = sample_word_subsets(np.random.default_rng(seeds[0]),
-                                             n_tuples, np.asarray(curated), cfg["words"])
             else:
-                tuples = sample_word_subsets(np.random.default_rng(seeds[0]),
-                                             n_tuples,
-                                             np.arange(corpus.vocab_size),
-                                             cfg["words"])
+                pool = curated if policy == "heuristic" else range(corpus.vocab_size)
+                tuples = sample_word_subsets(np.random.default_rng(seeds[0]), n_tuples,
+                                             np.asarray(pool), cfg["words"])
             report = diversity_index(list(map(tuple, tuples)))
             tuples_path = out / "word_tuples.jsonl"
             with open(tuples_path, "w", encoding="utf-8") as fh:
@@ -365,17 +308,11 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def cmd_baseline_heuristic(ns: argparse.Namespace) -> int:
-    from .evaluation import (HeuristicConfig, heuristic_baseline, write_rows_csv,
-                             write_summary_json)
-    from .guesser import GuesserModel
-    cfg = _resolve(ns, _HEURISTIC_DEFAULTS, _HEURISTIC_REFERENCE)
-    corpus = _load_split(ns.corpus, cfg, cfg["split"])
-    guesser = GuesserModel.load(ns.guesser)
-    result = heuristic_baseline(
-        guesser, corpus,
-        HeuristicConfig(games_per_word=cfg["eta"], curated_size=cfg["curated_size"],
-                        n_guests=cfg["guests"], word_budget=cfg["words"],
-                        eval_games=cfg["eval_games"]), cfg["seed"])
+    from .evaluation import heuristic_baseline, write_rows_csv, write_summary_json
+    cfg, config = _resolve(ns)
+    [corpus] = _load_split(ns.corpus, cfg, cfg["split"])
+    guesser = _load_guesser(ns.guesser, corpus)
+    result = heuristic_baseline(guesser, corpus, config, cfg["seed"])
     out = _out_dir(ns)
     scores_path = out / "heuristic_scores.csv"
     write_rows_csv(scores_path, [
@@ -407,8 +344,19 @@ def _add_common(parser: argparse.ArgumentParser, defaults: dict) -> None:
                             help=f"speaker split seed (default: {defaults['split_seed']})")
 
 
-def _flags(parser, defaults: dict, helps: dict[str, str], reference=()) -> None:
-    """Typed --flags from ``helps``; tag the ``reference`` keys and offer pinning them."""
+def _settings(parser, library_config, helps: dict[str, str], own: dict | None = None,
+              rename: dict[str, str] | None = None, reference=()) -> None:
+    """Typed --flags from ``helps``; tag the ``reference`` keys and offer pinning them.
+
+    A flag in ``own`` keeps that CLI-only default.  Every other flag fills the
+    ``library_config`` field it names (``_FIELD_NAMES``, then ``rename``, map
+    the names that differ) and takes its default from that field.
+    """
+    own = own or {}
+    names = {**_FIELD_NAMES, **(rename or {})}
+    fields = {name: names.get(name, name) for name in helps if name not in own}
+    base = library_config()
+    defaults = {**own, **{name: getattr(base, field) for name, field in fields.items()}}
     for name, text in helps.items():
         tag = " [reference setting]" if name in reference else ""
         parser.add_argument(f"--{name.replace('_', '-')}", dest=name,
@@ -417,67 +365,69 @@ def _flags(parser, defaults: dict, helps: dict[str, str], reference=()) -> None:
     if reference:
         parser.add_argument("--reference-defaults", action="store_true",
                             help="pin reference hyperparameters against --config overrides")
+    _add_common(parser, defaults)
+    parser.set_defaults(settings=defaults, fields=fields, library_config=library_config,
+                        reference=reference)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .corpus import SynthConfig
+    from .enquirer import PpoConfig
+    from .evaluation import HeuristicConfig
+    from .guesser import GuesserTrainConfig
     parser = argparse.ArgumentParser(
         prog="isrlab",
         description="Interactive speaker recognition game: corpora, training, evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    d = _GEN_DEFAULTS
     p = sub.add_parser("gen-corpus", help="write a synthetic corpus JSONL file")
     p.add_argument("--out", required=True, help="corpus output path (.jsonl)")
-    _flags(p, d, {"dim": "embedding dimension",
-                  "vocab_size": "vocabulary size",
-                  "train_speakers": "speakers intended for training",
-                  "test_speakers": "held-out speakers",
-                  "enrollments": "enrollment vectors per voice print",
-                  "sharpness": "word informativeness sharpness",
-                  "utterance_noise": "utterance noise scale",
-                  "enrollment_noise": "enrollment noise scale",
-                  "seed": "generator seed"})
-    _add_common(p, d)
+    _settings(p, SynthConfig, {"dim": "embedding dimension",
+                               "vocab_size": "vocabulary size",
+                               "train_speakers": "speakers intended for training",
+                               "test_speakers": "held-out speakers",
+                               "enrollments": "enrollment vectors per voice print",
+                               "sharpness": "word informativeness sharpness",
+                               "utterance_noise": "utterance noise scale",
+                               "enrollment_noise": "enrollment noise scale",
+                               "seed": "generator seed"})
     p.set_defaults(handler=cmd_gen_corpus)
 
-    d = _TRAIN_GUESSER_DEFAULTS
     p = sub.add_parser("train-guesser", help="supervised training on random-word games")
     p.add_argument("--corpus", required=True, help="corpus JSONL path")
-    _flags(p, d, {"games": "training games",
-                  "batch_size": "games per Adam step",
-                  "lr": "learning rate",
-                  "guests": "guests per game",
-                  "words": "word budget per game",
-                  "dropout": "hidden dropout rate",
-                  "eval_games": "validation games per curve point",
-                  "eval_every": "batches between curve points",
-                  "seed": "training seed"}, _TRAIN_GUESSER_REFERENCE)
-    _add_common(p, d)
+    _settings(p, GuesserTrainConfig, {"games": "training games",
+                                      "batch_size": "games per Adam step",
+                                      "lr": "learning rate",
+                                      "guests": "guests per game",
+                                      "words": "word budget per game",
+                                      "dropout": "hidden dropout rate",
+                                      "eval_games": "validation games per curve point",
+                                      "eval_every": "batches between curve points",
+                                      "seed": "training seed"},
+              _SPLIT_DEFAULTS, {"eval_games": "valid_games"}, _TRAIN_GUESSER_REFERENCE)
     p.set_defaults(handler=cmd_train_guesser)
 
-    d = _TRAIN_ENQUIRER_DEFAULTS
     p = sub.add_parser("train-enquirer", help="PPO training against a frozen guesser")
     p.add_argument("--corpus", required=True, help="corpus JSONL path")
     p.add_argument("--guesser", required=True, help="guesser checkpoint path")
-    _flags(p, d, {"episodes": "training episodes",
-                  "lr": "learning rate",
-                  "clip": "PPO clipping",
-                  "gamma": "discount factor",
-                  "gae_lambda": "advantage coefficient",
-                  "entropy_coef": "entropy bonus coefficient",
-                  "value_coef": "value loss coefficient",
-                  "grad_clip": "global gradient norm clip",
-                  "horizon": "transitions per update round",
-                  "update_batches": "minibatches per round",
-                  "update_batch_size": "transitions per minibatch",
-                  "guests": "guests per game",
-                  "words": "word budget per game",
-                  "eval_games": "held-out greedy games for the summary",
-                  "seed": "training seed"}, _TRAIN_ENQUIRER_REFERENCE)
-    _add_common(p, d)
+    _settings(p, PpoConfig, {"episodes": "training episodes",
+                             "lr": "learning rate",
+                             "clip": "PPO clipping",
+                             "gamma": "discount factor",
+                             "gae_lambda": "advantage coefficient",
+                             "entropy_coef": "entropy bonus coefficient",
+                             "value_coef": "value loss coefficient",
+                             "grad_clip": "global gradient norm clip",
+                             "horizon": "transitions per update round",
+                             "update_batches": "minibatches per round",
+                             "update_batch_size": "transitions per minibatch",
+                             "guests": "guests per game",
+                             "words": "word budget per game",
+                             "eval_games": "held-out greedy games for the summary",
+                             "seed": "training seed"},
+              {**_SPLIT_DEFAULTS, "eval_games": 2000}, reference=_TRAIN_ENQUIRER_REFERENCE)
     p.set_defaults(handler=cmd_train_enquirer)
 
-    d = _EVAL_DEFAULTS
     p = sub.add_parser("eval", help="accuracy, sweeps, and diversity metrics")
     p.add_argument("--corpus", required=True, help="corpus JSONL path")
     p.add_argument("--guesser", required=True, help="guesser checkpoint path")
@@ -492,45 +442,56 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add the heuristic policy to a words sweep")
     p.add_argument("--diversity", action="store_true",
                    help="report the word-tuple overlap index for the policy")
-    _flags(p, d, {"grid": "comma-separated sweep grid",
-                  "games": "games per evaluation",
-                  "guests": "guests per game",
-                  "words": "word budget per game",
-                  "seeds": "comma-separated evaluation seeds",
-                  "eta": "games per word when curating the heuristic",
-                  "curated_size": "heuristic curated list size",
-                  "diversity_games": "word tuples for the diversity index",
-                  "split": "corpus side to evaluate: train, test, or full"})
-    _add_common(p, d)
+    _settings(p, HeuristicConfig, {"grid": "comma-separated sweep grid",
+                                   "games": "games per evaluation",
+                                   "guests": "guests per game",
+                                   "words": "word budget per game",
+                                   "seeds": "comma-separated evaluation seeds",
+                                   "eta": "games per word when curating the heuristic",
+                                   "curated_size": "heuristic curated list size",
+                                   "diversity_games": "word tuples for the diversity index",
+                                   "split": "corpus side to evaluate: train, test, or full"},
+              {**_SPLIT_DEFAULTS, "seeds": "0", "diversity_games": 142, "grid": "",
+               "split": "test"}, {"games": "eval_games"})
     p.set_defaults(handler=cmd_eval)
 
-    d = _HEURISTIC_DEFAULTS
     p = sub.add_parser("baseline-heuristic",
                        help="curate discriminant words and score the fixed policy")
     p.add_argument("--corpus", required=True, help="corpus JSONL path")
     p.add_argument("--guesser", required=True, help="guesser checkpoint path")
-    _flags(p, d, {"eta": "games per candidate word",
-                  "curated_size": "curated list size",
-                  "guests": "guests per game",
-                  "words": "word budget per game",
-                  "eval_games": "evaluation games for the curated policy",
-                  "seed": "scoring seed",
-                  "split": "corpus side to score on: train, test, or full"},
-           _HEURISTIC_REFERENCE)
-    _add_common(p, d)
+    _settings(p, HeuristicConfig, {"eta": "games per candidate word",
+                                   "curated_size": "curated list size",
+                                   "guests": "guests per game",
+                                   "words": "word budget per game",
+                                   "eval_games": "evaluation games for the curated policy",
+                                   "seed": "scoring seed",
+                                   "split": "corpus side to score on: train, test, or full"},
+              {**_SPLIT_DEFAULTS, "seed": 0, "split": "test"},
+              reference=_HEURISTIC_REFERENCE)
     p.set_defaults(handler=cmd_baseline_heuristic)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    if ns.threads is not None:
-        if ns.threads < 1:
-            parser.error("--threads must be >= 1")
+def _cap_threads(argv) -> None:
+    """Set the BLAS thread variables from --threads before numpy loads."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--threads", nargs="?")
+    try:
+        threads = int(pre.parse_known_args(argv)[0].threads)
+    except (TypeError, ValueError):
+        return                  # absent, or malformed and reported by the full parser
+    if threads >= 1:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                     "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(ns.threads)
+            os.environ[var] = str(threads)
+
+
+def main(argv=None) -> int:
+    _cap_threads(argv)          # the parser reads the library configs, which load numpy
+    parser = build_parser()
+    ns = parser.parse_args(argv)
+    if ns.threads is not None and ns.threads < 1:
+        parser.error("--threads must be >= 1")
     try:
         return ns.handler(ns)
     except BrokenPipeError:

@@ -321,15 +321,21 @@ def evaluate_guesser(model: GuesserModel, corpus: Corpus, n_guests: int,
                      chunk: int = 4096) -> tuple[float, float]:
     """Mean terminal success and binomial stderr over seeded games.
 
-    ``word_policy`` is "random" or a fixed pool of word ids to draw from
-    (used exactly when its length equals the budget).
+    ``word_policy`` is "random" or a fixed pool of distinct word ids in
+    [0, V) to draw from (used exactly when its length equals the budget).
     """
     if not isinstance(word_policy, (str, list, tuple, np.ndarray)):
         raise TypeError(f"unsupported word policy: {word_policy!r}")
     if isinstance(word_policy, str) and word_policy != "random":
         raise ValueError(f"unknown word policy {word_policy!r}")
-    pool = (np.arange(corpus.vocab_size) if isinstance(word_policy, str)
-            else np.asarray(word_policy, dtype=int))
+    v = corpus.vocab_size
+    pool = np.arange(v) if isinstance(word_policy, str) else np.asarray(word_policy, dtype=int)
+    outside = pool[(pool < 0) | (pool >= v)]
+    if outside.size:
+        raise ValueError(f"word id {outside[0]} in the word pool is outside [0, {v})")
+    ids, counts = np.unique(pool, return_counts=True)
+    if (counts > 1).any():
+        raise ValueError(f"word id {ids[counts > 1][0]} is repeated in the word pool")
     rate, stderr, _ = play_games(
         corpus, n_guests, n_games, word_pool_policy(pool, n_words),
         partial(guesser_success, model), np.random.default_rng(seed), chunk)

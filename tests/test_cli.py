@@ -65,6 +65,66 @@ class TestGenCorpus:
         assert len(header["vocab"]) == 6          # from the config file
         assert sidecar["synth_config"]["seed"] == 2   # flag wins
 
+    def test_unknown_config_key_is_named(self, tmp_path, capsys):
+        conf = tmp_path / "conf.txt"
+        conf.write_text("vocab_sise = 6\n")
+        capsys.readouterr()
+        assert run(["gen-corpus", "--out", str(tmp_path / "c.jsonl"),
+                    "--config", str(conf)]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValueError"
+        assert record["message"] == f"{conf}: unknown key 'vocab_sise' for gen-corpus"
+        assert not (tmp_path / "c.jsonl").exists()
+
+
+class TestSettings:
+    @pytest.mark.parametrize("argv, library_config", [
+        (["gen-corpus", "--out", "c.jsonl"], ("corpus", "SynthConfig")),
+        (["train-guesser", "--corpus", "c.jsonl"], ("guesser", "GuesserTrainConfig")),
+        (["train-enquirer", "--corpus", "c.jsonl", "--guesser", "g.json"],
+         ("enquirer", "PpoConfig")),
+        (["eval", "--corpus", "c.jsonl", "--guesser", "g.json"],
+         ("evaluation", "HeuristicConfig")),
+        (["baseline-heuristic", "--corpus", "c.jsonl", "--guesser", "g.json"],
+         ("evaluation", "HeuristicConfig")),
+    ])
+    def test_no_setting_flags_build_the_library_default(self, argv, library_config):
+        import importlib
+        module, name = library_config
+        cls = getattr(importlib.import_module(f"isrlab.{module}"), name)
+        _, config = cli._resolve(cli.build_parser().parse_args(argv))
+        assert config == cls()
+
+    def test_flags_fill_the_renamed_fields(self):
+        ns = cli.build_parser().parse_args(
+            ["eval", "--corpus", "c.jsonl", "--guesser", "g.json", "--games", "7",
+             "--guests", "4", "--words", "2", "--eta", "9", "--curated-size", "5"])
+        cfg, config = cli._resolve(ns)
+        assert (config.eval_games, config.n_guests, config.word_budget,
+                config.games_per_word, config.curated_size) == (7, 4, 2, 9, 5)
+        assert cfg["games"] == 7 and cfg["seeds"] == "0"
+
+    @pytest.mark.parametrize("command", ["train-guesser", "train-enquirer"])
+    def test_corpus_is_parsed_once(self, corpus_file, guesser_ckpt, tmp_path,
+                                   monkeypatch, command):
+        from isrlab import corpus
+        calls = []
+        original = corpus.load_corpus
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(corpus, "load_corpus", counted)
+        argv = {"train-guesser": ["--games", "64", "--batch-size", "32",
+                                  "--eval-games", "20"],
+                "train-enquirer": ["--guesser", str(guesser_ckpt), "--episodes", "20",
+                                   "--horizon", "20", "--update-batch-size", "10",
+                                   "--guests", "3", "--words", "2",
+                                   "--eval-games", "20"]}[command]
+        assert run([command, "--corpus", str(corpus_file), "--out-dir", str(tmp_path)]
+                   + argv) == 0
+        assert len(calls) == 1
+
 
 class TestTrainGuesser:
     def test_emits_three_artifacts(self, corpus_file, tmp_path):
@@ -257,6 +317,22 @@ class TestBaselineHeuristic:
         assert len(payload["curated"]) == 3
         scores = (tmp_path / "heuristic_scores.csv").read_text().splitlines()
         assert len(scores) == 1 + 8     # header plus one row per word
+
+    def test_dimension_mismatch_reports_error_record(self, guesser_ckpt, tmp_path,
+                                                     capsys):
+        other = tmp_path / "other.jsonl"
+        assert run(["gen-corpus", "--out", str(other), "--dim", "4",
+                    "--train-speakers", "6", "--test-speakers", "2",
+                    "--vocab-size", "8"]) == 0
+        capsys.readouterr()
+        assert run(["baseline-heuristic", "--corpus", str(other),
+                    "--guesser", str(guesser_ckpt), "--eta", "10",
+                    "--out-dir", str(tmp_path)]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValueError",
+                          "message": "guesser checkpoint dimension 8 does not match "
+                                     "corpus dimension 4"}
+        assert not (tmp_path / "heuristic.json").exists()
 
 
 class TestHelp:

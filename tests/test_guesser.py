@@ -217,6 +217,19 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="unknown word policy"):
             evaluate_guesser(model, test, 3, 2, "fancy", 300, seed=2)
 
+    @pytest.mark.parametrize("pool, message", [
+        ([1, -1, 2], "word id -1 in the word pool is outside [0, 8)"),
+        ([1, 1, 1], "word id 1 is repeated in the word pool"),
+        ([1, 2, 99], "word id 99 in the word pool is outside [0, 8)"),
+    ])
+    def test_fixed_pool_names_a_bad_word_id(self, small_split, pool, message):
+        _, test = small_split
+        model = GuesserModel.init(GuesserConfig(dim=test.dimension),
+                                  np.random.default_rng(0))
+        with pytest.raises(ValueError) as exc:
+            evaluate_guesser(model, test, 3, 3, pool, 100, seed=2)
+        assert str(exc.value) == message
+
     def test_untrained_model_sits_near_chance(self, small_split):
         # random-feature scoring drifts a couple points off exact chance;
         # the band here is the acceptance-level binomial check at K=5
