@@ -210,6 +210,15 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     from .guesser import evaluate_guesser, sample_word_subsets
     import numpy as np
 
+    policy = ns.policy or "random"
+    mode = f"--sweep {ns.sweep}" if ns.sweep else f"--policy {policy}"
+    for flag, given, needed, applies in (
+            ("--include-heuristic", ns.include_heuristic, "--sweep words", ns.sweep == "words"),
+            ("--fixed-words", ns.fixed_words is not None, "--policy fixed", ns.policy == "fixed"),
+            ("--policy", ns.policy is not None, "no --sweep", not ns.sweep),
+            ("--diversity", ns.diversity, "no --sweep", not ns.sweep)):
+        if given and not applies:
+            raise ValueError(f"{flag} needs {needed}; it does nothing with {mode}")
     cfg, heuristic = _resolve(ns)
     [corpus] = _load_split(ns.corpus, cfg, cfg["split"])
     guesser = _load_guesser(ns.guesser, corpus)
@@ -241,7 +250,6 @@ def cmd_eval(ns: argparse.Namespace) -> int:
             "config": cfg, "aggregate": aggregate_rows(rows)}, corpus)
         written.append(summary_path)
     else:
-        policy = ns.policy or "random"
         words = "random"
         if policy == "fixed":
             words = _parse_int_list(ns.fixed_words or "")

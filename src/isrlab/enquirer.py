@@ -7,11 +7,12 @@ a softmax over the vocabulary and a scalar value baseline.  Words already
 requested in a game are masked to exactly zero probability, during
 training as well as evaluation.
 
-The trunk reads only the last position, where the backward direction has
-taken a single step, so that direction runs one step per forward pass.
-Rollouts and evaluation also carry the forward direction's state from
-turn to turn: a T-word game costs 2T LSTM cell steps instead of the
-T(T+1) of re-encoding each prefix, with bit-identical outputs.
+At turn t the trunk is the forward state after ``[start, u_0..u_{t-1}]``,
+the backward direction's one step from the zero state on the newest
+input, and the mean guest print, so one forward sweep over an episode
+yields every turn's trunk: games carry the forward state from turn to
+turn, and a PPO minibatch sweeps each sampled episode once (T cell steps
+where re-encoding each prefix took T(T+1)/2).
 
 Training maximizes the clipped PPO surrogate plus an entropy bonus minus
 a value regression term, with GAE advantages and a single Adam step with
@@ -93,22 +94,39 @@ class EnquirerOutput:
     _mask: np.ndarray = None
 
 
-def _heads(model: EnquirerModel, trunk: np.ndarray, mask: np.ndarray,
-           lstm_cache=None) -> EnquirerOutput:
-    logits, policy_cache = neural.mlp_forward(model.store, "policy", model.policy_spec, trunk)
-    value, value_cache = neural.mlp_forward(model.store, "value", model.value_spec, trunk)
+def _heads(model: EnquirerModel, h_forward: np.ndarray, newest: np.ndarray,
+           mean_guest: np.ndarray, mask: np.ndarray, lstm_cache=()) -> EnquirerOutput:
+    """Policy and value from the trunk at a turn, given the forward state
+    there and the newest input, on which the backward direction steps."""
+    store = model.store
+    h_backward, steps_b = neural.lstm_forward(store.values["lstm/Wb"], store.values["lstm/bb"],
+                                              newest[:, None], [0], model.config.lstm_hidden)
+    trunk = np.concatenate([h_forward, h_backward[:, 0], mean_guest], axis=1)
+    logits, policy_cache = neural.mlp_forward(store, "policy", model.policy_spec, trunk)
+    value, value_cache = neural.mlp_forward(store, "value", model.value_spec, trunk)
     log_probs = neural.masked_log_softmax(logits, mask)
-    probs = np.exp(log_probs)
-    return EnquirerOutput(probs=probs, log_probs=log_probs, value=value[:, 0],
-                          _lstm_cache=lstm_cache, _policy_cache=policy_cache,
+    return EnquirerOutput(probs=np.exp(log_probs), log_probs=log_probs, value=value[:, 0],
+                          _lstm_cache=(*lstm_cache, steps_b), _policy_cache=policy_cache,
                           _value_cache=value_cache, _mask=mask)
+
+
+def _policy_pass(model: EnquirerModel, mean_guest: np.ndarray, uttered: np.ndarray,
+                 mask: np.ndarray, rows: np.ndarray, turns: np.ndarray) -> EnquirerOutput:
+    """Outputs at turn ``turns[k]`` (-1 is the last) of sequence ``rows[k]``
+    for each k, from one forward sweep over the start token and ``uttered``
+    (E, L-1, D).  ``mean_guest`` is (E, D); no (row, turn) pair may repeat."""
+    inputs = neural.bilstm_inputs(model.lstm_spec, uttered, model.store.values["start"])
+    states_f, steps_f = neural.lstm_forward(
+        model.store.values["lstm/Wf"], model.store.values["lstm/bf"], inputs,
+        range(inputs.shape[1]), model.config.lstm_hidden)
+    return _heads(model, states_f[rows, turns], inputs[rows, turns], mean_guest[rows], mask,
+                  (inputs.shape, rows, turns, steps_f))
 
 
 def _forward_core(model: EnquirerModel, mean_guest: np.ndarray, uttered: np.ndarray,
                   mask: np.ndarray) -> EnquirerOutput:
-    last, lstm_cache = neural.bilstm_last(
-        model.store, "lstm", model.lstm_spec, uttered, model.store.values["start"])
-    return _heads(model, np.concatenate([last, mean_guest], axis=1), mask, lstm_cache)
+    b = len(mask)
+    return _policy_pass(model, mean_guest, uttered, mask, np.arange(b), np.full(b, -1))
 
 
 def enquirer_forward(model: EnquirerModel, guests: np.ndarray, uttered: np.ndarray,
@@ -138,12 +156,15 @@ def _backward_core(model: EnquirerModel, out: EnquirerOutput,
                                  out._policy_cache, dlogits)
     dtrunk += neural.mlp_backward(model.store, "value", model.value_spec,
                                   out._value_cache, dvalue[:, None])
-    width = 2 * model.config.lstm_hidden
-    d_hidden = np.zeros((dtrunk.shape[0], out._lstm_cache.inputs.shape[1], width))
-    d_hidden[:, -1, :] = dtrunk[:, :width]
-    d_inputs = neural.bilstm_backward(model.store, "lstm", model.lstm_spec,
-                                      out._lstm_cache, d_hidden)
-    model.store.grads["start"] += d_inputs[:, 0, :].sum(axis=0)
+    (e, length, _), rows, turns, steps_f, steps_b = out._lstm_cache
+    store, hidden = model.store, model.config.lstm_hidden
+    d_states = np.zeros((e, length, hidden))
+    d_states[rows, turns] = dtrunk[:, :hidden]
+    d_inputs = neural.lstm_backward(store, "lstm/Wf", "lstm/bf", steps_f, d_states, hidden)
+    # at turn 0 the backward direction's one step also reads the start token
+    d_inputs[rows, turns] += neural.lstm_backward(
+        store, "lstm/Wb", "lstm/bb", steps_b, dtrunk[:, None, hidden:2 * hidden], hidden)[:, 0]
+    store.grads["start"] += d_inputs[:, 0].sum(axis=0)
 
 
 def sample_actions(probs: np.ndarray, mode: str, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -232,31 +253,25 @@ def ppo_update(model: EnquirerModel, games: _PlayedGames, idx: np.ndarray,
     """One clipped-surrogate update on the rollout transitions ``idx``.
 
     Transition ``i`` of the (E, T) rollout is turn ``i % T`` of episode
-    ``i // T``.  Advantages are normalized to zero mean and unit variance
-    within the minibatch.  The objective is
-    max E[min(ratio * A, clip(ratio) * A)] plus an entropy bonus minus the
-    value regression term; one Adam step with global-norm clipping applies
-    the combined gradient.
+    ``i // T``.  One forward sweep over each sampled episode serves all of
+    its sampled turns, and one backward pass returns through it.
+    Advantages are normalized to zero mean and unit variance within the
+    minibatch.  The objective is max E[min(ratio * A, clip(ratio) * A)]
+    plus an entropy bonus minus the value regression term; one Adam step
+    with global-norm clipping applies the combined gradient.
     """
-    n = len(idx)
-    episodes, turns = np.divmod(idx, games.actions.shape[1])
+    n, t_max = len(idx), games.actions.shape[1]
+    episodes, turns = np.divmod(idx, t_max)
     actions = games.actions[episodes, turns]
     adv = games.advantages[episodes, turns]
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
-    new_log_probs = np.zeros(n)
-    values = np.zeros(n)
-    entropies = np.zeros(n)
-    groups = []
-    for turn in np.unique(turns):
-        sel = np.flatnonzero(turns == turn)
-        ep = episodes[sel]
-        out = _forward_core(model, games.mean_guest[ep], games.uttered[ep, :turn],
-                            games.masks[ep, turn])
-        groups.append((sel, out))
-        new_log_probs[sel] = out.log_probs[np.arange(len(sel)), actions[sel]]
-        values[sel] = out.value
-        entropies[sel] = neural.categorical_entropy(out.probs, out.log_probs)
+    played, rows = np.unique(episodes, return_inverse=True)
+    out = _policy_pass(model, games.mean_guest[played], games.uttered[played, :t_max - 1],
+                       games.masks[episodes, turns], rows, turns)
+    sel = np.arange(n)
+    new_log_probs = out.log_probs[sel, actions]
+    entropies = neural.categorical_entropy(out.probs, out.log_probs)
 
     ratios = np.exp(new_log_probs - games.log_probs[episodes, turns])
     if not np.all(np.isfinite(ratios)):
@@ -266,7 +281,7 @@ def ppo_update(model: EnquirerModel, games: _PlayedGames, idx: np.ndarray,
             f"(turn {int(turns[bad])}, action {int(actions[bad])})")
     surrogate = np.minimum(ratios * adv, np.clip(ratios, 1.0 - config.clip,
                                                  1.0 + config.clip) * adv)
-    value_err = values - games.returns[episodes, turns]
+    value_err = out.value - games.returns[episodes, turns]
 
     # d(surrogate)/d(ratio) is the advantage wherever the unclipped branch
     # is active, zero on the flat clipped branch.
@@ -275,13 +290,12 @@ def ppo_update(model: EnquirerModel, games: _PlayedGames, idx: np.ndarray,
     d_logp = -(adv * ratios * active) / n
     d_value = 2.0 * config.value_coef * value_err / n
 
-    for sel, out in groups:
-        one_hot = np.zeros_like(out.probs)
-        one_hot[np.arange(len(sel)), actions[sel]] = 1.0
-        dlogits = d_logp[sel, None] * (one_hot - out.probs)
-        safe_logp = np.where(out.probs > 0.0, out.log_probs, 0.0)
-        dlogits += (config.entropy_coef / n) * out.probs * (safe_logp + entropies[sel, None])
-        _backward_core(model, out, dlogits, d_value[sel])
+    one_hot = np.zeros_like(out.probs)
+    one_hot[sel, actions] = 1.0
+    dlogits = d_logp[:, None] * (one_hot - out.probs)
+    safe_logp = np.where(out.probs > 0.0, out.log_probs, 0.0)
+    dlogits += (config.entropy_coef / n) * out.probs * (safe_logp + entropies[:, None])
+    _backward_core(model, out, dlogits, d_value)
     neural.adam_step(model.store, config.lr, clip_norm=config.grad_clip)
 
     return {"policy_loss": float(-surrogate.mean()),
@@ -317,9 +331,9 @@ def _play_games(model: EnquirerModel, corpus: Corpus, guest_rows: np.ndarray,
     """Play the dealt games with the policy; explore mode draws from ``rng``.
 
     Each turn costs two LSTM cell steps: the forward direction's state is
-    carried from turn to turn, and the backward direction, read only at
-    the newest position, is one step from the zero state.  The outputs
-    are those of ``_forward_core`` on each turn's whole prefix.
+    carried from turn to turn, and ``_heads`` adds the backward
+    direction's one step on the newest input.  The outputs are those of
+    ``_policy_pass`` on each turn's whole prefix.
     """
     b, t_max, v = len(targets), word_budget, corpus.vocab_size
     guests = corpus.voice_prints[guest_rows]
@@ -328,9 +342,7 @@ def _play_games(model: EnquirerModel, corpus: Corpus, guest_rows: np.ndarray,
 
     store, hidden = model.store, model.config.lstm_hidden
     w_f, b_f = store.values["lstm/Wf"], store.values["lstm/bf"]
-    w_b, b_b = store.values["lstm/Wb"], store.values["lstm/bb"]
-    zero = np.zeros((b, hidden))
-    h, c = zero, zero
+    h = c = np.zeros((b, hidden))
     x = np.broadcast_to(store.values["start"], (b, corpus.dimension))
 
     rows = np.arange(b)
@@ -342,9 +354,8 @@ def _play_games(model: EnquirerModel, corpus: Corpus, guest_rows: np.ndarray,
     mask_now = np.zeros((b, v), dtype=bool)
     for turn in range(t_max):
         h, c, _ = neural.lstm_cell(w_f, b_f, x, h, c, hidden)
-        h_b, _, _ = neural.lstm_cell(w_b, b_b, x, zero, zero, hidden)
         masks[:, turn] = mask_now
-        out = _heads(model, np.concatenate([h, h_b, mean_guest], axis=1), mask_now)
+        out = _heads(model, h, x, mean_guest, mask_now)
         acts = sample_actions(out.probs, mode, rng)
         actions[:, turn] = acts
         log_probs[:, turn] = out.log_probs[rows, acts]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -154,7 +154,8 @@ def word_sweep(guesser: GuesserModel, corpus: Corpus, t_grid, n_guests: int,
     """Accuracy versus word budget for the configured policies.
 
     The random policy always runs; a heuristic config re-curates per grid
-    point; an enquirer model is evaluated greedily at each budget.
+    point (where it would keep every word, the random policy at the
+    heuristic's evaluation seed); an enquirer is evaluated greedily.
     """
     rows = []
     for t in t_grid:
@@ -164,14 +165,18 @@ def word_sweep(guesser: GuesserModel, corpus: Corpus, t_grid, n_guests: int,
             rows.append({"variable": "word_budget", "value": int(t), "policy": "random",
                          "seed": int(seed), "accuracy": acc, "stderr": err})
             if heuristic is not None:
-                cfg = HeuristicConfig(
-                    games_per_word=heuristic.games_per_word,
-                    curated_size=max(heuristic.curated_size, t),
-                    n_guests=n_guests, word_budget=t, eval_games=n_games)
-                res = heuristic_baseline(guesser, corpus, cfg, seed)
+                size = max(heuristic.curated_size, t)
+                if size == corpus.vocab_size:     # curating would keep every word
+                    acc, err = evaluate_guesser(guesser, corpus, n_guests, t, "random",
+                                                n_games, seed + 1)
+                else:
+                    res = heuristic_baseline(guesser, corpus, replace(
+                        heuristic, curated_size=size, n_guests=n_guests, word_budget=t,
+                        eval_games=n_games), seed)
+                    acc, err = res.accuracy, res.stderr
                 rows.append({"variable": "word_budget", "value": int(t),
                              "policy": "heuristic", "seed": int(seed),
-                             "accuracy": res.accuracy, "stderr": res.stderr})
+                             "accuracy": acc, "stderr": err})
             if enquirer is not None:
                 res = evaluate_enquirer(enquirer, guesser, corpus, n_guests, t,
                                         n_games, seed)

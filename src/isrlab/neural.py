@@ -2,9 +2,11 @@
 
 Everything the guesser and enquirer need and nothing more: dense ReLU
 networks with inverted dropout, a bidirectional LSTM, stabilized softmax
-cross-entropy, and Adam with global-norm gradient clipping.  Parameters
-live in a ParamStore keyed by name; backward passes accumulate gradients
-into the store and an explicit ``adam_step`` consumes them.
+cross-entropy, and Adam with global-norm gradient clipping.  The LSTM's
+one-direction passes are public, so the enquirer can run its two
+directions over different positions.  Parameters live in a ParamStore
+keyed by name; backward passes accumulate gradients into the store and
+an explicit ``adam_step`` consumes them.
 
 All math is float64.  Every backward pass here is checked against central
 finite differences in the test suite, so keep forward and backward in
@@ -86,16 +88,10 @@ class ParamStore:
         for g in self.grads.values():
             g[...] = 0.0
 
-    def grad_norm(self) -> float:
-        total = 0.0
-        for g in self.grads.values():
-            total += float(np.sum(g * g))
-        return float(np.sqrt(total))
-
 
 def clip_grads_global_norm(store: ParamStore, max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most ``max_norm``."""
-    norm = store.grad_norm()
+    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in store.grads.values())))
     if norm > max_norm:
         scale = max_norm / norm
         for g in store.grads.values():
@@ -283,7 +279,6 @@ def init_bilstm(store: ParamStore, prefix: str, spec: BiLstmSpec,
 
 @dataclass(eq=False, slots=True)
 class BiLstmCache:
-    inputs: np.ndarray
     steps_f: list
     steps_b: list
     consumed: bool = False
@@ -304,7 +299,10 @@ def lstm_cell(W: np.ndarray, bias: np.ndarray, x: np.ndarray, h: np.ndarray,
     return o * tanh_c, c_next, (xh, i, f, g, o, c, tanh_c)
 
 
-def _lstm_direction_forward(W, bias, inputs, order, hidden):
+def lstm_forward(W, bias, inputs, order, hidden):
+    """One direction over ``inputs`` (batch, L, in_width) in position
+    ``order`` from the zero state: (batch, L, hidden) states, zero where
+    unvisited, and the steps for ``lstm_backward``."""
     batch = inputs.shape[0]
     h = np.zeros((batch, hidden))
     c = np.zeros((batch, hidden))
@@ -317,7 +315,7 @@ def _lstm_direction_forward(W, bias, inputs, order, hidden):
     return states, steps
 
 
-def _bilstm_inputs(spec: BiLstmSpec, sequence, start_token) -> np.ndarray:
+def bilstm_inputs(spec: BiLstmSpec, sequence, start_token) -> np.ndarray:
     """Validate and prepend the start token: (batch, T+1, in_width)."""
     sequence = np.asarray(sequence, dtype=np.float64)
     if sequence.ndim != 3 or sequence.shape[2] != spec.in_width:
@@ -340,43 +338,22 @@ def bilstm_forward(store: ParamStore, prefix: str, spec: BiLstmSpec,
     produces one output.  Position t carries the concatenation of the
     forward state and the backward state at t.
     """
-    inputs = _bilstm_inputs(spec, sequence, start_token)
+    inputs = bilstm_inputs(spec, sequence, start_token)
     length = inputs.shape[1]
-    states_f, steps_f = _lstm_direction_forward(
+    states_f, steps_f = lstm_forward(
         store.values[f"{prefix}/Wf"], store.values[f"{prefix}/bf"],
         inputs, range(length), spec.hidden)
-    states_b, steps_b = _lstm_direction_forward(
+    states_b, steps_b = lstm_forward(
         store.values[f"{prefix}/Wb"], store.values[f"{prefix}/bb"],
         inputs, range(length - 1, -1, -1), spec.hidden)
     hidden = np.concatenate([states_f, states_b], axis=2)
-    return hidden, BiLstmCache(inputs, steps_f, steps_b)
+    return hidden, BiLstmCache(steps_f, steps_b)
 
 
-def bilstm_last(store: ParamStore, prefix: str, spec: BiLstmSpec,
-                sequence: np.ndarray,
-                start_token: np.ndarray) -> tuple[np.ndarray, BiLstmCache]:
-    """The last position of ``bilstm_forward``, (batch, 2*hidden), in T+2
-    cell steps instead of 2(T+1).
-
-    At the last position the backward direction has taken one step from
-    the zero state, so only that step runs.  The cache holds just that
-    backward step; ``bilstm_backward`` takes it as it is, given a
-    ``d_hidden`` that is zero except at the last position, because the
-    steps left out would only carry zero gradients.
-    """
-    inputs = _bilstm_inputs(spec, sequence, start_token)
-    length = inputs.shape[1]
-    states_f, steps_f = _lstm_direction_forward(
-        store.values[f"{prefix}/Wf"], store.values[f"{prefix}/bf"],
-        inputs, range(length), spec.hidden)
-    states_b, steps_b = _lstm_direction_forward(
-        store.values[f"{prefix}/Wb"], store.values[f"{prefix}/bb"],
-        inputs, [length - 1], spec.hidden)
-    last = np.concatenate([states_f[:, -1], states_b[:, -1]], axis=1)
-    return last, BiLstmCache(inputs, steps_f, steps_b)
-
-
-def _lstm_direction_backward(store, w_name, b_name, steps, d_states, hidden):
+def lstm_backward(store, w_name, b_name, steps, d_states, hidden):
+    """Backpropagate (batch, L, hidden) state gradients through the steps of
+    ``lstm_forward``; accumulates into the direction's weight and bias
+    gradients and returns the (batch, L, in_width) input gradients."""
     W = store.values[w_name]
     dW = store.grads[w_name]
     db = store.grads[b_name]
@@ -415,9 +392,9 @@ def bilstm_backward(store: ParamStore, prefix: str, spec: BiLstmSpec,
     cache.consumed = True
     d_hidden = np.asarray(d_hidden, dtype=np.float64)
     h = spec.hidden
-    d_in = _lstm_direction_backward(
+    d_in = lstm_backward(
         store, f"{prefix}/Wf", f"{prefix}/bf", cache.steps_f, d_hidden[:, :, :h], h)
-    d_in += _lstm_direction_backward(
+    d_in += lstm_backward(
         store, f"{prefix}/Wb", f"{prefix}/bb", cache.steps_b, d_hidden[:, :, h:], h)
     return d_in
 
@@ -475,11 +452,8 @@ def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
         raise ValueError(f"mask shape {mask.shape} != logits shape {logits.shape}")
     if np.any(mask.all(axis=-1)):
         raise ValueError("all actions masked in at least one row")
-    masked = np.where(mask, -np.inf, logits)
-    z = masked - np.max(masked, axis=-1, keepdims=True)
     # exp(-inf) is exactly 0, so masked entries never contribute to the sum
-    lse = np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
-    return z - lse
+    return log_softmax(np.where(mask, -np.inf, logits))
 
 
 def categorical_entropy(probs: np.ndarray, log_probs: np.ndarray) -> np.ndarray:

@@ -278,6 +278,31 @@ class TestEval:
         for line in lines:
             assert set(json.loads(line)["words"]) <= set(calls[0])
 
+    @pytest.mark.parametrize("extra, flag, mode", [
+        (["--include-heuristic"], "--include-heuristic", "--policy random"),
+        (["--include-heuristic", "--sweep", "guests"], "--include-heuristic",
+         "--sweep guests"),
+        (["--fixed-words", "1,2"], "--fixed-words", "--policy random"),
+        (["--fixed-words", "1,2", "--policy", "heuristic"], "--fixed-words",
+         "--policy heuristic"),
+        (["--sweep", "guests", "--policy", "heuristic", "--diversity"], "--policy",
+         "--sweep guests"),
+        (["--sweep", "words", "--policy", "random"], "--policy", "--sweep words"),
+        (["--sweep", "words", "--diversity"], "--diversity", "--sweep words"),
+    ])
+    def test_flag_its_mode_ignores_is_named(self, corpus_file, guesser_ckpt, tmp_path,
+                                           capsys, extra, flag, mode):
+        capsys.readouterr()
+        code = run(["eval", "--corpus", str(corpus_file), "--guesser", str(guesser_ckpt),
+                    "--grid", "2", "--games", "50", "--guests", "3", "--words", "2",
+                    "--eta", "20", "--out-dir", str(tmp_path)] + extra)
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith(flag + " ")
+        assert record["message"].endswith(" " + mode)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_unknown_split_is_named(self, corpus_file, guesser_ckpt, tmp_path, capsys, via):
         conf = tmp_path / "conf.txt"

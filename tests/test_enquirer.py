@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isrlab import neural
 from isrlab.corpus import SynthConfig, generate_synthetic
 from isrlab.enquirer import (EnquirerConfig, EnquirerModel, PpoConfig, RewardCollapse,
-                             _collect_rollout, _forward_core, compute_gae,
+                             _backward_core, _collect_rollout, _forward_core,
+                             _policy_pass, compute_gae,
                              enquirer_forward, evaluate_enquirer, ppo_update,
                              sample_actions, train_enquirer)
 from isrlab.guesser import (GuesserConfig, GuesserModel, GuesserTrainConfig,
@@ -200,6 +202,43 @@ class TestPpoUpdate:
         games.log_probs[1, 2] = -np.inf      # episode 1, turn 2 of 3
         with pytest.raises(RuntimeError, match="transition 5"):
             ppo_update(model, games, np.arange(games.actions.size), config)
+
+    def test_shared_prefix_backward_matches_finite_differences(self):
+        # one forward sweep serves several turns of the same episode, so
+        # gradients from several positions meet in one recurrence
+        rows, turns = np.array([0, 0, 0, 1, 1]), np.array([0, 1, 2, 0, 2])
+        actions = np.array([3, 0, 2, 1, 3])
+        for attempt in range(60):
+            rng = np.random.default_rng(50 + 100_000 * attempt)
+            model = EnquirerModel.init(EnquirerConfig(dim=3, vocab_size=4, lstm_hidden=3,
+                                                      policy_hidden=4, value_hidden=4), rng)
+            uttered = rng.standard_normal((2, 2, 3))
+            mean_guest = rng.standard_normal((2, 3))
+            mask = np.zeros((5, 4), dtype=bool)
+            mask[[1, 2, 4], [3, 3, 0]] = True
+            w_logp, w_value = rng.standard_normal(5), rng.standard_normal(5)
+
+            def objective():
+                out = _policy_pass(model, mean_guest, uttered, mask, rows, turns)
+                return out, float(w_logp @ out.log_probs[np.arange(5), actions]
+                                  + w_value @ out.value)
+
+            out, _ = objective()
+            # kink guard: keep the ReLU pre-activations clear of zero, where
+            # a finite difference would straddle the kink
+            if all(np.min(np.abs(cache.affine_inputs[0] @ model.store.values[f"{net}/W0"]
+                                 + model.store.values[f"{net}/b0"])) >= 1e-3
+                   for net, cache in (("policy", out._policy_cache),
+                                      ("value", out._value_cache))):
+                break
+        else:
+            raise RuntimeError("could not draw a kink-free instance")
+        one_hot = np.zeros((5, 4))
+        one_hot[np.arange(5), actions] = 1.0
+        _backward_core(model, out, w_logp[:, None] * (one_hot - out.probs), w_value)
+        for name, p in model.store.values.items():
+            num = neural.numerical_gradient(lambda _: objective()[1], p)
+            assert neural.max_relative_error(model.store.grads[name], num) < 1e-4, name
 
     def test_update_changes_parameters(self, corpus, model):
         config, (games, _) = self.collect(corpus, model)

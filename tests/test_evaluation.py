@@ -196,6 +196,31 @@ class TestSweeps:
         assert {row["value"] for row in result.rows} == {1, 2}
         assert all(row["policy"] == "random" for row in result.rows)
 
+    def test_heuristic_at_full_vocabulary_skips_curation(self, degenerate_setup,
+                                                         monkeypatch):
+        # where the curated list would be every word, curating is wasted:
+        # the row is the random policy at the heuristic's evaluation seed
+        from isrlab import evaluation
+        corpus, guesser = degenerate_setup
+        original = evaluation.heuristic_baseline
+        budgets = []
+
+        def counted(guesser, corpus, config, seed):
+            budgets.append(config.word_budget)
+            return original(guesser, corpus, config, seed)
+        monkeypatch.setattr(evaluation, "heuristic_baseline", counted)
+        heuristic = HeuristicConfig(games_per_word=50, curated_size=3)
+        result = word_sweep(guesser, corpus, [2, 5], 4, seeds=[0, 1], n_games=300,
+                            heuristic=heuristic)
+        assert budgets == [2, 2]
+        for seed in (0, 1):
+            curated = original(guesser, corpus, HeuristicConfig(
+                games_per_word=50, curated_size=5, n_guests=4, word_budget=5,
+                eval_games=300), seed)
+            [row] = [r for r in result.rows if r["policy"] == "heuristic"
+                     and r["value"] == 5 and r["seed"] == seed]
+            assert (row["accuracy"], row["stderr"]) == (curated.accuracy, curated.stderr)
+
     def test_guest_sweep_shape_and_single_guest(self, degenerate_setup):
         corpus, guesser = degenerate_setup
         result = guest_sweep(guesser, corpus, [1, 4], 2, seeds=[0], n_games=300)

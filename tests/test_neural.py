@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from isrlab import neural
 from isrlab.neural import (BiLstmSpec, MlpSpec, ParamStore, adam_step,
-                           bilstm_backward, bilstm_forward, bilstm_last, dropout_mask,
+                           bilstm_backward, bilstm_forward, dropout_mask,
                            init_bilstm, init_mlp, load_params, max_relative_error,
                            mlp_backward, mlp_forward, numerical_gradient,
                            save_params, sigmoid, softmax, softmax_cross_entropy)
@@ -402,46 +402,71 @@ class TestBiLstm:
 
 
 class TestLastPosition:
-    """``bilstm_last`` is the last position of ``bilstm_forward``, bit for bit."""
+    """The enquirer's trunk at the last position equals the full encoder's
+    last row, bit for bit, in its outputs and in its gradients."""
 
-    def encoder(self, length, seed=20):
+    def enquirer(self, length, seed=20):
+        from isrlab.enquirer import EnquirerConfig, EnquirerModel
         rng = np.random.default_rng(seed)
-        spec = BiLstmSpec(3, 4)
-        store = ParamStore()
-        init_bilstm(store, "lstm", spec, rng)
+        model = EnquirerModel.init(EnquirerConfig(dim=3, vocab_size=6, lstm_hidden=4,
+                                                  policy_hidden=5, value_hidden=5), rng)
         seq = rng.standard_normal((5, length, 3))
-        start = rng.standard_normal(3)
-        return rng, spec, store, seq, start
+        mean_guest = rng.standard_normal((5, 3))
+        mask = rng.random((5, 6)) < 0.3
+        mask[:, 0] = False
+        return rng, model, seq, mean_guest, mask
+
+    def full_path(self, model, seq, mean_guest, mask):
+        # heads on the last row of ``bilstm_forward``
+        store = model.store
+        hidden, cache = bilstm_forward(store, "lstm", model.lstm_spec, seq,
+                                       store.values["start"])
+        trunk = np.concatenate([hidden[:, -1], mean_guest], axis=1)
+        logits, policy_cache = mlp_forward(store, "policy", model.policy_spec, trunk)
+        value, value_cache = mlp_forward(store, "value", model.value_spec, trunk)
+        log_probs = neural.masked_log_softmax(logits, mask)
+        return log_probs, value[:, 0], (hidden.shape, cache, policy_cache, value_cache)
 
     @pytest.mark.parametrize("length", [0, 1, 2, 3])
     def test_output_equals_full_encoder_last_row(self, length):
-        _, spec, store, seq, start = self.encoder(length)
-        last, _ = bilstm_last(store, "lstm", spec, seq, start)
-        hidden, _ = bilstm_forward(store, "lstm", spec, seq, start)
-        assert last.shape == (5, 8)
-        assert np.array_equal(last, hidden[:, -1])
+        from isrlab.enquirer import _forward_core
+        _, model, seq, mean_guest, mask = self.enquirer(length)
+        out = _forward_core(model, mean_guest, seq, mask)
+        log_probs, value, _ = self.full_path(model, seq, mean_guest, mask)
+        assert np.array_equal(out.log_probs, log_probs)
+        assert np.array_equal(out.probs, np.exp(log_probs))
+        assert np.array_equal(out.value, value)
 
     @pytest.mark.parametrize("length", [0, 1, 2, 3])
     def test_gradients_equal_full_path(self, length):
-        rng, spec, store, seq, start = self.encoder(length)
-        d_hidden = np.zeros((5, length + 1, 8))
-        d_hidden[:, -1] = rng.standard_normal((5, 8))
+        from isrlab.enquirer import _backward_core, _forward_core
+        rng, model, seq, mean_guest, mask = self.enquirer(length)
+        store = model.store
+        dlogits = rng.standard_normal((5, 6))
+        dvalue = rng.standard_normal(5)
 
-        _, cache = bilstm_forward(store, "lstm", spec, seq, start)
-        full_inputs = bilstm_backward(store, "lstm", spec, cache, d_hidden)
+        _, _, (shape, cache, policy_cache, value_cache) = self.full_path(
+            model, seq, mean_guest, mask)
+        dtrunk = mlp_backward(store, "policy", model.policy_spec, policy_cache,
+                              np.where(mask, 0.0, dlogits))
+        dtrunk += mlp_backward(store, "value", model.value_spec, value_cache, dvalue[:, None])
+        d_hidden = np.zeros(shape)
+        d_hidden[:, -1] = dtrunk[:, :shape[2]]
+        d_inputs = bilstm_backward(store, "lstm", model.lstm_spec, cache, d_hidden)
+        store.grads["start"] += d_inputs[:, 0].sum(axis=0)
         full_grads = {k: g.copy() for k, g in store.grads.items()}
         store.zero_grads()
-        _, cache = bilstm_last(store, "lstm", spec, seq, start)
-        last_inputs = bilstm_backward(store, "lstm", spec, cache, d_hidden)
-        assert np.array_equal(last_inputs, full_inputs)
+
+        _backward_core(model, _forward_core(model, mean_guest, seq, mask), dlogits, dvalue)
         for name, grad in full_grads.items():
             assert np.array_equal(store.grads[name], grad), name
 
     def test_backward_direction_runs_one_step(self):
-        _, spec, store, seq, start = self.encoder(3)
-        _, cache = bilstm_last(store, "lstm", spec, seq, start)
-        assert [step[0] for step in cache.steps_f] == [0, 1, 2, 3]
-        assert [step[0] for step in cache.steps_b] == [3]
+        from isrlab.enquirer import _forward_core
+        _, model, seq, mean_guest, mask = self.enquirer(3)
+        *_, steps_f, steps_b = _forward_core(model, mean_guest, seq, mask)._lstm_cache
+        assert [step[0] for step in steps_f] == [0, 1, 2, 3]
+        assert [step[0] for step in steps_b] == [0]    # on the newest input only
 
 
 def _masked_sigmoid(x):

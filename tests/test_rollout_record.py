@@ -5,8 +5,13 @@ The reference functions below are the flat transition batch that
 apart from a namespace in place of the batch class and the dropped
 non-finite ratio check: every episode's mean guest and utterances
 repeated once per turn, the turns tiled, and a minibatch selected row by
-row.  ``ppo_update`` on the (E, T) record, reading transition ``i`` as
-``divmod(i, T)``, must reproduce it bit for bit over several updates.
+row, each turn's prefixes re-encoded from the start token.
+``ppo_update`` on the (E, T) record, reading transition ``i`` as
+``divmod(i, T)`` and sweeping each sampled episode once, must reproduce
+it over several updates.  Only the rounding differs (the BLAS products
+see other batch shapes and the gradients are summed in another order),
+so the stats must agree to 1e-12 and the parameters to 1e-9, relative;
+an indexing error moves them by O(1).
 """
 
 from types import SimpleNamespace
@@ -106,6 +111,7 @@ def test_record_updates_equal_the_flat_batch(corpus, word_budget):
         idx = rng.choice(games.actions.size, size=23, replace=False)
         got = ppo_update(model, games, idx, config)
         want = reference_ppo_update(reference, reference_select(batch, idx), config)
-        assert got == want
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         for name, value in reference.store.values.items():
-            assert np.array_equal(model.store.values[name], value), name
+            np.testing.assert_allclose(model.store.values[name], value, rtol=1e-9, atol=0.0,
+                                       err_msg=name)
