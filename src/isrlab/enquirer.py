@@ -12,7 +12,10 @@ the backward direction's one step from the zero state on the newest
 input, and the mean guest print, so one forward sweep over an episode
 yields every turn's trunk: games carry the forward state from turn to
 turn, and a PPO minibatch sweeps each sampled episode once (T cell steps
-where re-encoding each prefix took T(T+1)/2).
+where re-encoding each prefix took T(T+1)/2).  The steps from the zero
+state (the backward direction's one step, the forward direction's
+start-token step and a game's turn 0) multiply only the input rows of the
+LSTM weights.
 
 Training maximizes the clipped PPO surrogate plus an entropy bonus minus
 a value regression term, with GAE advantages and a single Adam step with
@@ -342,7 +345,7 @@ def _play_games(model: EnquirerModel, corpus: Corpus, guest_rows: np.ndarray,
 
     store, hidden = model.store, model.config.lstm_hidden
     w_f, b_f = store.values["lstm/Wf"], store.values["lstm/bf"]
-    h = c = np.zeros((b, hidden))
+    h = c = None    # the zero state
     x = np.broadcast_to(store.values["start"], (b, corpus.dimension))
 
     rows = np.arange(b)

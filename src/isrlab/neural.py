@@ -42,9 +42,17 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, without a
-    # branch: exp only ever sees a non-positive argument, so never overflows.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # branch: exp only ever sees -|x|, so never overflows, and as e lies in
+    # [0, 1] the numerator max(e, x >= 0) is 1 for x >= 0 and e below
+    # (NaN stays NaN).  ``x`` is never written; a 0-d input or a scalar
+    # gives a scalar.
+    x = np.asarray(x)
+    e = np.copysign(x, -1.0, out=np.empty(x.shape, np.result_type(x, 1.0)))
+    np.exp(e, out=e)
+    y = np.maximum(e, x >= 0, out=np.empty_like(e))
+    e += 1.0
+    y /= e
+    return y[()]
 
 
 def uniform_fan_in(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -284,15 +292,28 @@ class BiLstmCache:
     consumed: bool = False
 
 
-def lstm_cell(W: np.ndarray, bias: np.ndarray, x: np.ndarray, h: np.ndarray,
-              c: np.ndarray, hidden: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+def lstm_cell(W: np.ndarray, bias: np.ndarray, x: np.ndarray, h: np.ndarray | None,
+              c: np.ndarray | None, hidden: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """One LSTM step on a batch: the new ``(h, c)`` and the step's
-    intermediates ``(xh, i, f, g, o, c_prev, tanh_c)`` for the backward pass."""
-    xh = np.concatenate([x, h], axis=1)
-    gates = _mm(xh, W) + bias
-    # one sigmoid over the whole slab; its cell-candidate quarter goes unused
-    s = sigmoid(gates)
-    i, f, o = s[:, :hidden], s[:, hidden:2 * hidden], s[:, 3 * hidden:]
+    intermediates ``(xh, i, f, g, o, c_prev, tanh_c)`` for the backward pass.
+
+    ``h = c = None`` is the zero state.  Such a step multiplies only the
+    input rows of ``W`` (the hidden rows would multiply zeros) and caches
+    ``x`` alone as its ``xh``.  Its ``c_prev`` is an explicit zero array:
+    ``f * c + i * g`` turns a -0.0 ``i * g`` into a +0.0 cell state.
+    """
+    if h is None:
+        xh = x
+        c = np.zeros((x.shape[0], hidden))
+        gates = _mm(x, W[:x.shape[1]])
+    else:
+        xh = np.concatenate([x, h], axis=1)
+        gates = _mm(xh, W)
+    gates += bias
+    # the sigmoid runs on the input/forget and output quarters only; the
+    # cell-candidate quarter takes the tanh
+    i, f = np.split(sigmoid(gates[:, :2 * hidden]), 2, axis=1)
+    o = sigmoid(gates[:, 3 * hidden:])
     g = np.tanh(gates[:, 2 * hidden:3 * hidden])
     c_next = f * c + i * g
     tanh_c = np.tanh(c_next)
@@ -302,11 +323,10 @@ def lstm_cell(W: np.ndarray, bias: np.ndarray, x: np.ndarray, h: np.ndarray,
 def lstm_forward(W, bias, inputs, order, hidden):
     """One direction over ``inputs`` (batch, L, in_width) in position
     ``order`` from the zero state: (batch, L, hidden) states, zero where
-    unvisited, and the steps for ``lstm_backward``."""
-    batch = inputs.shape[0]
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    states = np.zeros((batch, inputs.shape[1], hidden))
+    unvisited, and the steps for ``lstm_backward``.  The first step, taken
+    from the zero state, multiplies only the input rows of ``W``."""
+    h = c = None
+    states = np.zeros((inputs.shape[0], inputs.shape[1], hidden))
     steps = []
     for pos in order:
         h, c, step = lstm_cell(W, bias, inputs[:, pos, :], h, c, hidden)
@@ -353,7 +373,12 @@ def bilstm_forward(store: ParamStore, prefix: str, spec: BiLstmSpec,
 def lstm_backward(store, w_name, b_name, steps, d_states, hidden):
     """Backpropagate (batch, L, hidden) state gradients through the steps of
     ``lstm_forward``; accumulates into the direction's weight and bias
-    gradients and returns the (batch, L, in_width) input gradients."""
+    gradients and returns the (batch, L, in_width) input gradients.
+
+    The four gate gradients of a step are written into one (batch, 4H)
+    buffer.  A step taken from the zero state cached only its input as
+    ``xh``, so its weight gradient goes to the input rows of ``W`` alone.
+    """
     W = store.values[w_name]
     dW = store.grads[w_name]
     db = store.grads[b_name]
@@ -362,18 +387,31 @@ def lstm_backward(store, w_name, b_name, steps, d_states, hidden):
     d_inputs = np.zeros((batch, d_states.shape[1], in_width))
     dh_next = np.zeros((batch, hidden))
     dc_next = np.zeros((batch, hidden))
+    dgates = np.empty((batch, 4 * hidden))
+    di, df, dg, do = np.split(dgates, 4, axis=1)
+    tmp = np.empty((batch, hidden))
     for pos, xh, i, f, g, o, c_prev, tanh_c in reversed(steps):
         dh = d_states[:, pos, :] + dh_next
-        do = dh * tanh_c
-        dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dc_next = dc * f
-        dgates = np.concatenate(
-            [di * i * (1.0 - i), df * f * (1.0 - f),
-             dg * (1.0 - g * g), do * o * (1.0 - o)], axis=1)
-        dW += xh.T @ dgates
+        np.multiply(dh, tanh_c, out=do)
+        # dc = dc_next + dh * o * (1 - tanh_c^2), built in dh
+        dh *= o
+        dh *= np.subtract(1.0, np.multiply(tanh_c, tanh_c, out=tmp), out=tmp)
+        dc = np.add(dc_next, dh, out=dh)
+        # each gate's gradient into its quarter of dgates, its products
+        # taken left to right as in dc * g * i * (1 - i), which fixes the
+        # rounding
+        np.multiply(dc, g, out=di)
+        di *= i
+        di *= np.subtract(1.0, i, out=tmp)
+        np.multiply(dc, c_prev, out=df)
+        df *= f
+        df *= np.subtract(1.0, f, out=tmp)
+        np.multiply(dc, i, out=dg)
+        dg *= np.subtract(1.0, np.multiply(g, g, out=tmp), out=tmp)
+        do *= o
+        do *= np.subtract(1.0, o, out=tmp)
+        np.multiply(dc, f, out=dc_next)
+        dW[:xh.shape[1]] += xh.T @ dgates
         db += dgates.sum(axis=0)
         dxh = dgates @ W.T
         d_inputs[:, pos, :] = dxh[:, :in_width]

@@ -1,8 +1,10 @@
 """Layer-by-layer checks of the hand-rolled differentiable stack."""
 
 import json
+import os
 import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -494,6 +496,241 @@ class TestSigmoid:
         with np.errstate(over="raise"):
             y = sigmoid(np.array([-800.0, -0.0, 0.0, 800.0]))
         assert np.array_equal(y, [0.0, 0.5, 0.5, 1.0])
+
+    @pytest.mark.parametrize("value", [2.0, np.float64(-3.0), np.array(0.5)])
+    def test_scalar_and_0d_inputs_give_a_scalar(self, value):
+        y = sigmoid(value)
+        assert isinstance(y, np.float64)
+        assert y == _where_sigmoid(value) == _masked_sigmoid(np.atleast_1d(value))[0]
+
+    def test_non_contiguous_gate_quarters(self):
+        slab = np.random.default_rng(23).standard_normal((37, 64)) * 4.0
+        for part in (slab[:, :32], slab[:, 48:], slab[:, 16:32], slab[::3, 48:]):
+            assert not part.flags.c_contiguous
+            assert np.array_equal(sigmoid(part), _masked_sigmoid(np.ascontiguousarray(part)))
+
+    def test_subnormal_and_saturating_arguments(self):
+        x = np.array([5e-324, -5e-324, 1e-310, -1e-310, 745.2, -745.2])
+        y = sigmoid(x)
+        assert np.array_equal(y, [0.5, 0.5, 0.5, 0.5, 1.0, 0.0])
+        assert np.array_equal(y, _masked_sigmoid(x))
+        assert np.array_equal(np.signbit(y), np.signbit(_masked_sigmoid(x)))
+
+    def test_sign_bits_and_bytes_nan_included(self):
+        rng = np.random.default_rng(24)
+        x = np.concatenate([rng.standard_normal(2000) * 30.0,
+                            [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324,
+                             -5e-324, 1e-310, -1e-310, 745.2, -745.2, 1e308, -1e308]])
+        y = sigmoid(x)
+        masked = _masked_sigmoid(x)
+        assert np.array_equal(np.isnan(y), np.isnan(x))
+        # the masked formula's exp(+nan) keeps nan's plus sign, where -|x|
+        # turns it to minus; every other sign bit agrees with it
+        positive_nan = np.isnan(x) & ~np.signbit(x)
+        assert np.array_equal(np.signbit(y)[~positive_nan], np.signbit(masked)[~positive_nan])
+        # every byte, nan's included, is the np.where formula's
+        assert np.array_equal(y.view(np.uint64), _where_sigmoid(x).view(np.uint64))
+
+    def test_input_is_not_written(self):
+        slab = np.random.default_rng(25).standard_normal((9, 16)) * 4.0
+        slab[0, :4] = [np.nan, -0.0, np.inf, -np.inf]
+        before = slab.copy()
+        slab.flags.writeable = False
+        sigmoid(slab)
+        sigmoid(slab[:, 4:12])
+        assert np.array_equal(slab, before, equal_nan=True)
+        assert np.array_equal(np.signbit(slab), np.signbit(before))
+
+
+def _where_sigmoid(x):
+    # the np.where formula the in-place sigmoid replaced
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _reference_cell(W, bias, x, h, c, hidden):
+    # the cell that concatenated [x, h] at every step, zero state included,
+    # and took one sigmoid over the whole gate slab
+    xh = np.concatenate([x, h], axis=1)
+    gates = neural._mm(xh, W) + bias
+    s = _where_sigmoid(gates)
+    i, f, o = s[:, :hidden], s[:, hidden:2 * hidden], s[:, 3 * hidden:]
+    g = np.tanh(gates[:, 2 * hidden:3 * hidden])
+    c_next = f * c + i * g
+    tanh_c = np.tanh(c_next)
+    return o * tanh_c, c_next, (xh, i, f, g, o, c, tanh_c)
+
+
+def _reference_forward(W, bias, inputs, order, hidden):
+    h = c = np.zeros((inputs.shape[0], hidden))
+    states = np.zeros((*inputs.shape[:2], hidden))
+    steps = []
+    for pos in order:
+        h, c, step = _reference_cell(W, bias, inputs[:, pos, :], h, c, hidden)
+        states[:, pos, :] = h
+        steps.append((pos, *step))
+    return states, steps
+
+
+def _allocating_lstm_backward(W, steps, d_states, hidden):
+    # the backward that built dgates as np.concatenate of four fresh
+    # products and multiplied every row of W: returns dW, db, d_inputs
+    batch = d_states.shape[0]
+    in_width = W.shape[0] - hidden
+    dW, db = np.zeros_like(W), np.zeros(W.shape[1])
+    d_inputs = np.zeros((batch, d_states.shape[1], in_width))
+    dh_next = np.zeros((batch, hidden))
+    dc_next = np.zeros((batch, hidden))
+    for pos, xh, i, f, g, o, c_prev, tanh_c in reversed(steps):
+        if xh.shape[1] == in_width:   # a zero-state step cached its input alone
+            xh = np.concatenate([xh, np.zeros((batch, hidden))], axis=1)
+        dh = d_states[:, pos, :] + dh_next
+        do = dh * tanh_c
+        dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dc_next = dc * f
+        dgates = np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f),
+             dg * (1.0 - g * g), do * o * (1.0 - o)], axis=1)
+        dW += xh.T @ dgates
+        db += dgates.sum(axis=0)
+        dxh = dgates @ W.T
+        d_inputs[:, pos, :] = dxh[:, :in_width]
+        dh_next = dxh[:, in_width:]
+    return dW, db, d_inputs
+
+
+def _lstm_backward_grads(W, bias, steps, d_states, hidden):
+    # ``neural.lstm_backward`` into a fresh store: returns dW, db, d_inputs
+    store = ParamStore()
+    store.add("W", W)
+    store.add("b", bias)
+    d_inputs = neural.lstm_backward(store, "W", "b", steps, d_states, hidden)
+    return store.grads["W"], store.grads["b"], d_inputs
+
+
+def _lstm_params(rng, in_width, hidden):
+    # weights wide enough that the gates reach both saturations
+    W = rng.standard_normal((in_width + hidden, 4 * hidden)) * 0.5
+    return W, rng.standard_normal(4 * hidden)
+
+
+def check_zero_state_step(batch, in_width, hidden, broadcast, length, seed):
+    """``lstm_cell`` from ``h = c = None`` and ``lstm_forward``/``lstm_backward``
+    over ``length`` positions equal the concatenating reference bit for bit.
+    ``broadcast`` passes the first input as one stride-0 row, as
+    ``enquirer._play_games`` passes the start token."""
+    rng = np.random.default_rng(seed)
+    W, bias = _lstm_params(rng, in_width, hidden)
+    inputs = rng.standard_normal((batch, length, in_width))
+    x = (np.broadcast_to(inputs[0, 0], (batch, in_width)) if broadcast
+         else inputs[:, 0])
+    zeros = np.zeros((batch, hidden))
+    h, c, step = neural.lstm_cell(W, bias, x, None, None, hidden)
+    ref_h, ref_c, ref_step = _reference_cell(W, bias, x, zeros, zeros, hidden)
+    assert np.array_equal(h, ref_h) and np.array_equal(c, ref_c), (batch, in_width)
+    assert step[0] is x
+    for got, want in zip(step[1:], ref_step[1:]):
+        assert np.array_equal(got, want), (batch, in_width)
+    d_states = rng.standard_normal((batch, length, hidden))
+    got = _lstm_backward_grads(W, bias, [(0, *step)], d_states[:, :1], hidden)
+    want = _allocating_lstm_backward(W, [(0, *ref_step)], d_states[:, :1], hidden)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b), (batch, in_width, "one step")
+    if broadcast:
+        inputs[:, 0] = x
+    states, steps = neural.lstm_forward(W, bias, inputs, range(length), hidden)
+    ref_states, ref_steps = _reference_forward(W, bias, inputs, range(length), hidden)
+    assert np.array_equal(states, ref_states), (batch, in_width, length)
+    got = _lstm_backward_grads(W, bias, steps, d_states, hidden)
+    want = _allocating_lstm_backward(W, ref_steps, d_states, hidden)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b), (batch, in_width, length)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts threads in /proc/self/task")
+class TestZeroStateStep:
+    """A step from the zero state multiplies only the input rows of W, yet
+    equals the concatenating cell on ``[x, zeros]`` with ``c = zeros``, bit
+    for bit, forward and backward: at the enquirer's D=32/H=128 and small
+    shapes, at batch sizes across the BLAS kernels' row tiles."""
+
+    SCRIPT = """
+        import sys
+        sys.path.insert(0, {tests!r})
+        from hypothesis import given, settings, strategies as st
+        from test_neural import check_zero_state_step
+        for shape in ((32, 128), (3, 4)):
+            for batch in (1, 2, 7, 8, 9, 31, 300, 342, 513):
+                for broadcast in (False, True):
+                    check_zero_state_step(batch, *shape, broadcast, 2, batch)
+
+        @given(st.integers(1, 600), st.sampled_from([(32, 128), (3, 4), (5, 16)]),
+               st.booleans(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+        @settings(max_examples={examples}, deadline=None, database=None)
+        def zero_state_step_equals_reference(batch, shape, broadcast, length, seed):
+            check_zero_state_step(batch, *shape, broadcast, length, seed)
+
+        zero_state_step_equals_reference()
+        """
+
+    def script(self, examples):
+        return self.SCRIPT.format(tests=str(Path(__file__).parent), examples=examples)
+
+    def test_one_blas_thread(self, one_blas_thread):
+        one_blas_thread(self.script(60))
+
+    @pytest.mark.skipif(sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) < 2,
+                        reason="OpenBLAS runs at most one thread per available core")
+    def test_two_blas_threads(self, blas_threads):
+        blas_threads(self.script(20), 2)
+
+
+class TestInPlaceLstm:
+    """``lstm_backward``, which writes the gate gradients into one buffer,
+    equals the allocating ``np.concatenate`` backward bit for bit over
+    multi-step ``lstm_forward`` caches, and writes neither ``d_states`` nor
+    any cached step array."""
+
+    def check(self, batch, in_width, hidden, length, order, seed, special=False):
+        rng = np.random.default_rng(seed)
+        W, bias = _lstm_params(rng, in_width, hidden)
+        inputs = rng.standard_normal((batch, length, in_width))
+        _, steps = neural.lstm_forward(W, bias, inputs, order, hidden)
+        assert steps[0][1].shape[1] == in_width    # the zero-state step cached x alone
+        cached = [[a.copy() for a in step[1:]] for step in steps]
+        d_states = rng.standard_normal((batch, length, hidden))
+        if special:
+            d_states[0] = 0.0
+            d_states[-1, :, ::2] = -0.0
+            d_states[:, :, 1] = 1e300
+        before = d_states.copy()
+        got = _lstm_backward_grads(W, bias, steps, d_states, hidden)
+        want = _allocating_lstm_backward(W, steps, before, hidden)
+        for a, b, name in zip(got, want, ("dW", "db", "d_inputs")):
+            assert np.array_equal(a, b), name
+        assert np.array_equal(d_states.view(np.uint64), before.view(np.uint64))
+        for step, copies in zip(steps, cached):
+            for a, b in zip(step[1:], copies):
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("batch,in_width,hidden,length,order", [
+        (1, 3, 4, 1, [0]),
+        (5, 3, 4, 3, [0, 1, 2]),
+        (37, 6, 8, 4, [3, 2, 1, 0]),
+        (9, 5, 16, 5, [0, 2, 4]),
+        (2, 32, 128, 3, [0, 1, 2]),
+        (342, 32, 128, 3, [2, 1, 0]),
+    ])
+    def test_equals_allocating_backward(self, batch, in_width, hidden, length, order):
+        self.check(batch, in_width, hidden, length, order, seed=batch + length)
+
+    def test_zero_negative_zero_and_huge_state_gradients(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.check(7, 4, 8, 3, [0, 1, 2], seed=26, special=True)
 
 
 class TestSoftmaxCrossEntropy:
