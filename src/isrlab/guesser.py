@@ -5,7 +5,9 @@ attention net scores each uttered embedding against that context; the
 attention-weighted sum of utterances is then paired with every guest print
 and scored by a second net, and a softmax over the K scores gives the
 per-guest probabilities.  Scoring is per guest, so the whole thing is
-permutation-equivariant in the guest list by construction.
+permutation-equivariant in the guest list by construction.  Both nets are
+``neural.pair_forward`` nets: each game's context half of the first layer
+is taken once, not once per word or guest, and an eval pass runs in blocks.
 
 Training is plain supervised cross-entropy on games with uniformly random
 word sets, no policy involved.
@@ -44,16 +46,13 @@ class GuesserModel:
 
     def __init__(self, config: GuesserConfig, store: ParamStore | None = None):
         self.config = config
-        pair = 2 * config.dim
-        self.attn_spec = MlpSpec(pair, (config.attn_hidden,), 1, dropout=config.dropout)
-        self.score_spec = MlpSpec(pair, (config.score_hidden,), 1, dropout=config.dropout)
         self.store = store if store is not None else ParamStore()
 
     @classmethod
     def init(cls, config: GuesserConfig, rng: np.random.Generator) -> "GuesserModel":
         model = cls(config)
-        neural.init_mlp(model.store, "attn", model.attn_spec, rng)
-        neural.init_mlp(model.store, "score", model.score_spec, rng)
+        for prefix, hidden in (("attn", config.attn_hidden), ("score", config.score_hidden)):
+            neural.init_mlp(model.store, prefix, MlpSpec(2 * config.dim, (hidden,), 1), rng)
         return model
 
     def save(self, path) -> None:
@@ -115,15 +114,14 @@ def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray
         raise ValueError("need at least one guest and one uttered word")
 
     mean_guest = guests.mean(axis=1)                                    # (B, D)
-    e_flat, attn_cache = _run_net(model, "attn", model.attn_spec,
-                                  _paired_rows(uttered, mean_guest), train, rng)
-    attn_logits = e_flat.reshape(b, t)
+    dropout = model.config.dropout if train else 0.0
+    attn_logits, attn_cache = neural.pair_forward(
+        model.store, "attn", uttered, mean_guest, keep_cache=train, dropout=dropout, rng=rng)
     attn_weights = neural.softmax(attn_logits, axis=1)
     pooled = np.einsum("bt,btd->bd", attn_weights, uttered)
 
-    s_flat, score_cache = _run_net(model, "score", model.score_spec,
-                                   _paired_rows(guests, pooled), train, rng)
-    score_logits = s_flat.reshape(b, k)
+    score_logits, score_cache = neural.pair_forward(
+        model.store, "score", guests, pooled, keep_cache=train, dropout=dropout, rng=rng)
     probs = neural.softmax(score_logits, axis=1)
     return GuesserActivations(
         mean_guest=mean_guest, attn_logits=attn_logits, attn_weights=attn_weights,
@@ -132,52 +130,30 @@ def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray
         _attn_cache=attn_cache, _score_cache=score_cache)
 
 
-def _paired_rows(items: np.ndarray, context: np.ndarray) -> np.ndarray:
-    """(B, N, D) items each beside their game's (B, D) context: (B*N, 2D)."""
-    b, n, d = items.shape
-    return np.concatenate(
-        [items, np.broadcast_to(context[:, None, :], (b, n, d))], axis=2).reshape(b * n, 2 * d)
-
-
-def _run_net(model: GuesserModel, prefix: str, spec: MlpSpec, rows: np.ndarray,
-             train: bool, rng: np.random.Generator | None):
-    """A training pass keeps its cache; an eval pass runs in row blocks and
-    keeps none."""
-    if train:
-        return neural.mlp_forward(model.store, prefix, spec, rows, train=True, rng=rng)
-    return neural.mlp_predict(model.store, prefix, spec, rows), None
-
-
 def guesser_loss(model: GuesserModel, acts: GuesserActivations, targets) -> float:
     """Mean cross-entropy at the target guests; accumulates parameter grads.
 
-    The backward pass runs through the score net, the attention pooling,
-    the attention net, and the mean-guest branch.  Eval-mode activations
-    carry no MLP caches, so each net is run once more on the same inputs
+    The backward pass runs through the score net, the attention pooling
+    and the attention net.  Eval-mode activations carry no caches, so each
+    net is run once more on the same inputs, explicitly without dropout,
     to rebuild them.
     """
     targets = np.atleast_1d(np.asarray(targets))
-    b, k = acts.probs.shape
-    t = acts.attn_weights.shape[1]
-    d = acts.pooled.shape[1]
+    b = acts.probs.shape[0]
     attn_cache, score_cache = acts._attn_cache, acts._score_cache
     if score_cache is None:
-        _, attn_cache = neural.mlp_forward(model.store, "attn", model.attn_spec,
-                                           _paired_rows(acts._uttered, acts.mean_guest))
-        _, score_cache = neural.mlp_forward(model.store, "score", model.score_spec,
-                                            _paired_rows(acts._guests, acts.pooled))
+        _, attn_cache = neural.pair_forward(model.store, "attn", acts._uttered,
+                                            acts.mean_guest, keep_cache=True, dropout=0.0)
+        _, score_cache = neural.pair_forward(model.store, "score", acts._guests,
+                                             acts.pooled, keep_cache=True, dropout=0.0)
     losses, dlogits = neural.softmax_cross_entropy(acts.score_logits, targets)
     dlogits /= b
 
-    dscore_in = neural.mlp_backward(
-        model.store, "score", model.score_spec, score_cache,
-        dlogits.reshape(b * k, 1)).reshape(b, k, 2 * d)
-    dpooled = dscore_in[:, :, d:].sum(axis=1)                           # (B, D)
-
+    dpooled = neural.pair_backward(model.store, "score", score_cache, dlogits,
+                                   context_grad=True)                   # (B, D)
     dalpha = np.einsum("bd,btd->bt", dpooled, acts._uttered)
     de = acts.attn_weights * (dalpha - (acts.attn_weights * dalpha).sum(axis=1, keepdims=True))
-    neural.mlp_backward(model.store, "attn", model.attn_spec, attn_cache,
-                        de.reshape(b * t, 1))
+    neural.pair_backward(model.store, "attn", attn_cache, de)
     return float(losses.mean())
 
 

@@ -1,12 +1,13 @@
 """Minimal differentiable layers on plain numpy arrays.
 
 Everything the guesser and enquirer need and nothing more: dense ReLU
-networks with inverted dropout, a bidirectional LSTM, stabilized softmax
-cross-entropy, and Adam with global-norm gradient clipping.  The LSTM's
-one-direction passes are public, so the enquirer can run its two
-directions over different positions.  Parameters live in a ParamStore
-keyed by name; backward passes accumulate gradients into the store and
-an explicit ``adam_step`` consumes them.
+networks with inverted dropout (and the guesser's paired form, which
+scores rows [item, context] without building them), a bidirectional LSTM,
+stabilized softmax cross-entropy, and Adam with global-norm gradient
+clipping.  The LSTM's one-direction passes are public, so the enquirer
+can run its two directions over different positions.  Parameters live in
+a ParamStore keyed by name; backward passes accumulate gradients into the
+store and an explicit ``adam_step`` consumes them.
 
 All math is float64.  Every backward pass here is checked against central
 finite differences in the test suite, so keep forward and backward in
@@ -23,9 +24,9 @@ import numpy as np
 
 CHECKPOINT_FORMAT_VERSION = 1
 
-# Rows per block of ``mlp_predict``; of 128, 256 and 512, 256 ran a
-# 64->512->1 net over 204,800 rows fastest, by a few percent.  A power of
-# two, so every block starts on a boundary of the BLAS kernels' row tiles.
+# Item rows per block of an eval-mode ``pair_forward``: a power of two, so
+# every block starts on a boundary of the BLAS kernels' row tiles.  Of 128,
+# 256 and 512, 512 ran 204,800 rows slowest; 128 and 256 ran alike.
 PREDICT_BLOCK_ROWS = 256
 
 
@@ -209,30 +210,6 @@ def mlp_forward(store: ParamStore, prefix: str, spec: MlpSpec, x: np.ndarray,
     return h, MlpCache(affine_inputs, relu_outputs, dropout_masks)
 
 
-def mlp_predict(store: ParamStore, prefix: str, spec: MlpSpec,
-                x: np.ndarray) -> np.ndarray:
-    """Eval-mode ``mlp_forward`` output, computed in row blocks, no cache.
-
-    Rows go through ``mlp_forward`` ``PREDICT_BLOCK_ROWS`` at a time, the
-    last block taking the remainder, so no block is smaller than that
-    unless the whole batch is, and a batch under twice that runs whole.
-    Only one block's activations are alive at a time.
-
-    With one BLAS thread the output equals ``mlp_forward(..., train=False)``'s
-    for any row count: each row keeps its offset within the kernels' row
-    tiles, and the remainder rows are the same rows as in the whole batch.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    if n < 2 * PREDICT_BLOCK_ROWS:
-        return mlp_forward(store, prefix, spec, x)[0]
-    out = np.empty((n, spec.out_width))
-    starts = range(0, n - PREDICT_BLOCK_ROWS + 1, PREDICT_BLOCK_ROWS)
-    for start, stop in zip(starts, [*starts[1:], n]):
-        out[start:stop] = mlp_forward(store, prefix, spec, x[start:stop])[0]
-    return out
-
-
 def mlp_backward(store: ParamStore, prefix: str, spec: MlpSpec,
                  cache: MlpCache, dout: np.ndarray) -> np.ndarray:
     """Accumulate parameter gradients; return the gradient w.r.t. the input.
@@ -255,6 +232,88 @@ def mlp_backward(store: ParamStore, prefix: str, spec: MlpSpec,
                 d *= mask
             d *= cache.relu_outputs[i - 1] > 0.0
     return d
+
+
+def _blocks(count: int, whole: bool):
+    # (start, stop) by ``PREDICT_BLOCK_ROWS``, the last block taking the
+    # remainder; one block when ``whole`` or under two blocks' worth
+    if whole or count < 2 * PREDICT_BLOCK_ROWS:
+        return [(0, count)]
+    starts = range(0, count - PREDICT_BLOCK_ROWS + 1, PREDICT_BLOCK_ROWS)
+    return zip(starts, [*starts[1:], count])
+
+
+def _add_context(hidden: np.ndarray, context: np.ndarray, start: int, n: int) -> None:
+    # adds to each item row (rows ``start`` on, ``n`` per game) its game's context row
+    head = min(-start % n, len(hidden))    # the rest of a game begun before ``start``
+    game, whole = -(-start // n), (len(hidden) - head) // n
+    hidden[:head] += context[game - 1:game]
+    body = hidden[head:head + whole * n].reshape(whole, n, hidden.shape[1])
+    body += context[game:game + whole, None]
+    hidden[head + whole * n:] += context[game + whole:game + whole + 1]
+
+
+def pair_forward(store: ParamStore, prefix: str, items: np.ndarray, context: np.ndarray,
+                 keep_cache: bool = False, dropout: float = 0.0,
+                 rng: np.random.Generator | None = None) -> tuple[np.ndarray, MlpCache | None]:
+    """(B, N) outputs of a one-hidden-layer, one-output net on the rows
+    ``[item, context]`` of (B, N, D) ``items`` and (B, D) ``context``, never
+    built: ``context @ W0[D:] + b0`` is taken once per game.
+
+    With ``keep_cache`` the pass runs whole, applies inverted dropout at
+    rate ``dropout`` ((B*N, H) masks from ``rng``) and returns the cache for
+    ``pair_backward``.  Without, games and then their item rows go
+    ``PREDICT_BLOCK_ROWS`` at a time, the last block taking the remainder,
+    so at one BLAS thread each row keeps its offset in the kernels' row
+    tiles and its bytes.
+    """
+    if dropout > 0.0 and (not keep_cache or rng is None):
+        raise ValueError("dropout needs a cached pass and an rng")
+    b, n, d = items.shape
+    flat = items.reshape(b * n, d)
+    w0, w1 = store.values[f"{prefix}/W0"], store.values[f"{prefix}/W1"]
+    out = np.empty((b * n, 1))
+    # blocks of games first: their item rows start on a block boundary
+    for g0, g1 in _blocks(b, keep_cache):
+        ctx = _mm(context[g0:g1], w0[d:])
+        ctx += store.values[f"{prefix}/b0"]
+        for start, stop in _blocks((g1 - g0) * n, keep_cache):
+            rows = slice(g0 * n + start, g0 * n + stop)
+            relu = _mm(flat[rows], w0[:d])
+            _add_context(relu, ctx, start, n)
+            np.maximum(relu, 0.0, out=relu)
+            mask = dropout_mask(rng, relu.shape, dropout) if dropout > 0.0 else None
+            hidden = relu if mask is None else relu * mask
+            out[rows] = _mm(hidden, w1)
+    out += store.values[f"{prefix}/b1"]
+    # the first affine layer's input is the pair (items, context)
+    cache = MlpCache([(flat, context), hidden], [relu], [mask]) if keep_cache else None
+    return out.reshape(b, n), cache
+
+
+def pair_backward(store: ParamStore, prefix: str, cache: MlpCache, dout: np.ndarray,
+                  context_grad: bool = False) -> np.ndarray | None:
+    """Accumulate a cached ``pair_forward``'s parameter gradients for the
+    (B, N) output gradient; with ``context_grad``, return the context's."""
+    if cache.consumed:
+        raise ValueError("pair backward cache already consumed")
+    cache.consumed = True
+    (items, context), hidden = cache.affine_inputs
+    (relu,), (mask,) = cache.relu_outputs, cache.dropout_masks
+    b, n = dout.shape
+    d = context.shape[1]
+    dout = dout.reshape(b * n, 1)
+    store.grads[f"{prefix}/W1"] += hidden.T @ dout
+    store.grads[f"{prefix}/b1"] += dout.sum(axis=0)
+    dh = dout * store.values[f"{prefix}/W1"][:, 0]     # one output: no k=1 product
+    if mask is not None:
+        dh *= mask
+    dh *= relu > 0.0
+    store.grads[f"{prefix}/W0"][:d] += items.T @ dh
+    dctx = dh.reshape(b, n, -1).sum(axis=1)            # W0[D:] and b0 see game sums
+    store.grads[f"{prefix}/W0"][d:] += context.T @ dctx
+    store.grads[f"{prefix}/b0"] += dctx.sum(axis=0)
+    return dctx @ store.values[f"{prefix}/W0"][d:].T if context_grad else None
 
 
 # ---------------------------------------------------------------------------

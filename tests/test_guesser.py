@@ -2,6 +2,8 @@
 
 import json
 import sys
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from isrlab.corpus import SynthConfig, generate_synthetic, synthetic_split
 from isrlab.guesser import (GuesserConfig, GuesserModel, GuesserTrainConfig,
                             evaluate_guesser, guesser_forward, guesser_loss,
                             sample_game_batch, sample_word_subsets, train_guesser)
+from isrlab.neural import ParamStore, dropout_mask
 
 
 @pytest.fixture()
@@ -69,6 +72,20 @@ class TestForward:
             assert np.allclose(permuted, base[perm], atol=1e-12, rtol=0)
             assert np.argmax(permuted) == np.argwhere(perm == np.argmax(base))[0, 0]
 
+    def test_training_masks_are_drawn_attention_net_first(self):
+        # one (B*N, H) mask per net, in the order the nets run
+        model = GuesserModel.init(GuesserConfig(dim=4, attn_hidden=5, score_hidden=6,
+                                                dropout=0.5), np.random.default_rng(11))
+        rng = np.random.default_rng(12)
+        acts = guesser_forward(model, rng.standard_normal((8, 5, 4)),
+                               rng.standard_normal((8, 3, 4)), train=True,
+                               rng=np.random.default_rng(13))
+        masks = np.random.default_rng(13)
+        assert np.array_equal(acts._attn_cache.dropout_masks[0],
+                              dropout_mask(masks, (24, 5), 0.5))
+        assert np.array_equal(acts._score_cache.dropout_masks[0],
+                              dropout_mask(masks, (40, 6), 0.5))
+
     def test_dimension_mismatch_rejected(self, tiny_model):
         with pytest.raises(ValueError, match="dimension"):
             guesser_forward(tiny_model, np.zeros((3, 5)), np.zeros((2, 5)))
@@ -78,15 +95,22 @@ class TestBlockedEval:
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="counts threads in /proc/self/task")
     def test_eval_pass_equals_whole_batch_pass(self, one_blas_thread):
-        # without dropout a training pass is the whole-batch mlp_forward pass
-        # and keeps its caches, as an eval pass did before it ran in blocks
+        # without dropout a training pass is the whole-batch pair_forward
+        # pass and keeps its caches; an eval pass runs in blocks of 256 item
+        # rows once a net has 512 or more.  The cases put K and T at 1, K up
+        # to 513, and either net's item rows on either side of a block
+        # boundary
         one_blas_thread("""
             from isrlab.guesser import (GuesserConfig, GuesserModel,
                                         guesser_forward, guesser_loss)
             rng = np.random.default_rng(0)
             model = GuesserModel.init(GuesserConfig(dim=32, dropout=0.0), rng)
             for games, k, t in [(1, 5, 3), (2, 5, 3), (7, 5, 3), (300, 5, 3),
-                                (513, 5, 3), (5000, 5, 3), (300, 50, 20)]:
+                                (513, 5, 3), (5000, 5, 3), (300, 50, 20),
+                                (600, 1, 1), (85, 3, 3), (86, 3, 1), (171, 3, 3),
+                                (36, 7, 1), (37, 7, 7), (73, 7, 7), (74, 7, 1),
+                                (102, 5, 1), (103, 5, 1), (5, 50, 1), (6, 50, 1),
+                                (11, 50, 3), (1, 513, 1), (2, 513, 1)]:
                 guests = rng.standard_normal((games, k, 32))
                 uttered = rng.standard_normal((games, t, 32))
                 targets = rng.integers(0, k, size=games)
@@ -102,6 +126,24 @@ class TestBlockedEval:
                     assert np.array_equal(grads[0][name], grads[1][name]), (games, name)
             """)
 
+    @pytest.mark.parametrize("k, share", [(50, 0.25), (5, 0.75)])
+    def test_eval_peak_memory_is_blocks_not_the_paired_rows(self, k, share):
+        # an eval pass holds a block of hidden activations and a block of
+        # games' context rows, never the (B*K, 2D) rows [guest, pooled]; at
+        # K=5 the 4,096 games' 512-wide context rows would outweigh them
+        rng = np.random.default_rng(9)
+        model = GuesserModel.init(GuesserConfig(dim=32), rng)
+        guests = rng.standard_normal((4096, k, 32))
+        uttered = rng.standard_normal((4096, 3, 32))
+        paired_rows = 4096 * k * 64 * guests.itemsize
+        tracemalloc.start()
+        try:
+            guesser_forward(model, guests, uttered)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < share * paired_rows
+
 
 class TestLoss:
     def test_uniform_probabilities_cost_ln_k(self, tiny_model):
@@ -110,6 +152,29 @@ class TestLoss:
         acts = guesser_forward(tiny_model, guests, rng.standard_normal((3, 4)))
         loss = guesser_loss(tiny_model, acts, np.array([2]))
         assert loss == pytest.approx(np.log(5.0), abs=1e-12)
+
+    def test_eval_rebuild_is_dropout_free(self, monkeypatch):
+        # eval-mode activations carry no caches; the rebuild draws no mask
+        # and gives the gradients of a dropout-0 copy's training pass
+        rng = np.random.default_rng(10)
+        model = GuesserModel.init(GuesserConfig(dim=4, attn_hidden=5, score_hidden=6,
+                                                dropout=0.5), rng)
+        plain = GuesserModel(replace(model.config, dropout=0.0), ParamStore())
+        for name, value in model.store.values.items():
+            plain.store.add(name, value)
+        guests = rng.standard_normal((20, 5, 4))
+        uttered = rng.standard_normal((20, 3, 4))
+        targets = rng.integers(0, 5, size=20)
+        guesser_loss(plain, guesser_forward(plain, guests, uttered, train=True), targets)
+        acts = guesser_forward(model, guests, uttered)
+
+        def no_draws(*args):
+            raise AssertionError("the rebuild drew a dropout mask")
+
+        monkeypatch.setattr(neural, "dropout_mask", no_draws)
+        guesser_loss(model, acts, targets)
+        for name, grad in plain.store.grads.items():
+            assert np.array_equal(model.store.grads[name], grad), name
 
     def test_gradients_match_finite_differences(self, tiny_model):
         rng = np.random.default_rng(8)

@@ -3,7 +3,6 @@
 import json
 import os
 import sys
-import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -270,46 +269,101 @@ class TestInPlacePasses:
         assert (pre == -1e308).any() and ((pre < 0.0) & (pre > -1e-300)).any()
 
 
-class TestBlockedPredict:
-    """``mlp_predict`` equals eval-mode ``mlp_forward`` at one BLAS thread
-    and holds one block of activations, not the whole batch's."""
+def _concatenated_pair_net(store, items, context, dout, mask=None):
+    # the formulation ``pair_forward`` factors: the (B*N, 2D) rows
+    # [item, context] built in full, ReLU, dropout and the output layer.
+    # Returns the (B, N) outputs, the parameter gradients for the output
+    # gradient ``dout`` and the (B, D) context gradient.
+    b, n, d = items.shape
+    x = np.concatenate([items, np.broadcast_to(context[:, None], (b, n, d))],
+                       axis=2).reshape(b * n, 2 * d)
+    w0, b0, w1, b1 = (store.values[f"net/{name}"] for name in ("W0", "b0", "W1", "b1"))
+    relu = np.maximum(x @ w0 + b0, 0.0)
+    hidden = relu if mask is None else relu * mask
+    dy = dout.reshape(b * n, 1)
+    dh = (dy @ w1.T) * (relu > 0.0)
+    if mask is not None:
+        dh = dh * mask
+    grads = {"net/W0": x.T @ dh, "net/b0": dh.sum(axis=0),
+             "net/W1": hidden.T @ dy, "net/b1": dy.sum(axis=0)}
+    d_context = (dh @ w0.T)[:, d:].reshape(b, n, d).sum(axis=1)
+    return (hidden @ w1 + b1).reshape(b, n), grads, d_context
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="counts threads in /proc/self/task")
-    def test_equals_whole_batch_forward(self, one_blas_thread):
-        one_blas_thread("""
-            from isrlab import neural
-            block = neural.PREDICT_BLOCK_ROWS
-            counts = [0, 1, 2, 7, block - 1, block, block + 1,
-                      2 * block - 1, 2 * block, 2 * block + 1, 4097]
-            rng = np.random.default_rng(0)
-            for hidden in (512, 256):
-                spec = neural.MlpSpec(64, (hidden,), 1, dropout=0.5)
-                store = neural.ParamStore()
-                neural.init_mlp(store, "net", spec, rng)
-                for value in store.values.values():
-                    value += 0.1 * rng.standard_normal(value.shape)
-                x = rng.standard_normal((max(counts), 64))
-                for n in counts:
-                    got = neural.mlp_predict(store, "net", spec, x[:n])
-                    want, _ = neural.mlp_forward(store, "net", spec, x[:n])
-                    assert got.shape == (n, 1), (hidden, n)
-                    assert np.array_equal(got, want), (hidden, n)
-            """)
 
-    def test_peak_memory_is_a_block_not_the_batch(self):
+def _normwise_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestPairNet:
+    """``pair_forward`` and ``pair_backward`` equal the net on the
+    concatenated rows up to rounding, and draw the masks ``dropout_mask``
+    draws."""
+
+    @pytest.mark.parametrize("mode", ["eval", "cached", "dropout"])
+    @pytest.mark.parametrize("games, n", [(1, 1), (3, 5), (100, 7), (2, 300)])
+    def test_equals_concatenated_rows(self, games, n, mode):
+        # 700 and 600 item rows run in blocks in eval mode, and blocks
+        # start inside a game
         rng = np.random.default_rng(40)
-        spec = MlpSpec(64, (512,), 1)
-        store = make_mlp(spec, rng)
-        x = rng.standard_normal((20_480, 64))
-        whole_activation = 20_480 * 512 * x.itemsize
-        tracemalloc.start()
-        try:
-            neural.mlp_predict(store, "net", spec, x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < whole_activation / 4
+        d, hidden, rate = 6, 16, 0.5
+        store = make_mlp(MlpSpec(2 * d, (hidden,), 1), rng)
+        for value in store.values.values():
+            value += 0.1 * rng.standard_normal(value.shape)
+        items = rng.standard_normal((games, n, d))
+        context = rng.standard_normal((games, d))
+        dout = rng.standard_normal((games, n))
+        dropout = rate if mode == "dropout" else 0.0
+        y, cache = neural.pair_forward(store, "net", items, context, keep_cache=mode != "eval",
+                                       dropout=dropout, rng=np.random.default_rng(41))
+        mask = (dropout_mask(np.random.default_rng(41), (games * n, hidden), rate)
+                if mode == "dropout" else None)
+        want_y, want_grads, want_context = _concatenated_pair_net(store, items, context,
+                                                                  dout, mask)
+        assert y.shape == (games, n)
+        assert _normwise_error(y, want_y) < 1e-12
+        if mode == "eval":
+            assert cache is None
+            return
+        if mask is not None:
+            assert np.array_equal(cache.dropout_masks[0], mask)
+        d_context = neural.pair_backward(store, "net", cache, dout, context_grad=True)
+        assert _normwise_error(d_context, want_context) < 1e-10
+        for name, grad in want_grads.items():
+            assert _normwise_error(store.grads[name], grad) < 1e-10, name
+        with pytest.raises(ValueError, match="consumed"):
+            neural.pair_backward(store, "net", cache, dout)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    def test_gradients_match_finite_differences(self, dropout):
+        # the same rng seed draws the same masks, so the objective is smooth
+        # away from ReLU kinks
+        rng = np.random.default_rng(43)
+        store = make_mlp(MlpSpec(6, (5,), 1), rng)
+        items = rng.standard_normal((3, 4, 3))
+        context = rng.standard_normal((3, 3))
+        dout = rng.standard_normal((3, 4))
+
+        def loss():
+            y, _ = neural.pair_forward(store, "net", items, context, keep_cache=True,
+                                       dropout=dropout, rng=np.random.default_rng(44))
+            return float((y * dout).sum())
+
+        _, cache = neural.pair_forward(store, "net", items, context, keep_cache=True,
+                                       dropout=dropout, rng=np.random.default_rng(44))
+        d_context = neural.pair_backward(store, "net", cache, dout, context_grad=True)
+        for name, p in store.values.items():
+            num = numerical_gradient(lambda _: loss(), p)
+            assert max_relative_error(store.grads[name], num) < GRAD_TOL, name
+        assert max_relative_error(d_context,
+                                  numerical_gradient(lambda _: loss(), context)) < GRAD_TOL
+
+    @pytest.mark.parametrize("keep_cache, rng", [(False, np.random.default_rng(0)),
+                                                 (True, None)])
+    def test_dropout_needs_a_cached_pass_and_an_rng(self, keep_cache, rng):
+        store = make_mlp(MlpSpec(4, (3,), 1), np.random.default_rng(42))
+        with pytest.raises(ValueError, match="dropout needs"):
+            neural.pair_forward(store, "net", np.zeros((2, 3, 2)), np.zeros((2, 2)),
+                                keep_cache=keep_cache, dropout=0.5, rng=rng)
 
 
 class TestBiLstm:
