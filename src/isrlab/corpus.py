@@ -214,6 +214,9 @@ def _field(rec: dict, name: str, line_no: int):
 
 def _int_field(rec: dict, name: str, line_no: int) -> int:
     value = _field(rec, name, line_no)
+    # int() would read true as 1 and truncate 1.7 to 1
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise CorpusFormatError(f"line {line_no}: field {name!r} is not an integer: {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError):
@@ -264,9 +267,17 @@ def load_corpus(path, split: str = "full") -> Corpus:
                     raise CorpusFormatError(f"line {line_no}: field 'dimension' must be >= 1")
                 if not isinstance(vocab, list):
                     raise CorpusFormatError(f"line {line_no}: field 'vocab' is not a list")
+                seen: set[str] = set()
+                for word in vocab:
+                    if not isinstance(word, str):
+                        raise CorpusFormatError(
+                            f"line {line_no}: vocab word {word!r} is not a string")
+                    if word in seen:
+                        raise CorpusFormatError(f"line {line_no}: vocab word {word!r} is repeated")
+                    seen.add(word)
                 continue
             if header is None:
-                raise CorpusFormatError("first record must be the header")
+                raise CorpusFormatError(f"line {line_no}: first record must be the header")
             if kind not in ("utterance", "enrollment", "voiceprint"):
                 raise CorpusFormatError(f"line {line_no}: unknown record type {kind!r}")
             embedding = _field(rec, "embedding", line_no)

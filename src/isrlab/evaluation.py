@@ -84,7 +84,8 @@ def cosine_nearest_print_accuracy(corpus: Corpus, n_guests: int, n_words: int,
     """
     rate, stderr, _ = play_games(
         corpus, n_guests, n_games, word_pool_policy(np.arange(corpus.vocab_size), n_words),
-        nearest_print_success, np.random.default_rng(seed), chunk)
+        lambda guests, uttered, targets, rows: nearest_print_success(guests, uttered, targets),
+        np.random.default_rng(seed), chunk)
     return rate, stderr
 
 

@@ -8,6 +8,8 @@ per-guest probabilities.  Scoring is per guest, so the whole thing is
 permutation-equivariant in the guest list by construction.  Both nets are
 ``neural.pair_forward`` nets: each game's context half of the first layer
 is taken once, not once per word or guest, and an eval pass runs in blocks.
+An eval pass over dealt games (``GameRows``) takes the item half from the
+corpus rows, once per distinct guest print or utterance.
 
 Training is plain supervised cross-entropy on games with uniformly random
 word sets, no policy involved.
@@ -89,14 +91,44 @@ class GuesserActivations:
     _score_cache: object = None
 
 
+@dataclass(frozen=True)
+class GameRows:
+    """Where a batch's gathered arrays came from: ``guests`` is
+    ``corpus.voice_prints[guest_rows]`` and ``uttered`` is
+    ``corpus.utterances[target_rows[:, None], words]``."""
+
+    corpus: Corpus
+    guest_rows: np.ndarray    # (B, K)
+    target_rows: np.ndarray   # (B,)
+    words: np.ndarray         # (B, T)
+
+    def tables(self, b: int, k: int, t: int):
+        """The (table, rows) pairs of the guests and the utterances, each
+        (R, D) table with (B, K) or (B, T) rows into it."""
+        corpus = self.corpus
+        shapes = (self.guest_rows.shape, self.target_rows.shape, self.words.shape)
+        if shapes != ((b, k), (b,), (b, t)):
+            raise ValueError(
+                f"game rows of shapes {self.guest_rows.shape}, {self.target_rows.shape} and "
+                f"{self.words.shape} do not match {b} games of {k} guests and {t} words")
+        neural.check_indices("guest row", self.guest_rows, corpus.n_speakers)
+        neural.check_indices("target row", self.target_rows, corpus.n_speakers)
+        neural.check_indices("word id", self.words, corpus.vocab_size)
+        cells = self.target_rows[:, None] * corpus.vocab_size + self.words
+        return ((corpus.voice_prints, self.guest_rows),
+                (corpus.utterances.reshape(-1, corpus.dimension), cells))
+
+
 def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray,
-                    train: bool = False,
-                    rng: np.random.Generator | None = None) -> GuesserActivations:
+                    train: bool = False, rng: np.random.Generator | None = None, *,
+                    rows: GameRows | None = None) -> GuesserActivations:
     """Score guests given uttered embeddings.
 
     ``guests`` is (B, K, D) and ``uttered`` (B, T, D); a single game may be
     passed as (K, D) and (T, D) and comes back with a batch axis of one.
-    Requires K >= 1 and T >= 1.
+    Requires K >= 1 and T >= 1.  An eval pass given the ``rows`` the arrays
+    were gathered from takes the nets' item products from the corpus rows,
+    each distinct row once, with the same outputs at one BLAS thread.
     """
     guests = np.asarray(guests, dtype=np.float64)
     uttered = np.asarray(uttered, dtype=np.float64)
@@ -113,15 +145,21 @@ def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray
     if k < 1 or t < 1:
         raise ValueError("need at least one guest and one uttered word")
 
+    # each net's items: the gathered arrays, or a corpus table and rows into it
+    (guest_items, guest_rows), (utter_items, utter_rows) = (
+        ((guests, None), (uttered, None)) if rows is None else rows.tables(b, k, t))
+
     mean_guest = guests.mean(axis=1)                                    # (B, D)
     dropout = model.config.dropout if train else 0.0
     attn_logits, attn_cache = neural.pair_forward(
-        model.store, "attn", uttered, mean_guest, keep_cache=train, dropout=dropout, rng=rng)
+        model.store, "attn", utter_items, mean_guest, keep_cache=train, dropout=dropout,
+        rng=rng, rows=utter_rows)
     attn_weights = neural.softmax(attn_logits, axis=1)
     pooled = np.einsum("bt,btd->bd", attn_weights, uttered)
 
     score_logits, score_cache = neural.pair_forward(
-        model.store, "score", guests, pooled, keep_cache=train, dropout=dropout, rng=rng)
+        model.store, "score", guest_items, pooled, keep_cache=train, dropout=dropout,
+        rng=rng, rows=guest_rows)
     probs = neural.softmax(score_logits, axis=1)
     return GuesserActivations(
         mean_guest=mean_guest, attn_logits=attn_logits, attn_weights=attn_weights,
@@ -198,9 +236,10 @@ def play_games(corpus: Corpus, n_guests: int, n_games: int, policy, scorer,
     """Deal, play and score ``n_games`` seeded games, ``chunk`` at a time.
 
     Per chunk the games are dealt from ``rng``, then ``policy(guest_rows,
-    targets, rng)`` returns each game's (b, T) word ids and
-    ``scorer(guests, uttered, targets)`` its 0/1 successes.  Returns the
-    success rate, its binomial stderr and the (n_games, T) words played.
+    targets, rng)`` returns each game's (b, T) word ids and ``scorer(guests,
+    uttered, targets, rows=rows)`` its 0/1 successes, ``rows`` being the
+    ``GameRows`` the arrays were gathered from.  Returns the success rate,
+    its binomial stderr and the (n_games, T) words played.
     """
     if n_games < 1:
         raise ValueError(f"need at least one game to score, got {n_games}")
@@ -210,7 +249,9 @@ def play_games(corpus: Corpus, n_guests: int, n_games: int, policy, scorer,
             corpus, min(chunk, n_games - start), n_guests, rng)
         words = policy(guest_rows, targets, rng)
         guests, uttered = _gather_games(corpus, guest_rows, targets, words)
-        hits += int(scorer(guests, uttered, targets).sum())
+        rows = GameRows(corpus, guest_rows, guest_rows[np.arange(len(targets)), targets],
+                        words)
+        hits += int(scorer(guests, uttered, targets, rows=rows).sum())
         played.append(words)
     rate = hits / n_games
     return rate, float(np.sqrt(rate * (1.0 - rate) / n_games)), np.concatenate(played)
@@ -319,7 +360,8 @@ def evaluate_guesser(model: GuesserModel, corpus: Corpus, n_guests: int,
 
 
 def guesser_success(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray,
-                    targets: np.ndarray) -> np.ndarray:
-    """Batched 0/1 indicator of argmax matching the target (eval mode)."""
-    probs = guesser_forward(model, guests, uttered).probs
+                    targets: np.ndarray, *, rows: GameRows | None = None) -> np.ndarray:
+    """Batched 0/1 indicator of argmax matching the target (eval mode);
+    ``rows`` as for ``guesser_forward``."""
+    probs = guesser_forward(model, guests, uttered, rows=rows).probs
     return (np.argmax(probs, axis=1) == np.asarray(targets)).astype(np.float64)

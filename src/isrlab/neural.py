@@ -234,6 +234,13 @@ def mlp_backward(store: ParamStore, prefix: str, spec: MlpSpec,
     return d
 
 
+def check_indices(name: str, indices: np.ndarray, high: int) -> None:
+    """Raise a ValueError naming the first of ``indices`` outside [0, high)."""
+    if indices.size and (indices.min() < 0 or indices.max() >= high):
+        bad = indices[(indices < 0) | (indices >= high)][0]
+        raise ValueError(f"{name} {bad} is outside [0, {high})")
+
+
 def _blocks(count: int, whole: bool):
     # (start, stop) by ``PREDICT_BLOCK_ROWS``, the last block taking the
     # remainder; one block when ``whole`` or under two blocks' worth
@@ -255,7 +262,8 @@ def _add_context(hidden: np.ndarray, context: np.ndarray, start: int, n: int) ->
 
 def pair_forward(store: ParamStore, prefix: str, items: np.ndarray, context: np.ndarray,
                  keep_cache: bool = False, dropout: float = 0.0,
-                 rng: np.random.Generator | None = None) -> tuple[np.ndarray, MlpCache | None]:
+                 rng: np.random.Generator | None = None,
+                 rows: np.ndarray | None = None) -> tuple[np.ndarray, MlpCache | None]:
     """(B, N) outputs of a one-hidden-layer, one-output net on the rows
     ``[item, context]`` of (B, N, D) ``items`` and (B, D) ``context``, never
     built: ``context @ W0[D:] + b0`` is taken once per game.
@@ -266,25 +274,48 @@ def pair_forward(store: ParamStore, prefix: str, items: np.ndarray, context: np.
     ``PREDICT_BLOCK_ROWS`` at a time, the last block taking the remainder,
     so at one BLAS thread each row keeps its offset in the kernels' row
     tiles and its bytes.
+
+    With (B, N) integer ``rows`` (an eval pass only), ``items`` is an
+    (R, D) table and game b's items are ``items[rows[b]]``: each distinct
+    row the games use is multiplied by ``W0[:D]`` once and the blocks
+    gather their products from that projection.  At one BLAS thread a row's
+    product does not depend on its batch, so the outputs are those of the
+    pass on ``items[rows]``.
     """
     if dropout > 0.0 and (not keep_cache or rng is None):
         raise ValueError("dropout needs a cached pass and an rng")
-    b, n, d = items.shape
-    flat = items.reshape(b * n, d)
     w0, w1 = store.values[f"{prefix}/W0"], store.values[f"{prefix}/W1"]
+    if rows is None:
+        b, n, d = items.shape
+        flat = items.reshape(b * n, d)
+    else:
+        if keep_cache:
+            raise ValueError("item rows are for an eval pass, which keeps no cache")
+        b, n = rows.shape
+        d = items.shape[1]
+        check_indices("item row", rows, len(items))
+        # slot[r] becomes row r's place among the distinct rows used, and
+        # flat each item's row of ``projected``
+        slot = np.zeros(len(items), dtype=np.intp)
+        slot[rows] = 1
+        distinct = np.flatnonzero(slot)
+        projected = _mm(items[distinct], w0[:d])
+        slot[distinct] = np.arange(len(distinct))
+        flat = slot[rows.reshape(-1)]
     out = np.empty((b * n, 1))
     # blocks of games first: their item rows start on a block boundary
     for g0, g1 in _blocks(b, keep_cache):
         ctx = _mm(context[g0:g1], w0[d:])
         ctx += store.values[f"{prefix}/b0"]
         for start, stop in _blocks((g1 - g0) * n, keep_cache):
-            rows = slice(g0 * n + start, g0 * n + stop)
-            relu = _mm(flat[rows], w0[:d])
+            block = slice(g0 * n + start, g0 * n + stop)
+            relu = (_mm(flat[block], w0[:d]) if rows is None
+                    else projected[flat[block]])
             _add_context(relu, ctx, start, n)
             np.maximum(relu, 0.0, out=relu)
             mask = dropout_mask(rng, relu.shape, dropout) if dropout > 0.0 else None
             hidden = relu if mask is None else relu * mask
-            out[rows] = _mm(hidden, w1)
+            out[block] = _mm(hidden, w1)
     out += store.values[f"{prefix}/b1"]
     # the first affine layer's input is the pair (items, context)
     cache = MlpCache([(flat, context), hidden], [relu], [mask]) if keep_cache else None

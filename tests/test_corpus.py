@@ -233,6 +233,22 @@ class TestInterchange:
         with pytest.raises(CorpusFormatError, match="header"):
             load_corpus(path)
 
+    def test_record_before_the_header_named_by_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n\n" + json.dumps(VOICEPRINT) + "\n" + json.dumps(HEADER) + "\n")
+        with pytest.raises(CorpusFormatError, match=r"^line 3: first record must be the header"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("vocab, word", [(["a", "a"], "'a' is repeated"),
+                                             (["dark", "year", "dark"], "'dark' is repeated"),
+                                             (["a", 2], "2 is not a string"),
+                                             ([["a"], "b"], r"\['a'\] is not a string")])
+    def test_bad_vocab_word_named(self, tmp_path, vocab, word):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{**HEADER, "vocab": vocab}] + full_grid())
+        with pytest.raises(CorpusFormatError, match=rf"^line 1: vocab word {word}"):
+            load_corpus(path)
+
     def test_round_trip_is_exact(self, tmp_path):
         corpus = generate_synthetic(small_config(train_speakers=3, vocab_size=4))
         path = tmp_path / "c.jsonl"
@@ -286,6 +302,9 @@ MALFORMED = {
     "string-embedding": (2, {**VOICEPRINT, "embedding": "0.0 1.0 0.0"}, "embedding"),
     "nan-embedding": (3, {**UTTERANCE, "embedding": [0.0, float("nan"), 1.0]}, "embedding"),
     "infinite-speaker": (2, {**VOICEPRINT, "speaker": float("inf")}, "speaker"),
+    "fractional-word": (3, {**UTTERANCE, "word": 1.7}, "word"),
+    "fractional-dimension": (1, {**HEADER, "dimension": 2.9}, "dimension"),
+    "boolean-speaker": (2, {**VOICEPRINT, "speaker": True}, "speaker"),
 }
 
 

@@ -10,9 +10,10 @@ import pytest
 
 from isrlab import neural
 from isrlab.corpus import SynthConfig, generate_synthetic, synthetic_split
-from isrlab.guesser import (GuesserConfig, GuesserModel, GuesserTrainConfig,
-                            evaluate_guesser, guesser_forward, guesser_loss,
-                            sample_game_batch, sample_word_subsets, train_guesser)
+from isrlab.guesser import (GameRows, GuesserConfig, GuesserModel, GuesserTrainConfig,
+                            _gather_games, evaluate_guesser, guesser_forward,
+                            guesser_loss, sample_game_batch, sample_word_subsets,
+                            train_guesser)
 from isrlab.neural import ParamStore, dropout_mask
 
 
@@ -90,10 +91,97 @@ class TestForward:
         with pytest.raises(ValueError, match="dimension"):
             guesser_forward(tiny_model, np.zeros((3, 5)), np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("k, t", [(0, 3), (5, 0), (0, 0)])
+    def test_no_guest_or_no_word_rejected(self, tiny_model, k, t):
+        with pytest.raises(ValueError, match="need at least one guest and one uttered word"):
+            guesser_forward(tiny_model, np.zeros((2, k, 4)), np.zeros((2, t, 4)))
+
+
+def _dealt(corpus, games, k, t, seed):
+    """``games`` seeded games' gathered arrays and the ``GameRows`` behind them."""
+    rng = np.random.default_rng(seed)
+    guest_rows, targets = sample_game_batch(corpus, games, k, rng)
+    words = sample_word_subsets(rng, games, np.arange(corpus.vocab_size), t)
+    guests, uttered = _gather_games(corpus, guest_rows, targets, words)
+    return guests, uttered, GameRows(corpus, guest_rows,
+                                     guest_rows[np.arange(games), targets], words)
+
+
+class TestCorpusRows:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return generate_synthetic(SynthConfig(dimension=4, vocab_size=6, train_speakers=9,
+                                              test_speakers=0, seed=3))
+
+    def test_rows_form_is_the_array_form(self, tiny_model, corpus):
+        # in-process, so at any BLAS thread count: equal up to rounding
+        guests, uttered, rows = _dealt(corpus, 700, 4, 3, seed=1)
+        want = guesser_forward(tiny_model, guests, uttered)
+        got = guesser_forward(tiny_model, guests, uttered, rows=rows)
+        for name in ("attn_logits", "attn_weights", "pooled", "score_logits", "probs"):
+            assert np.allclose(getattr(got, name), getattr(want, name),
+                               rtol=1e-12, atol=1e-12), name
+        assert got._attn_cache is None and got._score_cache is None
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("guest_rows", 9, "guest row 9 is outside"),
+        ("guest_rows", -1, "guest row -1 is outside"),
+        ("target_rows", 9, "target row 9 is outside"),
+        ("words", 6, "word id 6 is outside"),
+        ("words", -2, "word id -2 is outside")])
+    def test_out_of_range_row_named(self, tiny_model, corpus, field, value, message):
+        guests, uttered, rows = _dealt(corpus, 5, 4, 3, seed=2)
+        bad = getattr(rows, field).copy()
+        bad.flat[-1] = value
+        with pytest.raises(ValueError, match=message):
+            guesser_forward(tiny_model, guests, uttered, rows=replace(rows, **{field: bad}))
+
+    def test_rows_of_other_games_rejected(self, tiny_model, corpus):
+        guests, uttered, rows = _dealt(corpus, 5, 4, 3, seed=3)
+        with pytest.raises(ValueError, match="do not match 5 games of 4 guests and 2 words"):
+            guesser_forward(tiny_model, guests, uttered[:, :2], rows=rows)
+
+    def test_rows_are_for_eval_passes(self, tiny_model, corpus):
+        guests, uttered, rows = _dealt(corpus, 5, 4, 3, seed=4)
+        with pytest.raises(ValueError, match="eval pass"):
+            guesser_forward(tiny_model, guests, uttered, train=True, rows=rows)
+
 
 class TestBlockedEval:
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="counts threads in /proc/self/task")
+    def test_rows_form_equals_array_form(self, one_blas_thread):
+        # each distinct corpus row's product, gathered, is the product of
+        # its gathered copy: the game counts put either net's item rows on
+        # either side of two 256-row blocks, and the games on either side
+        # of a block of 256 games
+        one_blas_thread("""
+            from isrlab.corpus import SynthConfig, generate_synthetic
+            from isrlab.guesser import (GameRows, GuesserConfig, GuesserModel,
+                                        _gather_games, guesser_forward,
+                                        sample_game_batch, sample_word_subsets)
+            corpus = generate_synthetic(SynthConfig(train_speakers=60, test_speakers=0,
+                                                    seed=5))
+            model = GuesserModel.init(GuesserConfig(dim=32), np.random.default_rng(6))
+            rng = np.random.default_rng(7)
+            for k in (1, 5, 50):
+                for t in (1, 3, 20):
+                    counts = {1, 2, 511, 512, 513}
+                    for n in (k, t):
+                        counts |= {-(-512 // n) - 1, -(-512 // n)}
+                    for games in sorted(counts):
+                        guest_rows, targets = sample_game_batch(corpus, games, k, rng)
+                        words = sample_word_subsets(rng, games, np.arange(20), t)
+                        guests, uttered = _gather_games(corpus, guest_rows, targets, words)
+                        rows = GameRows(corpus, guest_rows,
+                                        guest_rows[np.arange(games), targets], words)
+                        want = guesser_forward(model, guests, uttered)
+                        got = guesser_forward(model, guests, uttered, rows=rows)
+                        for name in ("attn_logits", "score_logits", "probs"):
+                            assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                                (k, t, games, name)
+            """)
+
     def test_eval_pass_equals_whole_batch_pass(self, one_blas_thread):
         # without dropout a training pass is the whole-batch pair_forward
         # pass and keeps its caches; an eval pass runs in blocks of 256 item

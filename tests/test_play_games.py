@@ -159,7 +159,7 @@ class TestPlayGames:
             return sample_word_subsets(rng, len(targets), np.arange(6), 2)
 
         rate, stderr, words = play_games(
-            corpus, 3, 20, policy, lambda g, u, t: np.ones(len(t)),
+            corpus, 3, 20, policy, lambda g, u, t, rows: np.ones(len(t)),
             np.random.default_rng(0), chunk=8)
         assert seen == [8, 8, 4]
         assert words.shape == (20, 2)
