@@ -214,8 +214,8 @@ def _field(rec: dict, name: str, line_no: int):
 
 def _int_field(rec: dict, name: str, line_no: int) -> int:
     value = _field(rec, name, line_no)
-    # int() would read true as 1 and truncate 1.7 to 1
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    # int() would read true as 1, "7" as 7 and truncate 1.7 to 1
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise CorpusFormatError(f"line {line_no}: field {name!r} is not an integer: {value!r}")
     try:
         return int(value)

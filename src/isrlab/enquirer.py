@@ -33,7 +33,7 @@ import numpy as np
 
 from . import neural
 from .corpus import Corpus
-from .guesser import GuesserModel, guesser_success, play_games, sample_game_batch
+from .guesser import Games, GuesserModel, guesser_success, play_games, sample_game_batch
 from .neural import BiLstmSpec, MlpSpec, ParamStore
 
 
@@ -249,6 +249,9 @@ class PpoConfig:
             raise ValueError("gamma and gae_lambda must be in [0, 1]")
         if self.clip <= 0.0:
             raise ValueError("clip must be positive")
+        neural.check_counts(self, "episodes", "horizon", "update_batches",
+                            "update_batch_size", "word_budget", "n_guests",
+                            "collapse_patience")
 
 
 def ppo_update(model: EnquirerModel, games: _PlayedGames, idx: np.ndarray,
@@ -307,17 +310,10 @@ def ppo_update(model: EnquirerModel, games: _PlayedGames, idx: np.ndarray,
             "mean_ratio": float(ratios.mean())}
 
 
-def _default_reward(guesser: GuesserModel):
-    def reward(actions, guests, uttered, targets):
-        return guesser_success(guesser, guests, uttered, targets)
-    return reward
-
-
 @dataclass
 class _PlayedGames:
     """A batch of games played to the word budget, with each turn's record."""
 
-    guests: np.ndarray       # (B, K, D)
     mean_guest: np.ndarray   # (B, D)
     uttered: np.ndarray      # (B, T, D)
     masks: np.ndarray        # (B, T, V) words already requested before each turn
@@ -339,9 +335,8 @@ def _play_games(model: EnquirerModel, corpus: Corpus, guest_rows: np.ndarray,
     ``_policy_pass`` on each turn's whole prefix.
     """
     b, t_max, v = len(targets), word_budget, corpus.vocab_size
-    guests = corpus.voice_prints[guest_rows]
     target_rows = guest_rows[np.arange(b), targets]
-    mean_guest = guests.mean(axis=1)
+    mean_guest = corpus.voice_prints[guest_rows].mean(axis=1)
 
     store, hidden = model.store, model.config.lstm_hidden
     w_f, b_f = store.values["lstm/Wf"], store.values["lstm/bf"]
@@ -365,7 +360,7 @@ def _play_games(model: EnquirerModel, corpus: Corpus, guest_rows: np.ndarray,
         values[:, turn] = out.value
         mask_now[rows, acts] = True
         x = uttered[:, turn] = corpus.utterances[target_rows, acts]
-    return _PlayedGames(guests, mean_guest, uttered, masks, actions, log_probs, values)
+    return _PlayedGames(mean_guest, uttered, masks, actions, log_probs, values)
 
 
 def _collect_rollout(model: EnquirerModel, corpus: Corpus, n_episodes: int,
@@ -375,7 +370,7 @@ def _collect_rollout(model: EnquirerModel, corpus: Corpus, n_episodes: int,
     guest_rows, targets = sample_game_batch(corpus, e, config.n_guests, rng)
     games = _play_games(model, corpus, guest_rows, targets, t_max, "explore", rng)
     episode_rewards = np.asarray(
-        reward_fn(games.actions, games.guests, games.uttered, targets), dtype=np.float64)
+        reward_fn(Games(corpus, guest_rows, targets, games.actions)), dtype=np.float64)
     rewards = np.zeros((e, t_max))
     rewards[:, -1] = episode_rewards
     games.advantages, games.returns = compute_gae(rewards, games.values, config.gamma,
@@ -387,18 +382,20 @@ def train_enquirer(guesser: GuesserModel | None, corpus: Corpus, config: PpoConf
                    reward_fn=None) -> tuple[EnquirerModel, list[dict]]:
     """PPO training against a frozen guesser (or a custom reward).
 
-    Episodes are rolled out in explore mode; whenever ``horizon``
-    transitions have accumulated, ``update_batches`` minibatches of
-    ``update_batch_size`` transitions are drawn and applied.  Returns the
-    model and a curve of dicts (episode, moving_avg_reward, entropy,
-    value_loss, policy_loss); the moving average covers the trailing 1000
-    episodes.  Raises RewardCollapse after ``collapse_patience``
-    consecutive zero-reward episodes.
+    ``reward_fn(games)`` gets a round's played episodes as ``Games``, the
+    requested words as ``words``, and returns their (E,) terminal rewards;
+    the default is ``guesser_success`` of the guesser.  Episodes are rolled
+    out in explore mode; whenever ``horizon`` transitions have accumulated,
+    ``update_batches`` minibatches of ``update_batch_size`` transitions are
+    drawn and applied.  Returns the model and a curve of dicts (episode,
+    moving_avg_reward, entropy, value_loss, policy_loss); the moving average
+    covers the trailing 1000 episodes.  Raises RewardCollapse after
+    ``collapse_patience`` consecutive zero-reward episodes.
     """
     if reward_fn is None:
         if guesser is None:
             raise ValueError("need a guesser or an explicit reward_fn")
-        reward_fn = _default_reward(guesser)
+        reward_fn = partial(guesser_success, guesser)
     rng = np.random.default_rng(config.seed)
     model = EnquirerModel.init(
         EnquirerConfig(dim=corpus.dimension, vocab_size=corpus.vocab_size), rng)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Corpus, corpus_fingerprint
 from .enquirer import evaluate_enquirer
-from .guesser import (GuesserModel, evaluate_guesser, guesser_success, play_games,
+from .guesser import (Games, GuesserModel, evaluate_guesser, guesser_success, play_games,
                       word_pool_policy)
 
 
@@ -65,13 +65,13 @@ def diversity_index(tuples) -> DiversityReport:
                            omega=float(pairs.mean()))
 
 
-def nearest_print_success(guests: np.ndarray, uttered: np.ndarray,
-                          targets: np.ndarray) -> np.ndarray:
+def nearest_print_success(games: Games) -> np.ndarray:
     """0/1 per game: does the mean per-word cosine pick the target's print?"""
+    guests, uttered = games.guests, games.uttered
     sims = np.einsum("btd,bkd->btk", uttered, guests)
     sims /= np.linalg.norm(uttered, axis=2)[:, :, None]
     sims /= np.linalg.norm(guests, axis=2)[:, None, :]
-    return np.argmax(sims.mean(axis=1), axis=1) == targets
+    return np.argmax(sims.mean(axis=1), axis=1) == games.targets
 
 
 def cosine_nearest_print_accuracy(corpus: Corpus, n_guests: int, n_words: int,
@@ -84,7 +84,7 @@ def cosine_nearest_print_accuracy(corpus: Corpus, n_guests: int, n_words: int,
     """
     rate, stderr, _ = play_games(
         corpus, n_guests, n_games, word_pool_policy(np.arange(corpus.vocab_size), n_words),
-        lambda guests, uttered, targets, rows: nearest_print_success(guests, uttered, targets),
+        nearest_print_success,
         np.random.default_rng(seed), chunk)
     return rate, stderr
 

@@ -8,7 +8,7 @@ per-guest probabilities.  Scoring is per guest, so the whole thing is
 permutation-equivariant in the guest list by construction.  Both nets are
 ``neural.pair_forward`` nets: each game's context half of the first layer
 is taken once, not once per word or guest, and an eval pass runs in blocks.
-An eval pass over dealt games (``GameRows``) takes the item half from the
+An eval pass over dealt games (``Games``) takes the item half from the
 corpus rows, once per distinct guest print or utterance.
 
 Training is plain supervised cross-entropy on games with uniformly random
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, fields
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -92,28 +92,43 @@ class GuesserActivations:
 
 
 @dataclass(frozen=True)
-class GameRows:
-    """Where a batch's gathered arrays came from: ``guests`` is
-    ``corpus.voice_prints[guest_rows]`` and ``uttered`` is
-    ``corpus.utterances[target_rows[:, None], words]``."""
+class Games:
+    """A batch of dealt games: each game's guests as corpus rows, the
+    target's column among them and the words the target uttered; the
+    gathered ``guests`` (B, K, D) and ``uttered`` (B, T, D) are taken from
+    the corpus on first use."""
 
     corpus: Corpus
     guest_rows: np.ndarray    # (B, K)
-    target_rows: np.ndarray   # (B,)
+    targets: np.ndarray       # (B,) columns into guest_rows
     words: np.ndarray         # (B, T)
+
+    def __post_init__(self):
+        neural.check_indices("guest row", self.guest_rows, self.corpus.n_speakers)
+        neural.check_indices("target column", self.targets, self.guest_rows.shape[1])
+        neural.check_indices("word id", self.words, self.corpus.vocab_size)
+
+    @cached_property
+    def target_rows(self) -> np.ndarray:
+        return self.guest_rows[np.arange(len(self.targets)), self.targets]
+
+    @cached_property
+    def guests(self) -> np.ndarray:
+        return self.corpus.voice_prints[self.guest_rows]
+
+    @cached_property
+    def uttered(self) -> np.ndarray:
+        return self.corpus.utterances[self.target_rows[:, None], self.words]
 
     def tables(self, b: int, k: int, t: int):
         """The (table, rows) pairs of the guests and the utterances, each
         (R, D) table with (B, K) or (B, T) rows into it."""
         corpus = self.corpus
-        shapes = (self.guest_rows.shape, self.target_rows.shape, self.words.shape)
+        shapes = (self.guest_rows.shape, self.targets.shape, self.words.shape)
         if shapes != ((b, k), (b,), (b, t)):
             raise ValueError(
-                f"game rows of shapes {self.guest_rows.shape}, {self.target_rows.shape} and "
+                f"games of shapes {self.guest_rows.shape}, {self.targets.shape} and "
                 f"{self.words.shape} do not match {b} games of {k} guests and {t} words")
-        neural.check_indices("guest row", self.guest_rows, corpus.n_speakers)
-        neural.check_indices("target row", self.target_rows, corpus.n_speakers)
-        neural.check_indices("word id", self.words, corpus.vocab_size)
         cells = self.target_rows[:, None] * corpus.vocab_size + self.words
         return ((corpus.voice_prints, self.guest_rows),
                 (corpus.utterances.reshape(-1, corpus.dimension), cells))
@@ -121,14 +136,14 @@ class GameRows:
 
 def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray,
                     train: bool = False, rng: np.random.Generator | None = None, *,
-                    rows: GameRows | None = None) -> GuesserActivations:
+                    rows: Games | None = None) -> GuesserActivations:
     """Score guests given uttered embeddings.
 
     ``guests`` is (B, K, D) and ``uttered`` (B, T, D); a single game may be
     passed as (K, D) and (T, D) and comes back with a batch axis of one.
-    Requires K >= 1 and T >= 1.  An eval pass given the ``rows`` the arrays
-    were gathered from takes the nets' item products from the corpus rows,
-    each distinct row once, with the same outputs at one BLAS thread.
+    Requires K >= 1 and T >= 1.  An eval pass given as ``rows`` the ``Games``
+    the arrays were gathered from takes the nets' item products from the
+    corpus rows, each distinct row once, with the same outputs at one BLAS thread.
     """
     guests = np.asarray(guests, dtype=np.float64)
     uttered = np.asarray(uttered, dtype=np.float64)
@@ -223,36 +238,26 @@ def sample_word_subsets(rng: np.random.Generator, n_games: int, pool: np.ndarray
     return pool[picks]
 
 
-def _gather_games(corpus: Corpus, guest_rows: np.ndarray, targets: np.ndarray,
-                  words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    guests = corpus.voice_prints[guest_rows]                            # (B, K, D)
-    target_rows = guest_rows[np.arange(len(targets)), targets]
-    uttered = corpus.utterances[target_rows[:, None], words]            # (B, T, D)
-    return guests, uttered
-
-
 def play_games(corpus: Corpus, n_guests: int, n_games: int, policy, scorer,
                rng: np.random.Generator, chunk: int = 4096) -> tuple[float, float, np.ndarray]:
     """Deal, play and score ``n_games`` seeded games, ``chunk`` at a time.
 
     Per chunk the games are dealt from ``rng``, then ``policy(guest_rows,
-    targets, rng)`` returns each game's (b, T) word ids and ``scorer(guests,
-    uttered, targets, rows=rows)`` its 0/1 successes, ``rows`` being the
-    ``GameRows`` the arrays were gathered from.  Returns the success rate,
-    its binomial stderr and the (n_games, T) words played.
+    targets, rng)`` returns each game's (b, T) word ids and ``scorer(games)``
+    the 0/1 successes of those ``Games``.  Returns the success rate, its
+    binomial stderr and the (n_games, T) words played.
     """
     if n_games < 1:
         raise ValueError(f"need at least one game to score, got {n_games}")
+    if chunk < 1:
+        raise ValueError(f"need a chunk of at least one game, got {chunk}")
     hits, played = 0, []
     for start in range(0, n_games, chunk):
         guest_rows, targets = sample_game_batch(
             corpus, min(chunk, n_games - start), n_guests, rng)
-        words = policy(guest_rows, targets, rng)
-        guests, uttered = _gather_games(corpus, guest_rows, targets, words)
-        rows = GameRows(corpus, guest_rows, guest_rows[np.arange(len(targets)), targets],
-                        words)
-        hits += int(scorer(guests, uttered, targets, rows=rows).sum())
-        played.append(words)
+        games = Games(corpus, guest_rows, targets, policy(guest_rows, targets, rng))
+        hits += int(scorer(games).sum())
+        played.append(games.words)
     rate = hits / n_games
     return rate, float(np.sqrt(rate * (1.0 - rate) / n_games)), np.concatenate(played)
 
@@ -276,6 +281,10 @@ class GuesserTrainConfig:
     valid_games: int = 10_000
     eval_every: int = 10          # batches between validation points
     seed: int = 0
+
+    def __post_init__(self):
+        neural.check_counts(self, "n_guests", "word_budget", "batch_size", "n_games",
+                            "valid_games", "eval_every")
 
 
 def train_guesser(corpus_train: Corpus, corpus_valid: Corpus,
@@ -314,9 +323,9 @@ def train_guesser(corpus_train: Corpus, corpus_valid: Corpus,
     for batch_idx in range(n_batches):
         b = min(config.batch_size, config.n_games - games_seen)
         guest_rows, targets = sample_game_batch(corpus_train, b, config.n_guests, rng)
-        words = sample_word_subsets(rng, b, vocab, config.word_budget)
-        guests, uttered = _gather_games(corpus_train, guest_rows, targets, words)
-        acts = guesser_forward(model, guests, uttered, train=True, rng=rng)
+        games = Games(corpus_train, guest_rows, targets,
+                      sample_word_subsets(rng, b, vocab, config.word_budget))
+        acts = guesser_forward(model, games.guests, games.uttered, train=True, rng=rng)
         loss = guesser_loss(model, acts, targets)
         if not np.isfinite(loss):
             raise TrainingDiverged(
@@ -359,9 +368,8 @@ def evaluate_guesser(model: GuesserModel, corpus: Corpus, n_guests: int,
     return rate, stderr
 
 
-def guesser_success(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray,
-                    targets: np.ndarray, *, rows: GameRows | None = None) -> np.ndarray:
-    """Batched 0/1 indicator of argmax matching the target (eval mode);
-    ``rows`` as for ``guesser_forward``."""
-    probs = guesser_forward(model, guests, uttered, rows=rows).probs
-    return (np.argmax(probs, axis=1) == np.asarray(targets)).astype(np.float64)
+def guesser_success(model: GuesserModel, games: Games) -> np.ndarray:
+    """Batched 0/1 indicator of argmax matching the target (eval mode),
+    scored from the corpus rows the games were dealt from."""
+    probs = guesser_forward(model, games.guests, games.uttered, rows=games).probs
+    return (np.argmax(probs, axis=1) == games.targets).astype(np.float64)

@@ -241,6 +241,14 @@ def check_indices(name: str, indices: np.ndarray, high: int) -> None:
         raise ValueError(f"{name} {bad} is outside [0, {high})")
 
 
+def check_counts(config, *names: str) -> None:
+    """Raise a ValueError naming the first of the ``config`` fields
+    ``names`` that is below one."""
+    for name in names:
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(config, name)}")
+
+
 def _blocks(count: int, whole: bool):
     # (start, stop) by ``PREDICT_BLOCK_ROWS``, the last block taking the
     # remainder; one block when ``whole`` or under two blocks' worth

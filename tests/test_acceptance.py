@@ -339,8 +339,8 @@ def test_criterion_9_ppo_bandit_sanity(corpora):
     for seed in range(5):
         magic = (3 * seed + 1) % train.vocab_size
 
-        def reward(actions, guests, uttered, targets, magic=magic):
-            return (actions == magic).any(axis=1).astype(float)
+        def reward(games, magic=magic):
+            return (games.words == magic).any(axis=1).astype(float)
 
         model, _ = train_enquirer(None, train, PpoConfig(episodes=5000, seed=seed),
                                   reward_fn=reward)

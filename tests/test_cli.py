@@ -211,6 +211,34 @@ class TestTrainEnquirer:
         assert "dimension" in record["message"]
 
 
+class TestCountRejections:
+    @pytest.mark.parametrize("command, flag, field", [
+        ("train-guesser", "--games", "n_games"),
+        ("train-guesser", "--batch-size", "batch_size"),
+        ("train-guesser", "--eval-every", "eval_every"),
+        ("train-guesser", "--eval-games", "valid_games"),
+        ("train-guesser", "--guests", "n_guests"),
+        ("train-guesser", "--words", "word_budget"),
+        ("train-enquirer", "--episodes", "episodes"),
+        ("train-enquirer", "--horizon", "horizon"),
+        ("train-enquirer", "--update-batches", "update_batches"),
+        ("train-enquirer", "--update-batch-size", "update_batch_size"),
+        ("train-enquirer", "--guests", "n_guests"),
+        ("train-enquirer", "--words", "word_budget")])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_count_below_one_is_named_before_any_artifact(
+            self, corpus_file, guesser_ckpt, tmp_path, capsys, command, flag, field, value):
+        out = tmp_path / "out"
+        argv = [command, "--corpus", str(corpus_file), flag, value, "--out-dir", str(out)]
+        if command == "train-enquirer":
+            argv += ["--guesser", str(guesser_ckpt)]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "ValueError", "message": f"{field} must be at least 1, got {value}"}
+        assert not out.exists()
+
+
 class TestEval:
     def test_random_policy_metrics(self, corpus_file, guesser_ckpt, tmp_path):
         code = run(["eval", "--corpus", str(corpus_file), "--guesser",

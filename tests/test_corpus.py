@@ -305,6 +305,10 @@ MALFORMED = {
     "fractional-word": (3, {**UTTERANCE, "word": 1.7}, "word"),
     "fractional-dimension": (1, {**HEADER, "dimension": 2.9}, "dimension"),
     "boolean-speaker": (2, {**VOICEPRINT, "speaker": True}, "speaker"),
+    "string-speaker": (2, {**VOICEPRINT, "speaker": "7"}, "speaker"),
+    "padded-string-speaker": (2, {**VOICEPRINT, "speaker": " 7 "}, "speaker"),
+    "string-word": (3, {**UTTERANCE, "word": "0"}, "word"),
+    "string-dimension": (1, {**HEADER, "dimension": "4"}, "dimension"),
 }
 
 

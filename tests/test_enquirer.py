@@ -14,7 +14,7 @@ from isrlab.enquirer import (EnquirerConfig, EnquirerModel, PpoConfig, RewardCol
                              _policy_pass, compute_gae,
                              enquirer_forward, evaluate_enquirer, ppo_update,
                              sample_actions, train_enquirer)
-from isrlab.guesser import (GuesserConfig, GuesserModel, GuesserTrainConfig,
+from isrlab.guesser import (Games, GuesserConfig, GuesserModel, GuesserTrainConfig,
                             guesser_success, sample_game_batch, train_guesser)
 
 
@@ -152,7 +152,7 @@ class TestPpoUpdate:
     def collect(self, corpus, model, n_episodes=30, seed=3):
         config = PpoConfig(word_budget=3, n_guests=4, seed=seed)
         rng = np.random.default_rng(seed)
-        reward = lambda actions, guests, uttered, targets: (actions == 2).any(axis=1).astype(float)
+        reward = lambda games: (games.words == 2).any(axis=1).astype(float)
         return config, _collect_rollout(model, corpus, n_episodes, config, rng, reward)
 
     def test_first_update_ratios_are_exactly_one(self, corpus, model):
@@ -249,9 +249,44 @@ class TestPpoUpdate:
         assert changed
 
 
+@pytest.mark.parametrize("field", ["episodes", "horizon", "update_batches",
+                                   "update_batch_size", "word_budget", "n_guests",
+                                   "collapse_patience"])
+def test_ppo_count_below_one_is_named(field):
+    with pytest.raises(ValueError, match=f"^{field} must be at least 1, got 0$"):
+        PpoConfig(**{field: 0})
+
+
+def test_default_reward_trains_as_the_array_form_guesser(one_blas_thread):
+    # the default reward scores the played games from their corpus rows;
+    # at one BLAS thread that is the array form bit for bit, so PPO is too.
+    # The rounds have 342 episodes, as at the reference horizon
+    one_blas_thread("""
+        from isrlab.corpus import SynthConfig, generate_synthetic
+        from isrlab.enquirer import PpoConfig, train_enquirer
+        from isrlab.guesser import GuesserConfig, GuesserModel, guesser_forward
+        corpus = generate_synthetic(SynthConfig(train_speakers=30, test_speakers=0, seed=3))
+        guesser = GuesserModel.init(GuesserConfig(dim=32), np.random.default_rng(4))
+
+        def array_form(games):
+            probs = guesser_forward(guesser, games.guests, games.uttered).probs
+            return (np.argmax(probs, axis=1) == games.targets).astype(np.float64)
+
+        config = PpoConfig(episodes=3 * 342, seed=1)
+        (a, curve_a), (b, curve_b) = (train_enquirer(guesser, corpus, config, reward_fn=fn)
+                                      for fn in (None, array_form))
+        for name, value in a.store.values.items():
+            assert np.array_equal(value, b.store.values[name]), name
+        for row_a, row_b in zip(curve_a, curve_b, strict=True):
+            row_a.pop("wall_time_s", None), row_b.pop("wall_time_s", None)
+            assert row_a == row_b
+        assert 0.0 < curve_a[-1]["moving_avg_reward"] < 1.0
+        """)
+
+
 class TestTraining:
     def bandit_reward(self, word):
-        return lambda actions, guests, uttered, targets: (actions == word).any(axis=1).astype(float)
+        return lambda games: (games.words == word).any(axis=1).astype(float)
 
     def test_rollouts_never_repeat_words(self, corpus, model):
         config = PpoConfig(word_budget=4, n_guests=3, seed=1)
@@ -272,7 +307,7 @@ class TestTraining:
     def test_reward_collapse_aborts_with_diagnostics(self, corpus):
         config = PpoConfig(episodes=2000, horizon=60, update_batch_size=30,
                            word_budget=3, n_guests=3, collapse_patience=200, seed=6)
-        zero = lambda actions, guests, uttered, targets: np.zeros(len(actions))
+        zero = lambda games: np.zeros(len(games.words))
         with pytest.raises(RewardCollapse, match="episodes"):
             train_enquirer(None, corpus, config, reward_fn=zero)
 
@@ -333,7 +368,7 @@ class TestEvaluate:
             mask[np.arange(n_games), words[:, turn]] = True
             uttered[:, turn] = corpus.utterances[target_rows, words[:, turn]]
         assert np.array_equal(res.word_tuples, words)
-        hits = guesser_success(guesser, guests, uttered, targets).sum()
+        hits = guesser_success(guesser, Games(corpus, guest_rows, targets, words)).sum()
         assert res.success_rate == hits / n_games
 
     def test_full_vocabulary_budget_matches_random_policy(self, trained_pair):

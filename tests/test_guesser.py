@@ -10,8 +10,8 @@ import pytest
 
 from isrlab import neural
 from isrlab.corpus import SynthConfig, generate_synthetic, synthetic_split
-from isrlab.guesser import (GameRows, GuesserConfig, GuesserModel, GuesserTrainConfig,
-                            _gather_games, evaluate_guesser, guesser_forward,
+from isrlab.guesser import (Games, GuesserConfig, GuesserModel, GuesserTrainConfig,
+                            evaluate_guesser, guesser_forward,
                             guesser_loss, sample_game_batch, sample_word_subsets,
                             train_guesser)
 from isrlab.neural import ParamStore, dropout_mask
@@ -98,13 +98,19 @@ class TestForward:
 
 
 def _dealt(corpus, games, k, t, seed):
-    """``games`` seeded games' gathered arrays and the ``GameRows`` behind them."""
+    """``games`` seeded games' gathered arrays and the ``Games`` behind them."""
     rng = np.random.default_rng(seed)
     guest_rows, targets = sample_game_batch(corpus, games, k, rng)
     words = sample_word_subsets(rng, games, np.arange(corpus.vocab_size), t)
-    guests, uttered = _gather_games(corpus, guest_rows, targets, words)
-    return guests, uttered, GameRows(corpus, guest_rows,
-                                     guest_rows[np.arange(games), targets], words)
+    rows = Games(corpus, guest_rows, targets, words)
+    return rows.guests, rows.uttered, rows
+
+
+@pytest.mark.parametrize("field", ["n_guests", "word_budget", "batch_size", "n_games",
+                                   "valid_games", "eval_every"])
+def test_training_count_below_one_is_named(field):
+    with pytest.raises(ValueError, match=f"^{field} must be at least 1, got -1$"):
+        GuesserTrainConfig(**{field: -1})
 
 
 class TestCorpusRows:
@@ -126,7 +132,8 @@ class TestCorpusRows:
     @pytest.mark.parametrize("field, value, message", [
         ("guest_rows", 9, "guest row 9 is outside"),
         ("guest_rows", -1, "guest row -1 is outside"),
-        ("target_rows", 9, "target row 9 is outside"),
+        ("targets", 4, "target column 4 is outside"),
+        ("targets", -1, "target column -1 is outside"),
         ("words", 6, "word id 6 is outside"),
         ("words", -2, "word id -2 is outside")])
     def test_out_of_range_row_named(self, tiny_model, corpus, field, value, message):
@@ -157,8 +164,8 @@ class TestBlockedEval:
         # of a block of 256 games
         one_blas_thread("""
             from isrlab.corpus import SynthConfig, generate_synthetic
-            from isrlab.guesser import (GameRows, GuesserConfig, GuesserModel,
-                                        _gather_games, guesser_forward,
+            from isrlab.guesser import (Games, GuesserConfig, GuesserModel,
+                                        guesser_forward,
                                         sample_game_batch, sample_word_subsets)
             corpus = generate_synthetic(SynthConfig(train_speakers=60, test_speakers=0,
                                                     seed=5))
@@ -172,9 +179,8 @@ class TestBlockedEval:
                     for games in sorted(counts):
                         guest_rows, targets = sample_game_batch(corpus, games, k, rng)
                         words = sample_word_subsets(rng, games, np.arange(20), t)
-                        guests, uttered = _gather_games(corpus, guest_rows, targets, words)
-                        rows = GameRows(corpus, guest_rows,
-                                        guest_rows[np.arange(games), targets], words)
+                        rows = Games(corpus, guest_rows, targets, words)
+                        guests, uttered = rows.guests, rows.uttered
                         want = guesser_forward(model, guests, uttered)
                         got = guesser_forward(model, guests, uttered, rows=rows)
                         for name in ("attn_logits", "score_logits", "probs"):

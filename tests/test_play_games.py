@@ -1,9 +1,10 @@
 """One dealer and one chunked play-and-score loop behind every evaluator.
 
 The reference functions below are the per-evaluator loops that
-``guesser.play_games`` replaced, kept verbatim apart from dealing the
-enquirer's games outside ``_play_games``.  Each evaluator must reproduce
-its loop exactly, across chunk boundaries.
+``guesser.play_games`` replaced, apart from dealing the enquirer's games
+outside ``_play_games`` and gathering each chunk's guest prints and
+utterances with the local ``gather``.  Each evaluator must reproduce its
+loop exactly, across chunk boundaries.
 """
 
 import numpy as np
@@ -16,9 +17,15 @@ from isrlab.enquirer import (EnquirerConfig, EnquirerModel, _play_games,
 from isrlab.evaluation import (HeuristicConfig, cosine_nearest_print_accuracy,
                                heuristic_baseline)
 from isrlab.game import GameConfig, new_game
-from isrlab.guesser import (GuesserConfig, GuesserModel, _gather_games,
-                            evaluate_guesser, guesser_forward, guesser_success,
-                            play_games, sample_game_batch, sample_word_subsets)
+from isrlab.guesser import (GuesserConfig, GuesserModel, evaluate_guesser,
+                            guesser_forward, play_games, sample_game_batch,
+                            sample_word_subsets)
+
+
+def gather(corpus, guest_rows, targets, words):
+    guests = corpus.voice_prints[guest_rows]
+    target_rows = guest_rows[np.arange(len(targets)), targets]
+    return guests, corpus.utterances[target_rows[:, None], words]
 
 
 def reference_evaluate_guesser(model, corpus, n_guests, n_words, word_policy,
@@ -32,7 +39,7 @@ def reference_evaluate_guesser(model, corpus, n_guests, n_words, word_policy,
         b = min(chunk, n_games - done)
         guest_rows, targets = sample_game_batch(corpus, b, n_guests, rng)
         words = sample_word_subsets(rng, b, pool, n_words)
-        guests, uttered = _gather_games(corpus, guest_rows, targets, words)
+        guests, uttered = gather(corpus, guest_rows, targets, words)
         probs = guesser_forward(model, guests, uttered).probs
         hits += int(np.sum(np.argmax(probs, axis=1) == targets))
         done += b
@@ -49,7 +56,7 @@ def reference_cosine(corpus, n_guests, n_words, n_games, seed, chunk=4096):
         b = min(chunk, n_games - done)
         guest_rows, targets = sample_game_batch(corpus, b, n_guests, rng)
         words = sample_word_subsets(rng, b, vocab, n_words)
-        guests, uttered = _gather_games(corpus, guest_rows, targets, words)
+        guests, uttered = gather(corpus, guest_rows, targets, words)
         sims = np.einsum("btd,bkd->btk", uttered, guests)
         sims /= np.linalg.norm(uttered, axis=2)[:, :, None]
         sims /= np.linalg.norm(guests, axis=2)[:, None, :]
@@ -71,7 +78,8 @@ def reference_evaluate_enquirer(enquirer, guesser, corpus, n_guests, word_budget
         guest_rows, targets = sample_game_batch(corpus, b, n_guests, rng)
         games = _play_games(enquirer, corpus, guest_rows, targets, word_budget,
                             "greedy", rng)
-        hits += int(guesser_success(guesser, games.guests, games.uttered, targets).sum())
+        probs = guesser_forward(guesser, corpus.voice_prints[guest_rows], games.uttered).probs
+        hits += int(np.sum(np.argmax(probs, axis=1) == targets))
         tuples.append(games.actions)
         done += b
     rate = hits / n_games
@@ -91,7 +99,7 @@ def reference_heuristic_scores(guesser, corpus, config, seed):
                                    config.word_budget - 1)
         words = np.concatenate(
             [np.full((config.games_per_word, 1), word), rest], axis=1)
-        guests, uttered = _gather_games(corpus, guest_rows, targets, words)
+        guests, uttered = gather(corpus, guest_rows, targets, words)
         probs = guesser_forward(guesser, guests, uttered).probs
         scores[word] = np.mean(np.argmax(probs, axis=1) == targets)
     return scores
@@ -159,7 +167,7 @@ class TestPlayGames:
             return sample_word_subsets(rng, len(targets), np.arange(6), 2)
 
         rate, stderr, words = play_games(
-            corpus, 3, 20, policy, lambda g, u, t, rows: np.ones(len(t)),
+            corpus, 3, 20, policy, lambda games: np.ones(len(games.targets)),
             np.random.default_rng(0), chunk=8)
         assert seen == [8, 8, 4]
         assert words.shape == (20, 2)
@@ -178,6 +186,12 @@ class TestPlayGames:
                      lambda: evaluate_enquirer(enquirer, guesser, corpus, 4, 3, n_games, 0)):
             with pytest.raises(ValueError, match=f"at least one game to score, got {n_games}"):
                 call()
+
+    @pytest.mark.parametrize("chunk", [0, -4])
+    def test_chunk_below_one_game_is_a_named_error(self, world, chunk):
+        corpus, guesser, _ = world
+        with pytest.raises(ValueError, match=f"chunk of at least one game, got {chunk}"):
+            evaluate_guesser(guesser, corpus, 4, 3, "random", 10, seed=0, chunk=chunk)
 
     def test_non_sequence_word_policy_rejected(self, world):
         corpus, guesser, enquirer = world

@@ -102,8 +102,8 @@ def test_record_updates_equal_the_flat_batch(corpus, word_budget):
     config = PpoConfig(word_budget=word_budget, n_guests=4, lr=0.05, clip=0.1, seed=2)
     model, reference = new_model(), new_model()
     rng = np.random.default_rng(2)
-    reward = lambda actions, guests, uttered, targets: (
-        (actions == 1).any(axis=1) | (targets == 0)).astype(float)
+    reward = lambda games: (
+        (games.words == 1).any(axis=1) | (games.targets == 0)).astype(float)
     games, _ = _collect_rollout(model, corpus, 37, config, rng, reward)
     batch = reference_flatten(games)
 
