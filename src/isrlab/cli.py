@@ -169,6 +169,8 @@ def cmd_train_enquirer(ns: argparse.Namespace) -> int:
     from .enquirer import evaluate_enquirer, train_enquirer
     from .evaluation import write_rows_csv, write_summary_json
     cfg, config = _resolve(ns)
+    if cfg["eval_games"] < 1:               # checked before the PPO run, not after
+        raise ValueError(f"eval_games must be at least 1, got {cfg['eval_games']}")
     train, test = _load_split(ns.corpus, cfg, "train", "test")
     guesser = _load_guesser(ns.guesser, train)
     started = time.perf_counter()
@@ -220,6 +222,14 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         if given and not applies:
             raise ValueError(f"{flag} needs {needed}; it does nothing with {mode}")
     cfg, heuristic = _resolve(ns)
+    words = _parse_int_list(ns.fixed_words or "") if policy == "fixed" else "random"
+    if policy == "fixed" and len(words) < cfg["words"]:
+        raise ValueError("--fixed-words needs at least --words entries")
+    if ns.diversity and policy == "fixed" and len(words) != cfg["words"]:
+        raise ValueError("--diversity with a fixed policy needs exactly "
+                         "--words entries in --fixed-words")
+    if ns.diversity and cfg["diversity_games"] < 2:
+        raise ValueError(f"diversity_games must be at least 2, got {cfg['diversity_games']}")
     [corpus] = _load_split(ns.corpus, cfg, cfg["split"])
     guesser = _load_guesser(ns.guesser, corpus)
     enquirer = EnquirerModel.load(ns.enquirer) if ns.enquirer else None
@@ -250,11 +260,6 @@ def cmd_eval(ns: argparse.Namespace) -> int:
             "config": cfg, "aggregate": aggregate_rows(rows)}, corpus)
         written.append(summary_path)
     else:
-        words = "random"
-        if policy == "fixed":
-            words = _parse_int_list(ns.fixed_words or "")
-            if len(words) < cfg["words"]:
-                raise ValueError("--fixed-words needs at least --words entries")
         rows = []
         curated = None
         for seed in seeds:
@@ -290,9 +295,6 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                                         cfg["words"], n_tuples, seeds[0])
                 tuples = res.word_tuples
             elif policy == "fixed":
-                if len(words) != cfg["words"]:
-                    raise ValueError("--diversity with a fixed policy needs exactly "
-                                     "--words entries in --fixed-words")
                 tuples = np.tile(np.asarray(words), (n_tuples, 1))
             else:
                 pool = curated if policy == "heuristic" else range(corpus.vocab_size)

@@ -7,7 +7,8 @@ and scored by a second net, and a softmax over the K scores gives the
 per-guest probabilities.  Scoring is per guest, so the whole thing is
 permutation-equivariant in the guest list by construction.  Both nets are
 ``neural.pair_forward`` nets: each game's context half of the first layer
-is taken once, not once per word or guest, and an eval pass runs in blocks.
+is taken once, not once per word or guest, and every pass runs in blocks
+of games and item rows; a training pass keeps one activation per net.
 An eval pass over dealt games (``Games``) takes the item half from the
 corpus rows, once per distinct guest print or utterance.
 
@@ -38,6 +39,9 @@ class GuesserConfig:
     attn_hidden: int = 256
     score_hidden: int = 512
     dropout: float = 0.5
+
+    def __post_init__(self):
+        neural.check_dropout(self.dropout)
 
     def arch(self) -> dict:
         return {"model": "guesser", **asdict(self)}
@@ -285,6 +289,7 @@ class GuesserTrainConfig:
     def __post_init__(self):
         neural.check_counts(self, "n_guests", "word_budget", "batch_size", "n_games",
                             "valid_games", "eval_every")
+        neural.check_dropout(self.dropout)
 
 
 def train_guesser(corpus_train: Corpus, corpus_valid: Corpus,

@@ -24,21 +24,22 @@ import numpy as np
 
 CHECKPOINT_FORMAT_VERSION = 1
 
-# Item rows per block of an eval-mode ``pair_forward``: a power of two, so
-# every block starts on a boundary of the BLAS kernels' row tiles.  Of 128,
-# 256 and 512, 512 ran 204,800 rows slowest; 128 and 256 ran alike.
+# Games and item rows per block of every ``pair_forward``, cached or not: a
+# power of two, so every block starts on a boundary of the BLAS kernels' row
+# tiles.  Of 128, 256 and 512, 512 ran 204,800 eval rows slowest.
 PREDICT_BLOCK_ROWS = 256
 
 
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # A single-row matmul dispatches to a gemv kernel that rounds
     # differently from gemm, so one row is padded to two and goes to gemm
     # like any other batch.  That does not make a row's output independent
     # of its batch: BLAS may use another gemm kernel for small batches, and
-    # with several threads it splits the rows by batch size.
+    # with several threads it splits the rows by batch size.  ``out`` gets
+    # the product (for one row, as a copy by np.positive).
     if a.shape[0] == 1:
-        return (np.concatenate([a, a], axis=0) @ b)[:1]
-    return a @ b
+        return np.positive((np.concatenate([a, a], axis=0) @ b)[:1], out=out)
+    return np.matmul(a, b, out=out)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -62,10 +63,15 @@ def uniform_fan_in(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
+def check_dropout(rate: float) -> None:
+    """Raise a ValueError unless the dropout ``rate`` is in [0, 1)."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout must be in [0, 1), got {rate}")
+
+
 def dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     """Inverted dropout mask: entries are 0 or 1/(1-rate)."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    check_dropout(rate)
     keep = rng.random(shape) >= rate
     return keep / (1.0 - rate)
 
@@ -154,8 +160,7 @@ class MlpSpec:
         widths = (self.in_width, *self.hidden, self.out_width)
         if any(w < 1 for w in widths):
             raise ValueError(f"all widths must be >= 1, got {widths}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        check_dropout(self.dropout)
 
 
 def init_mlp(store: ParamStore, prefix: str, spec: MlpSpec,
@@ -249,10 +254,10 @@ def check_counts(config, *names: str) -> None:
             raise ValueError(f"{name} must be at least 1, got {getattr(config, name)}")
 
 
-def _blocks(count: int, whole: bool):
+def _blocks(count: int):
     # (start, stop) by ``PREDICT_BLOCK_ROWS``, the last block taking the
-    # remainder; one block when ``whole`` or under two blocks' worth
-    if whole or count < 2 * PREDICT_BLOCK_ROWS:
+    # remainder; one block under two blocks' worth
+    if count < 2 * PREDICT_BLOCK_ROWS:
         return [(0, count)]
     starts = range(0, count - PREDICT_BLOCK_ROWS + 1, PREDICT_BLOCK_ROWS)
     return zip(starts, [*starts[1:], count])
@@ -268,20 +273,32 @@ def _add_context(hidden: np.ndarray, context: np.ndarray, start: int, n: int) ->
     hidden[head + whole * n:] += context[game + whole:game + whole + 1]
 
 
+@dataclass(eq=False, slots=True)
+class PairCache:
+    """A cached ``pair_forward``'s inputs, its (B*N, H) activation after
+    dropout and the dropout scale; ``pair_backward`` takes the activation."""
+
+    items: np.ndarray
+    context: np.ndarray
+    hidden: np.ndarray | None
+    scale: float
+
+
 def pair_forward(store: ParamStore, prefix: str, items: np.ndarray, context: np.ndarray,
                  keep_cache: bool = False, dropout: float = 0.0,
                  rng: np.random.Generator | None = None,
-                 rows: np.ndarray | None = None) -> tuple[np.ndarray, MlpCache | None]:
+                 rows: np.ndarray | None = None) -> tuple[np.ndarray, PairCache | None]:
     """(B, N) outputs of a one-hidden-layer, one-output net on the rows
     ``[item, context]`` of (B, N, D) ``items`` and (B, D) ``context``, never
     built: ``context @ W0[D:] + b0`` is taken once per game.
 
-    With ``keep_cache`` the pass runs whole, applies inverted dropout at
-    rate ``dropout`` ((B*N, H) masks from ``rng``) and returns the cache for
-    ``pair_backward``.  Without, games and then their item rows go
-    ``PREDICT_BLOCK_ROWS`` at a time, the last block taking the remainder,
-    so at one BLAS thread each row keeps its offset in the kernels' row
-    tiles and its bytes.
+    Games and then their item rows go ``PREDICT_BLOCK_ROWS`` at a time, the
+    last block taking the remainder, so at one BLAS thread each row keeps
+    its offset in the kernels' row tiles and its bytes.  A ``keep_cache``
+    pass writes each block's item product into the cache's one (B*N, H)
+    activation and applies there the ReLU and a ``dropout_mask`` at rate
+    ``dropout`` from ``rng``: block after block, the uniforms of one
+    whole-batch draw.
 
     With (B, N) integer ``rows`` (an eval pass only), ``items`` is an
     (R, D) table and game b's items are ``items[rows[b]]``: each distinct
@@ -311,45 +328,52 @@ def pair_forward(store: ParamStore, prefix: str, items: np.ndarray, context: np.
         slot[distinct] = np.arange(len(distinct))
         flat = slot[rows.reshape(-1)]
     out = np.empty((b * n, 1))
+    hidden = np.empty((b * n, w0.shape[1])) if keep_cache else None
     # blocks of games first: their item rows start on a block boundary
-    for g0, g1 in _blocks(b, keep_cache):
+    for g0, g1 in _blocks(b):
         ctx = _mm(context[g0:g1], w0[d:])
         ctx += store.values[f"{prefix}/b0"]
-        for start, stop in _blocks((g1 - g0) * n, keep_cache):
+        for start, stop in _blocks((g1 - g0) * n):
             block = slice(g0 * n + start, g0 * n + stop)
-            relu = (_mm(flat[block], w0[:d]) if rows is None
-                    else projected[flat[block]])
-            _add_context(relu, ctx, start, n)
-            np.maximum(relu, 0.0, out=relu)
-            mask = dropout_mask(rng, relu.shape, dropout) if dropout > 0.0 else None
-            hidden = relu if mask is None else relu * mask
-            out[block] = _mm(hidden, w1)
+            h = (_mm(flat[block], w0[:d], None if hidden is None else hidden[block])
+                 if rows is None else projected[flat[block]])
+            _add_context(h, ctx, start, n)
+            np.maximum(h, 0.0, out=h)
+            if dropout > 0.0:
+                h *= dropout_mask(rng, h.shape, dropout)
+            out[block] = _mm(h, w1)
     out += store.values[f"{prefix}/b1"]
-    # the first affine layer's input is the pair (items, context)
-    cache = MlpCache([(flat, context), hidden], [relu], [mask]) if keep_cache else None
+    cache = PairCache(flat, context, hidden, 1.0 / (1.0 - dropout)) if keep_cache else None
     return out.reshape(b, n), cache
 
 
-def pair_backward(store: ParamStore, prefix: str, cache: MlpCache, dout: np.ndarray,
+def pair_backward(store: ParamStore, prefix: str, cache: PairCache, dout: np.ndarray,
                   context_grad: bool = False) -> np.ndarray | None:
     """Accumulate a cached ``pair_forward``'s parameter gradients for the
-    (B, N) output gradient; with ``context_grad``, return the context's."""
-    if cache.consumed:
+    (B, N) output gradient; with ``context_grad``, return the context's.
+    The hidden gradient ``(dout * W1) * scale * (activation > 0)``, written
+    block by block over the activation the cache gives up, is the masked
+    ``dh * mask * (relu > 0)`` bit for bit while ``dh * scale`` is finite:
+    the activation is positive exactly where the mask kept a positive ReLU
+    output, and elsewhere both give a zero with the sign of ``dh``."""
+    if cache.hidden is None:
         raise ValueError("pair backward cache already consumed")
-    cache.consumed = True
-    (items, context), hidden = cache.affine_inputs
-    (relu,), (mask,) = cache.relu_outputs, cache.dropout_masks
+    items, context, hidden, scale = cache.items, cache.context, cache.hidden, cache.scale
+    cache.hidden = None                 # consumed: the activation becomes dh
     b, n = dout.shape
     d = context.shape[1]
     dout = dout.reshape(b * n, 1)
     store.grads[f"{prefix}/W1"] += hidden.T @ dout
     store.grads[f"{prefix}/b1"] += dout.sum(axis=0)
-    dh = dout * store.values[f"{prefix}/W1"][:, 0]     # one output: no k=1 product
-    if mask is not None:
-        dh *= mask
-    dh *= relu > 0.0
-    store.grads[f"{prefix}/W0"][:d] += items.T @ dh
-    dctx = dh.reshape(b, n, -1).sum(axis=1)            # W0[D:] and b0 see game sums
+    w1 = store.values[f"{prefix}/W1"][:, 0]            # one output: no k=1 product
+    for start, stop in _blocks(b * n):
+        dh = hidden[start:stop]
+        kept = dh > 0.0
+        np.multiply(dout[start:stop], w1, out=dh)
+        dh *= scale
+        dh *= kept
+    store.grads[f"{prefix}/W0"][:d] += items.T @ hidden   # ``hidden`` now holds dh
+    dctx = hidden.reshape(b, n, -1).sum(axis=1)        # W0[D:] and b0 see game sums
     store.grads[f"{prefix}/W0"][d:] += context.T @ dctx
     store.grads[f"{prefix}/b0"] += dctx.sum(axis=0)
     return dctx @ store.values[f"{prefix}/W0"][d:].T if context_grad else None

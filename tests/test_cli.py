@@ -224,7 +224,8 @@ class TestCountRejections:
         ("train-enquirer", "--update-batches", "update_batches"),
         ("train-enquirer", "--update-batch-size", "update_batch_size"),
         ("train-enquirer", "--guests", "n_guests"),
-        ("train-enquirer", "--words", "word_budget")])
+        ("train-enquirer", "--words", "word_budget"),
+        ("train-enquirer", "--eval-games", "eval_games")])
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_count_below_one_is_named_before_any_artifact(
             self, corpus_file, guesser_ckpt, tmp_path, capsys, command, flag, field, value):
@@ -236,6 +237,17 @@ class TestCountRejections:
         assert run(argv) == 1
         assert json.loads(capsys.readouterr().err.strip()) == {
             "error": "ValueError", "message": f"{field} must be at least 1, got {value}"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1", "-0.5"])
+    def test_dropout_outside_unit_interval_is_named_before_any_artifact(
+            self, corpus_file, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(["train-guesser", "--corpus", str(corpus_file), "--dropout", value,
+                    "--out-dir", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "ValueError", "message": f"dropout must be in [0, 1), got {float(value)}"}
         assert not out.exists()
 
 
@@ -329,6 +341,25 @@ class TestEval:
         assert record["error"] == "ValueError"
         assert record["message"].startswith(flag + " ")
         assert record["message"].endswith(" " + mode)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--diversity-games", "1"], "diversity_games must be at least 2, got 1"),
+        (["--policy", "fixed", "--fixed-words", "1,3,5", "--diversity-games", "50"],
+         "--diversity with a fixed policy needs exactly --words entries in --fixed-words")],
+        ids=["diversity-games", "fixed-words"])
+    def test_diversity_setting_rejected_before_any_evaluation(
+            self, corpus_file, guesser_ckpt, tmp_path, capsys, monkeypatch, extra, message):
+        from isrlab import guesser
+        monkeypatch.setattr(guesser, "evaluate_guesser",
+                            lambda *args, **kwargs: pytest.fail("evaluation ran"))
+        capsys.readouterr()
+        code = run(["eval", "--corpus", str(corpus_file), "--guesser", str(guesser_ckpt),
+                    "--games", "50", "--guests", "3", "--words", "2", "--diversity",
+                    "--out-dir", str(tmp_path)] + extra)
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "ValueError", "message": message}
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("via", ["flag", "config"])

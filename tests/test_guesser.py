@@ -74,7 +74,8 @@ class TestForward:
             assert np.argmax(permuted) == np.argwhere(perm == np.argmax(base))[0, 0]
 
     def test_training_masks_are_drawn_attention_net_first(self):
-        # one (B*N, H) mask per net, in the order the nets run
+        # each net's cached activation is its dropout-free ReLU output times
+        # a (B*N, H) mask from the one rng, drawn in the order the nets run
         model = GuesserModel.init(GuesserConfig(dim=4, attn_hidden=5, score_hidden=6,
                                                 dropout=0.5), np.random.default_rng(11))
         rng = np.random.default_rng(12)
@@ -82,10 +83,11 @@ class TestForward:
                                rng.standard_normal((8, 3, 4)), train=True,
                                rng=np.random.default_rng(13))
         masks = np.random.default_rng(13)
-        assert np.array_equal(acts._attn_cache.dropout_masks[0],
-                              dropout_mask(masks, (24, 5), 0.5))
-        assert np.array_equal(acts._score_cache.dropout_masks[0],
-                              dropout_mask(masks, (40, 6), 0.5))
+        for net, items, context, shape in (("attn", acts._uttered, acts.mean_guest, (24, 5)),
+                                           ("score", acts._guests, acts.pooled, (40, 6))):
+            _, plain = neural.pair_forward(model.store, net, items, context, keep_cache=True)
+            assert np.array_equal(getattr(acts, f"_{net}_cache").hidden,
+                                  plain.hidden * dropout_mask(masks, shape, 0.5)), net
 
     def test_dimension_mismatch_rejected(self, tiny_model):
         with pytest.raises(ValueError, match="dimension"):
@@ -111,6 +113,14 @@ def _dealt(corpus, games, k, t, seed):
 def test_training_count_below_one_is_named(field):
     with pytest.raises(ValueError, match=f"^{field} must be at least 1, got -1$"):
         GuesserTrainConfig(**{field: -1})
+
+
+@pytest.mark.parametrize("config", [GuesserConfig, GuesserTrainConfig])
+@pytest.mark.parametrize("rate", [1.0, -0.5])
+def test_dropout_outside_unit_interval_is_named(config, rate):
+    kwargs = {"dim": 4} if config is GuesserConfig else {}
+    with pytest.raises(ValueError, match=rf"^dropout must be in \[0, 1\), got {rate}$"):
+        config(**kwargs, dropout=rate)
 
 
 class TestCorpusRows:
@@ -189,11 +199,11 @@ class TestBlockedEval:
             """)
 
     def test_eval_pass_equals_whole_batch_pass(self, one_blas_thread):
-        # without dropout a training pass is the whole-batch pair_forward
-        # pass and keeps its caches; an eval pass runs in blocks of 256 item
-        # rows once a net has 512 or more.  The cases put K and T at 1, K up
-        # to 513, and either net's item rows on either side of a block
-        # boundary
+        # without dropout a training pass keeps its caches and an eval pass
+        # keeps none; both run in blocks of 256 item rows once a net has 512
+        # or more (the whole-batch reference is in tests/test_neural.py).
+        # The cases put K and T at 1, K up to 513, and either net's item
+        # rows on either side of a block boundary
         one_blas_thread("""
             from isrlab.guesser import (GuesserConfig, GuesserModel,
                                         guesser_forward, guesser_loss)
@@ -424,3 +434,13 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=message) as exc:
             GuesserModel.load(path)
         assert repr(name) in str(exc.value)
+
+    def test_dropout_outside_unit_interval_rejected_at_load(self, tiny_model, tmp_path):
+        path = tmp_path / "guesser.json"
+        tiny_model.save(path)
+        payload = json.loads(path.read_text())
+        payload["arch"]["dropout"] = 1.5
+        payload["arch_hash"] = neural.arch_hash(payload["arch"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"^dropout must be in \[0, 1\), got 1.5$"):
+            GuesserModel.load(path)

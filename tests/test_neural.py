@@ -3,6 +3,7 @@
 import json
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -325,7 +326,10 @@ class TestPairNet:
             assert cache is None
             return
         if mask is not None:
-            assert np.array_equal(cache.dropout_masks[0], mask)
+            # the cached activation is the dropout-free pass's ReLU output
+            # times the mask ``dropout_mask`` draws from the same seed
+            _, plain = neural.pair_forward(store, "net", items, context, keep_cache=True)
+            assert np.array_equal(cache.hidden, plain.hidden * mask)
         d_context = neural.pair_backward(store, "net", cache, dout, context_grad=True)
         assert _normwise_error(d_context, want_context) < 1e-10
         for name, grad in want_grads.items():
@@ -357,6 +361,26 @@ class TestPairNet:
         assert max_relative_error(d_context,
                                   numerical_gradient(lambda _: loss(), context)) < GRAD_TOL
 
+    def test_peak_memory_is_one_activation(self):
+        # a cached pass with dropout and its backward hold one (B*N, H)
+        # activation, which becomes the hidden gradient, and blocks: not the
+        # whole-batch ReLU output, uniforms, mask, masked activation and dh
+        rng = np.random.default_rng(45)
+        store = make_mlp(MlpSpec(64, (512,), 1), rng)
+        items = rng.standard_normal((4096, 5, 32))
+        context = rng.standard_normal((4096, 32))
+        dout = rng.standard_normal((4096, 5))
+        activation = 20_480 * 512 * items.itemsize
+        tracemalloc.start()
+        try:
+            _, cache = neural.pair_forward(store, "net", items, context, keep_cache=True,
+                                           dropout=0.5, rng=np.random.default_rng(46))
+            neural.pair_backward(store, "net", cache, dout, context_grad=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * activation
+
     @pytest.mark.parametrize("keep_cache, rng", [(False, np.random.default_rng(0)),
                                                  (True, None)])
     def test_dropout_needs_a_cached_pass_and_an_rng(self, keep_cache, rng):
@@ -364,6 +388,95 @@ class TestPairNet:
         with pytest.raises(ValueError, match="dropout needs"):
             neural.pair_forward(store, "net", np.zeros((2, 3, 2)), np.zeros((2, 2)),
                                 keep_cache=keep_cache, dropout=0.5, rng=rng)
+
+
+def _gemm(a, b):
+    # ``a @ b``, a single row padded to two so that it goes to gemm
+    return (np.concatenate([a, a], axis=0) @ b)[:1] if len(a) == 1 else a @ b
+
+
+def _whole_batch_pair_pass(store, items, context, dout, dropout, seed):
+    # the cached pair pass as it ran before it went in blocks: one (B*N, H)
+    # ReLU array, one whole-batch ``dropout_mask``, ``relu * mask`` and the
+    # backward ``dh * mask * (relu > 0)``.  Accumulates into ``store.grads``
+    # and returns the (B, N) outputs and the (B, D) context gradient.
+    b, n, d = items.shape
+    w0, b0, w1, b1 = (store.values[f"net/{name}"] for name in ("W0", "b0", "W1", "b1"))
+    flat = items.reshape(b * n, d)
+    ctx = _gemm(context, w0[d:])
+    ctx += b0
+    relu = _gemm(flat, w0[:d])
+    relu.reshape(b, n, -1)[...] += ctx[:, None]
+    np.maximum(relu, 0.0, out=relu)
+    mask = (dropout_mask(np.random.default_rng(seed), relu.shape, dropout)
+            if dropout > 0.0 else None)
+    hidden = relu if mask is None else relu * mask
+    y = _gemm(hidden, w1) + b1
+    dout = dout.reshape(b * n, 1)
+    store.grads["net/W1"] += hidden.T @ dout
+    store.grads["net/b1"] += dout.sum(axis=0)
+    dh = dout * w1[:, 0]
+    if mask is not None:
+        dh *= mask
+    dh *= relu > 0.0
+    store.grads["net/W0"][:d] += flat.T @ dh
+    dctx = dh.reshape(b, n, -1).sum(axis=1)
+    store.grads["net/W0"][d:] += context.T @ dctx
+    store.grads["net/b0"] += dctx.sum(axis=0)
+    return y.reshape(b, n), dctx @ w0[d:].T
+
+
+def check_blocked_pair_pass(games, n, d, hidden, dropout, seed):
+    """A cached ``pair_forward`` and its ``pair_backward`` give the outputs,
+    every parameter gradient and the context gradient of the whole-batch
+    pass bit for bit.  A quarter of the hidden units have exactly zero
+    pre-activations, and a few item and context rows are zero."""
+    rng = np.random.default_rng(seed)
+    store = make_mlp(MlpSpec(2 * d, (hidden,), 1), rng)
+    for value in store.values.values():
+        value += 0.1 * rng.standard_normal(value.shape)
+    dead = rng.permutation(hidden)[:hidden // 4]
+    store.values["net/W0"][:, dead] = 0.0
+    store.values["net/b0"][dead] = 0.0
+    items = rng.standard_normal((games, n, d))
+    context = rng.standard_normal((games, d))
+    items[rng.random((games, n)) < 0.05] = 0.0
+    context[rng.random(games) < 0.05] = 0.0
+    dout = rng.standard_normal((games, n))
+    reference = ParamStore()
+    for name, value in store.values.items():
+        reference.add(name, value)
+    want_y, want_context = _whole_batch_pair_pass(reference, items, context, dout,
+                                                  dropout, seed + 1)
+    y, cache = neural.pair_forward(store, "net", items, context, keep_cache=True,
+                                   dropout=dropout, rng=np.random.default_rng(seed + 1))
+    got_context = neural.pair_backward(store, "net", cache, dout, context_grad=True)
+    case = (games, n, d, hidden, dropout)
+    assert np.array_equal(y, want_y), case
+    assert np.array_equal(got_context, want_context), case
+    for name, grad in reference.grads.items():
+        assert np.array_equal(store.grads[name], grad), (case, name)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts threads in /proc/self/task")
+def test_blocked_cached_pair_pass_equals_whole_batch(one_blas_thread):
+    # item-row counts 1, 255-257, 511, 513, 1,280 and 5,120: one block, one
+    # block of 257 to 511 rows, blocks that start inside a game, and the
+    # guesser's nets at batch 1,024 (3,072 rows at H=256, 5,120 at H=512)
+    one_blas_thread(f"""
+        import sys
+        sys.path.insert(0, {str(Path(__file__).parent)!r})
+        from test_neural import check_blocked_pair_pass
+        cases = [(1, 1, 32, 512), (255, 1, 32, 512), (51, 5, 32, 512), (256, 1, 6, 16),
+                 (64, 4, 32, 512), (257, 1, 32, 512), (73, 7, 32, 256),
+                 (511, 1, 6, 16), (171, 3, 32, 256), (513, 1, 32, 512),
+                 (256, 5, 32, 512), (2, 640, 32, 256), (1024, 3, 32, 256),
+                 (1024, 5, 32, 512), (10, 512, 6, 16)]
+        for seed, (games, n, d, hidden) in enumerate(cases):
+            for dropout in (0.0, 0.4, 0.5):
+                check_blocked_pair_pass(games, n, d, hidden, dropout, seed)
+        """)
 
 
 class TestBiLstm:
