@@ -236,7 +236,6 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     seeds = _parse_int_list(cfg["seeds"])
     if not seeds:
         raise ValueError("need at least one seed")
-    out = _out_dir(ns)
     written = []
 
     if ns.sweep:
@@ -251,6 +250,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
             result = guest_sweep(guesser, corpus, grid, cfg["words"], seeds,
                                  n_games=cfg["games"])
         rows = result.rows
+        out = _out_dir(ns)
         csv_path = out / f"sweep_{ns.sweep}.csv"
         write_rows_csv(csv_path, rows)
         written.append(csv_path)
@@ -279,6 +279,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                 acc, err = res.success_rate, res.stderr
             rows.append({"variable": "none", "value": cfg["words"], "policy": policy,
                          "seed": seed, "accuracy": acc, "stderr": err})
+        out = _out_dir(ns)
         csv_path = out / "eval_metrics.csv"
         write_rows_csv(csv_path, rows)
         written.append(csv_path)

@@ -33,7 +33,8 @@ import numpy as np
 
 from . import neural
 from .corpus import Corpus
-from .guesser import Games, GuesserModel, guesser_success, play_games, sample_game_batch
+from .guesser import (Games, GuesserModel, guesser_success, mean_guest_prints, play_games,
+                      sample_game_batch)
 from .neural import BiLstmSpec, MlpSpec, ParamStore
 
 
@@ -98,19 +99,26 @@ class EnquirerOutput:
 
 
 def _heads(model: EnquirerModel, h_forward: np.ndarray, newest: np.ndarray,
-           mean_guest: np.ndarray, mask: np.ndarray, lstm_cache=()) -> EnquirerOutput:
+           mean_guest: np.ndarray, mask: np.ndarray, lstm_cache=None) -> EnquirerOutput:
     """Policy and value from the trunk at a turn, given the forward state
-    there and the newest input, on which the backward direction steps."""
+    there and the newest input, on which the backward direction steps.
+    Given the forward direction's ``lstm_cache``, the output keeps the
+    caches ``_backward_core`` reads; without it, none, and the backward
+    step's intermediates are let go before the heads run."""
     store = model.store
     h_backward, steps_b = neural.lstm_forward(store.values["lstm/Wb"], store.values["lstm/bb"],
                                               newest[:, None], [0], model.config.lstm_hidden)
+    lstm_cache = None if lstm_cache is None else (*lstm_cache, steps_b)
+    del steps_b
     trunk = np.concatenate([h_forward, h_backward[:, 0], mean_guest], axis=1)
     logits, policy_cache = neural.mlp_forward(store, "policy", model.policy_spec, trunk)
     value, value_cache = neural.mlp_forward(store, "value", model.value_spec, trunk)
     log_probs = neural.masked_log_softmax(logits, mask)
-    return EnquirerOutput(probs=np.exp(log_probs), log_probs=log_probs, value=value[:, 0],
-                          _lstm_cache=(*lstm_cache, steps_b), _policy_cache=policy_cache,
-                          _value_cache=value_cache, _mask=mask)
+    out = EnquirerOutput(probs=np.exp(log_probs), log_probs=log_probs, value=value[:, 0])
+    if lstm_cache is not None:
+        out._lstm_cache, out._policy_cache, out._value_cache, out._mask = (
+            lstm_cache, policy_cache, value_cache, mask)
+    return out
 
 
 def _policy_pass(model: EnquirerModel, mean_guest: np.ndarray, uttered: np.ndarray,
@@ -332,11 +340,15 @@ def _play_games(model: EnquirerModel, corpus: Corpus, guest_rows: np.ndarray,
     Each turn costs two LSTM cell steps: the forward direction's state is
     carried from turn to turn, and ``_heads`` adds the backward
     direction's one step on the newest input.  The outputs are those of
-    ``_policy_pass`` on each turn's whole prefix.
+    ``_policy_pass`` on each turn's whole prefix.  No turn keeps a cache
+    for a backward pass, and each turn's output is freed before the next
+    turn computes: the PPO update re-runs ``_policy_pass``.
     """
     b, t_max, v = len(targets), word_budget, corpus.vocab_size
+    if not 1 <= word_budget <= v:
+        raise ValueError(f"word_budget must be in [1, {v}], got {word_budget}")
     target_rows = guest_rows[np.arange(b), targets]
-    mean_guest = corpus.voice_prints[guest_rows].mean(axis=1)
+    mean_guest = mean_guest_prints(corpus.voice_prints, guest_rows)
 
     store, hidden = model.store, model.config.lstm_hidden
     w_f, b_f = store.values["lstm/Wf"], store.values["lstm/bf"]
@@ -351,13 +363,14 @@ def _play_games(model: EnquirerModel, corpus: Corpus, guest_rows: np.ndarray,
     values = np.zeros((b, t_max))
     mask_now = np.zeros((b, v), dtype=bool)
     for turn in range(t_max):
-        h, c, _ = neural.lstm_cell(w_f, b_f, x, h, c, hidden)
+        h, c = neural.lstm_cell(w_f, b_f, x, h, c, hidden)[:2]
         masks[:, turn] = mask_now
         out = _heads(model, h, x, mean_guest, mask_now)
         acts = sample_actions(out.probs, mode, rng)
         actions[:, turn] = acts
         log_probs[:, turn] = out.log_probs[rows, acts]
         values[:, turn] = out.value
+        del out
         mask_now[rows, acts] = True
         x = uttered[:, turn] = corpus.utterances[target_rows, acts]
     return _PlayedGames(mean_guest, uttered, masks, actions, log_probs, values)

@@ -95,12 +95,24 @@ class GuesserActivations:
     _score_cache: object = None
 
 
+def mean_guest_prints(voice_prints: np.ndarray, guest_rows: np.ndarray) -> np.ndarray:
+    """Each game's mean guest print, ``voice_prints[guest_rows].mean(axis=1)``
+    bit for bit, gathered ``neural.PREDICT_BLOCK_ROWS`` games at a time: a
+    game's mean reads only its own K rows, so no (B, K, D) gather is held."""
+    means = np.empty((len(guest_rows), voice_prints.shape[1]))
+    for start in range(0, len(guest_rows), neural.PREDICT_BLOCK_ROWS):
+        block = guest_rows[start:start + neural.PREDICT_BLOCK_ROWS]
+        voice_prints[block].mean(axis=1, out=means[start:start + len(block)])
+    return means
+
+
 @dataclass(frozen=True)
 class Games:
     """A batch of dealt games: each game's guests as corpus rows, the
     target's column among them and the words the target uttered; the
-    gathered ``guests`` (B, K, D) and ``uttered`` (B, T, D) are taken from
-    the corpus on first use."""
+    gathered ``guests`` (B, K, D) and ``uttered`` (B, T, D) and the
+    ``mean_guest`` (B, D) are taken from the corpus on first use.  Scoring
+    never gathers ``guests``: training and the cosine yardstick read them."""
 
     corpus: Corpus
     guest_rows: np.ndarray    # (B, K)
@@ -108,6 +120,8 @@ class Games:
     words: np.ndarray         # (B, T)
 
     def __post_init__(self):
+        if self.words.shape[1] < 1:
+            raise ValueError(f"need at least one word per game, got {self.words.shape[1]}")
         neural.check_indices("guest row", self.guest_rows, self.corpus.n_speakers)
         neural.check_indices("target column", self.targets, self.guest_rows.shape[1])
         neural.check_indices("word id", self.words, self.corpus.vocab_size)
@@ -119,6 +133,10 @@ class Games:
     @cached_property
     def guests(self) -> np.ndarray:
         return self.corpus.voice_prints[self.guest_rows]
+
+    @cached_property
+    def mean_guest(self) -> np.ndarray:
+        return mean_guest_prints(self.corpus.voice_prints, self.guest_rows)
 
     @cached_property
     def uttered(self) -> np.ndarray:
@@ -147,7 +165,9 @@ def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray
     passed as (K, D) and (T, D) and comes back with a batch axis of one.
     Requires K >= 1 and T >= 1.  An eval pass given as ``rows`` the ``Games``
     the arrays were gathered from takes the nets' item products from the
-    corpus rows, each distinct row once, with the same outputs at one BLAS thread.
+    corpus rows, each distinct row once, and the mean guest from
+    ``rows.mean_guest``, with the same outputs at one BLAS thread; it reads
+    only the shape of ``guests``.
     """
     guests = np.asarray(guests, dtype=np.float64)
     uttered = np.asarray(uttered, dtype=np.float64)
@@ -168,7 +188,7 @@ def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray
     (guest_items, guest_rows), (utter_items, utter_rows) = (
         ((guests, None), (uttered, None)) if rows is None else rows.tables(b, k, t))
 
-    mean_guest = guests.mean(axis=1)                                    # (B, D)
+    mean_guest = guests.mean(axis=1) if rows is None else rows.mean_guest   # (B, D)
     dropout = model.config.dropout if train else 0.0
     attn_logits, attn_cache = neural.pair_forward(
         model.store, "attn", utter_items, mean_guest, keep_cache=train, dropout=dropout,
@@ -223,6 +243,8 @@ def sample_game_batch(corpus: Corpus, n_games: int, n_guests: int,
     batched evaluation, rollouts and the single-game ``game.new_game`` all
     deal through it.
     """
+    if n_guests < 1:
+        raise ValueError(f"need at least one guest per game, got {n_guests}")
     if n_guests > corpus.n_speakers:
         raise ValueError(f"{n_guests} guests exceed the {corpus.n_speakers} corpus speakers")
     keys = rng.random((n_games, corpus.n_speakers))
@@ -376,5 +398,8 @@ def evaluate_guesser(model: GuesserModel, corpus: Corpus, n_guests: int,
 def guesser_success(model: GuesserModel, games: Games) -> np.ndarray:
     """Batched 0/1 indicator of argmax matching the target (eval mode),
     scored from the corpus rows the games were dealt from."""
-    probs = guesser_forward(model, games.guests, games.uttered, rows=games).probs
+    # the rows form reads only the guests' shape: a zero-copy stand-in
+    # takes the place of the (B, K, D) gather
+    guests = np.broadcast_to(0.0, (*games.guest_rows.shape, games.corpus.dimension))
+    probs = guesser_forward(model, guests, games.uttered, rows=games).probs
     return (np.argmax(probs, axis=1) == games.targets).astype(np.float64)

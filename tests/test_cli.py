@@ -251,6 +251,22 @@ class TestCountRejections:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--guests", "0", "--games", "50"],
+    ["eval", "--sweep", "guests", "--grid", "0,5", "--games", "50"],
+    ["baseline-heuristic", "--guests", "0", "--eta", "10", "--eval-games", "50"]],
+    ids=["eval", "guest-sweep", "baseline-heuristic"])
+def test_no_guests_named_before_any_artifact(corpus_file, guesser_ckpt, tmp_path, capsys,
+                                             argv):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*argv, "--corpus", str(corpus_file), "--guesser", str(guesser_ckpt),
+                "--out-dir", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "error": "ValueError", "message": "need at least one guest per game, got 0"}
+    assert not out.exists()
+
+
 class TestEval:
     def test_random_policy_metrics(self, corpus_file, guesser_ckpt, tmp_path):
         code = run(["eval", "--corpus", str(corpus_file), "--guesser",

@@ -11,7 +11,7 @@ from isrlab import neural
 from isrlab.corpus import SynthConfig, generate_synthetic
 from isrlab.enquirer import (EnquirerConfig, EnquirerModel, PpoConfig, RewardCollapse,
                              _backward_core, _collect_rollout, _forward_core,
-                             _policy_pass, compute_gae,
+                             _play_games, _policy_pass, compute_gae,
                              enquirer_forward, evaluate_enquirer, ppo_update,
                              sample_actions, train_enquirer)
 from isrlab.guesser import (Games, GuesserConfig, GuesserModel, GuesserTrainConfig,
@@ -63,6 +63,36 @@ class TestForward:
         with pytest.raises(ValueError, match="masked"):
             enquirer_forward(model, rng.standard_normal((4, 6)),
                              np.zeros((0, 6)), np.ones(8, dtype=bool))
+
+
+class TestPlayGames:
+    @pytest.mark.parametrize("mode", ["greedy", "explore"])
+    def test_turns_equal_the_policy_pass_on_each_prefix(self, corpus, model, mode):
+        # the played turns carry the forward state and keep no caches; a
+        # replay that runs the whole policy pass on each prefix, drawing
+        # from the same stream, must give the same turns bit for bit
+        guest_rows, targets = sample_game_batch(corpus, 40, 4, np.random.default_rng(3))
+        games = _play_games(model, corpus, guest_rows, targets, 4, mode,
+                            np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        e, t, d = 40, 4, corpus.dimension
+        rows, target_rows = np.arange(e), guest_rows[np.arange(e), targets]
+        mean_guest = corpus.voice_prints[guest_rows].mean(axis=1)
+        uttered, mask = np.zeros((e, t, d)), np.zeros((e, corpus.vocab_size), dtype=bool)
+        actions = np.zeros((e, t), dtype=np.int64)
+        log_probs, values = np.zeros((e, t)), np.zeros((e, t))
+        for turn in range(t):
+            out = _policy_pass(model, mean_guest, uttered[:, :turn], mask.copy(), rows,
+                               np.full(e, -1))
+            actions[:, turn] = sample_actions(out.probs, mode, rng)
+            log_probs[:, turn] = out.log_probs[rows, actions[:, turn]]
+            values[:, turn] = out.value
+            mask[rows, actions[:, turn]] = True
+            uttered[:, turn] = corpus.utterances[target_rows, actions[:, turn]]
+        assert np.array_equal(games.actions, actions)
+        assert np.array_equal(games.log_probs, log_probs)
+        assert np.array_equal(games.values, values)
+        assert np.array_equal(games.mean_guest, mean_guest)
 
 
 class TestSampling:
@@ -379,6 +409,14 @@ class TestEvaluate:
         res = evaluate_enquirer(enquirer, guesser, corpus, 3, 8, 2000, seed=3)
         acc, _ = evaluate_guesser(guesser, corpus, 3, 8, "random", 2000, seed=3)
         assert abs(res.success_rate - acc) < 0.03
+
+
+@pytest.mark.parametrize("budget", [0, 9])
+def test_word_budget_outside_the_vocabulary_is_named(corpus, model, budget):
+    guesser = GuesserModel.init(GuesserConfig(dim=6, attn_hidden=4, score_hidden=4),
+                                np.random.default_rng(1))
+    with pytest.raises(ValueError, match=rf"^word_budget must be in \[1, 8\], got {budget}$"):
+        evaluate_enquirer(model, guesser, corpus, 3, budget, 10, seed=0)
 
 
 class TestCheckpoint:

@@ -7,13 +7,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from isrlab import guesser as guesser_module
 from isrlab import neural
 from isrlab.corpus import SynthConfig, generate_synthetic, synthetic_split
 from isrlab.guesser import (Games, GuesserConfig, GuesserModel, GuesserTrainConfig,
-                            evaluate_guesser, guesser_forward,
-                            guesser_loss, sample_game_batch, sample_word_subsets,
-                            train_guesser)
+                            evaluate_guesser, guesser_forward, guesser_loss,
+                            guesser_success, mean_guest_prints, sample_game_batch,
+                            sample_word_subsets, train_guesser)
 from isrlab.neural import ParamStore, dropout_mask
 
 
@@ -162,6 +165,59 @@ class TestCorpusRows:
         guests, uttered, rows = _dealt(corpus, 5, 4, 3, seed=4)
         with pytest.raises(ValueError, match="eval pass"):
             guesser_forward(tiny_model, guests, uttered, train=True, rows=rows)
+
+    def test_games_without_words_rejected(self, corpus):
+        guest_rows, targets = sample_game_batch(corpus, 4, 3, np.random.default_rng(5))
+        with pytest.raises(ValueError, match="^need at least one word per game, got 0$"):
+            Games(corpus, guest_rows, targets, np.zeros((4, 0), dtype=np.int64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.sampled_from([1, 32]), k=st.integers(1, 60),
+       b=st.one_of(st.integers(1, 600), st.sampled_from([255, 256, 257, 511, 512, 513])),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_mean_guest_is_the_gathered_mean(d, k, b, seed):
+    # each game's mean reads only its own K rows, so the blocks of 256
+    # games give the whole gather's mean bit for bit, at D=1 (where numpy
+    # sums the K axis pairwise) as at D=32
+    rng = np.random.default_rng(seed)
+    prints = rng.standard_normal((k + 3, d))
+    rows = rng.integers(0, k + 3, size=(b, k))
+    got = mean_guest_prints(prints, rows)
+    assert got.tobytes() == prints[rows].mean(axis=1).tobytes()
+
+
+class TestScoringHoldsNoGuestGather:
+    @pytest.fixture(scope="class")
+    def world(self):
+        corpus = generate_synthetic(SynthConfig(dimension=6, vocab_size=8,
+                                                train_speakers=60, test_speakers=0,
+                                                enrollments=2, seed=8))
+        return corpus, GuesserModel.init(GuesserConfig(dim=6, attn_hidden=8,
+                                                       score_hidden=8),
+                                         np.random.default_rng(9))
+
+    def test_guesser_success(self, world):
+        corpus, model = world
+        rng = np.random.default_rng(1)
+        guest_rows, targets = sample_game_batch(corpus, 300, 50, rng)
+        games = Games(corpus, guest_rows, targets,
+                      sample_word_subsets(rng, 300, np.arange(8), 3))
+        assert guesser_success(model, games).shape == (300,)
+        assert "guests" not in games.__dict__
+
+    def test_evaluate_guesser_at_fifty_guests(self, world, monkeypatch):
+        corpus, model = world
+        scored = []
+        original = guesser_module.guesser_forward
+
+        def recording(*args, **kwargs):
+            scored.append(kwargs["rows"])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(guesser_module, "guesser_forward", recording)
+        evaluate_guesser(model, corpus, 50, 3, "random", 600, seed=2, chunk=256)
+        assert [len(games.targets) for games in scored] == [256, 256, 88]
+        assert all("guests" not in games.__dict__ for games in scored)
 
 
 class TestBlockedEval:
@@ -325,6 +381,15 @@ class TestSamplers:
             sample_game_batch(corpus, 10, 4, np.random.default_rng(0))
         with pytest.raises(ValueError):
             sample_word_subsets(np.random.default_rng(0), 10, np.arange(3), 4)
+
+    @pytest.mark.parametrize("n_guests", [0, -2])
+    def test_no_guests_named(self, n_guests):
+        corpus = generate_synthetic(SynthConfig(dimension=3, vocab_size=4,
+                                                train_speakers=3, test_speakers=0,
+                                                enrollments=2, seed=1))
+        with pytest.raises(ValueError,
+                           match=f"^need at least one guest per game, got {n_guests}$"):
+            sample_game_batch(corpus, 10, n_guests, np.random.default_rng(0))
 
 
 @pytest.fixture(scope="module")

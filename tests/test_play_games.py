@@ -7,6 +7,8 @@ utterances with the local ``gather``.  Each evaluator must reproduce its
 loop exactly, across chunk boundaries.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,24 @@ class TestPlayGames:
             with pytest.raises(ValueError, match=f"at least one game to score, got {n_games}"):
                 call()
 
+    def test_no_words_is_a_named_error(self, world):
+        # an empty word set would score NaN rows (the cosine yardstick's
+        # argmax then picks guest 0): the dealt games reject it
+        corpus, guesser, _ = world
+        for call in (lambda: cosine_nearest_print_accuracy(corpus, 4, 0, 10, 0),
+                     lambda: evaluate_guesser(guesser, corpus, 4, 0, "random", 10, 0)):
+            with pytest.raises(ValueError, match="^need at least one word per game, got 0$"):
+                call()
+
+    def test_heuristic_at_one_word_forces_that_word_alone(self, world):
+        # at T=1 the forcing policy draws no other word
+        corpus, guesser, _ = world
+        config = HeuristicConfig(games_per_word=300, curated_size=3, n_guests=4,
+                                 word_budget=1, eval_games=50)
+        got = heuristic_baseline(guesser, corpus, config, seed=6).word_scores
+        assert np.array_equal(got, reference_heuristic_scores(guesser, corpus, config,
+                                                              seed=6))
+
     @pytest.mark.parametrize("chunk", [0, -4])
     def test_chunk_below_one_game_is_a_named_error(self, world, chunk):
         corpus, guesser, _ = world
@@ -225,3 +245,30 @@ def test_heuristic_scores_at_most_one_chunk_per_guesser_call(world, monkeypatch)
     heuristic_baseline(guesser, corpus, config, seed=0)
     assert sum(batches) == corpus.vocab_size * 10_000 + 100
     assert max(batches) <= 4096
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts threads in /proc/self/task")
+def test_evaluators_hold_only_what_they_read(one_blas_thread):
+    # traced peaks at one BLAS thread, in MB: scoring 4,096 games at K=50
+    # held their (B, K, D) guest gather (63.7 MB); greedy play held each
+    # turn's LSTM steps and head caches through the next turn (74.0 MB)
+    one_blas_thread("""
+        import tracemalloc
+        from isrlab.corpus import SynthConfig, generate_synthetic
+        from isrlab.enquirer import EnquirerConfig, EnquirerModel, evaluate_enquirer
+        from isrlab.guesser import GuesserConfig, GuesserModel, evaluate_guesser
+        corpus = generate_synthetic(SynthConfig(train_speakers=60, test_speakers=0,
+                                                seed=1))
+        rng = np.random.default_rng(2)
+        guesser = GuesserModel.init(GuesserConfig(dim=32), rng)
+        enquirer = EnquirerModel.init(EnquirerConfig(dim=32, vocab_size=20), rng)
+        for budget, call in [
+                (25, lambda: evaluate_guesser(guesser, corpus, 50, 3, "random", 4096, 0)),
+                (45, lambda: evaluate_enquirer(enquirer, guesser, corpus, 5, 3, 2000, 0))]:
+            tracemalloc.start()
+            call()
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+            tracemalloc.stop()
+            assert peak <= budget, f"traced peak {peak:.1f} MB over a budget of {budget} MB"
+        """)
