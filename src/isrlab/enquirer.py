@@ -15,7 +15,10 @@ turn, and a PPO minibatch sweeps each sampled episode once (T cell steps
 where re-encoding each prefix took T(T+1)/2).  The steps from the zero
 state (the backward direction's one step, the forward direction's
 start-token step and a game's turn 0) multiply only the input rows of the
-LSTM weights.
+LSTM weights.  Played games go turn by turn in blocks of 256 games, and
+the steps no game's state enters are taken once: turn 0's start-token
+steps on the one start-token row, and each later turn's backward steps on
+a table of the distinct (speaker, word) cells the games requested.
 
 Training maximizes the clipped PPO surrogate plus an entropy bonus minus
 a value regression term, with GAE advantages and a single Adam step with
@@ -98,19 +101,14 @@ class EnquirerOutput:
     _mask: np.ndarray = None
 
 
-def _heads(model: EnquirerModel, h_forward: np.ndarray, newest: np.ndarray,
+def _heads(model: EnquirerModel, h_forward: np.ndarray, h_backward: np.ndarray,
            mean_guest: np.ndarray, mask: np.ndarray, lstm_cache=None) -> EnquirerOutput:
-    """Policy and value from the trunk at a turn, given the forward state
-    there and the newest input, on which the backward direction steps.
-    Given the forward direction's ``lstm_cache``, the output keeps the
-    caches ``_backward_core`` reads; without it, none, and the backward
-    step's intermediates are let go before the heads run."""
+    """Policy and value from the trunk at a turn: the two directions'
+    states there and the mean guest print.  Given the LSTM's
+    ``lstm_cache``, the output keeps the caches ``_backward_core`` reads;
+    without it, none."""
     store = model.store
-    h_backward, steps_b = neural.lstm_forward(store.values["lstm/Wb"], store.values["lstm/bb"],
-                                              newest[:, None], [0], model.config.lstm_hidden)
-    lstm_cache = None if lstm_cache is None else (*lstm_cache, steps_b)
-    del steps_b
-    trunk = np.concatenate([h_forward, h_backward[:, 0], mean_guest], axis=1)
+    trunk = np.concatenate([h_forward, h_backward, mean_guest], axis=1)
     logits, policy_cache = neural.mlp_forward(store, "policy", model.policy_spec, trunk)
     value, value_cache = neural.mlp_forward(store, "value", model.value_spec, trunk)
     log_probs = neural.masked_log_softmax(logits, mask)
@@ -125,13 +123,16 @@ def _policy_pass(model: EnquirerModel, mean_guest: np.ndarray, uttered: np.ndarr
                  mask: np.ndarray, rows: np.ndarray, turns: np.ndarray) -> EnquirerOutput:
     """Outputs at turn ``turns[k]`` (-1 is the last) of sequence ``rows[k]``
     for each k, from one forward sweep over the start token and ``uttered``
-    (E, L-1, D).  ``mean_guest`` is (E, D); no (row, turn) pair may repeat."""
-    inputs = neural.bilstm_inputs(model.lstm_spec, uttered, model.store.values["start"])
-    states_f, steps_f = neural.lstm_forward(
-        model.store.values["lstm/Wf"], model.store.values["lstm/bf"], inputs,
-        range(inputs.shape[1]), model.config.lstm_hidden)
-    return _heads(model, states_f[rows, turns], inputs[rows, turns], mean_guest[rows], mask,
-                  (inputs.shape, rows, turns, steps_f))
+    (E, L-1, D) and the backward direction's one step on each turn's
+    newest input.  ``mean_guest`` is (E, D); no (row, turn) pair may repeat."""
+    store, hidden = model.store, model.config.lstm_hidden
+    inputs = neural.bilstm_inputs(model.lstm_spec, uttered, store.values["start"])
+    states_f, steps_f = neural.lstm_forward(store.values["lstm/Wf"], store.values["lstm/bf"],
+                                            inputs, range(inputs.shape[1]), hidden)
+    h_backward, steps_b = neural.lstm_forward(store.values["lstm/Wb"], store.values["lstm/bb"],
+                                              inputs[rows, turns][:, None], [0], hidden)
+    return _heads(model, states_f[rows, turns], h_backward[:, 0], mean_guest[rows], mask,
+                  (inputs.shape, rows, turns, steps_f, steps_b))
 
 
 def _forward_core(model: EnquirerModel, mean_guest: np.ndarray, uttered: np.ndarray,
@@ -337,23 +338,33 @@ def _play_games(model: EnquirerModel, corpus: Corpus, guest_rows: np.ndarray,
                 rng: np.random.Generator) -> _PlayedGames:
     """Play the dealt games with the policy; explore mode draws from ``rng``.
 
-    Each turn costs two LSTM cell steps: the forward direction's state is
-    carried from turn to turn, and ``_heads`` adds the backward
-    direction's one step on the newest input.  The outputs are those of
-    ``_policy_pass`` on each turn's whole prefix.  No turn keeps a cache
-    for a backward pass, and each turn's output is freed before the next
-    turn computes: the PPO update re-runs ``_policy_pass``.
+    Turn by turn, the games go ``neural.PREDICT_BLOCK_ROWS`` at a time: each
+    block carries its forward state one step and its heads write the
+    block's rows of the turn's log-probabilities and values, and then
+    ``sample_actions`` picks every game's word at once.  Steps that depend
+    on no game's state are taken once: turn 0's steps of both directions
+    on the start token, and each later turn's backward step on each
+    distinct (speaker, word) cell, which the blocks gather from that turn's
+    table.  At one BLAS thread a row's product does not depend on its batch
+    or its block, so the outputs are those of ``_policy_pass`` on each
+    turn's whole prefix.  No step keeps a cache: the PPO update re-runs
+    ``_policy_pass``.
     """
     b, t_max, v = len(targets), word_budget, corpus.vocab_size
     if not 1 <= word_budget <= v:
         raise ValueError(f"word_budget must be in [1, {v}], got {word_budget}")
     target_rows = guest_rows[np.arange(b), targets]
     mean_guest = mean_guest_prints(corpus.voice_prints, guest_rows)
+    cell_inputs = corpus.utterances.reshape(-1, corpus.dimension)
 
     store, hidden = model.store, model.config.lstm_hidden
     w_f, b_f = store.values["lstm/Wf"], store.values["lstm/bf"]
-    h = c = None    # the zero state
-    x = np.broadcast_to(store.values["start"], (b, corpus.dimension))
+    w_b, b_b = store.values["lstm/Wb"], store.values["lstm/bb"]
+    # turn 0 steps both directions on the start token, the same for every game
+    newest = store.values["start"][None]
+    h, c = neural.lstm_cell(w_f, b_f, newest, None, None, hidden)[:2]
+    h, c = np.repeat(h, b, axis=0), np.repeat(c, b, axis=0)
+    newest_rows = np.zeros(b, dtype=np.intp)    # each game's row of ``newest``
 
     rows = np.arange(b)
     uttered = np.zeros((b, t_max, corpus.dimension))
@@ -362,17 +373,31 @@ def _play_games(model: EnquirerModel, corpus: Corpus, guest_rows: np.ndarray,
     log_probs = np.zeros((b, t_max))
     values = np.zeros((b, t_max))
     mask_now = np.zeros((b, v), dtype=bool)
+    log_probs_now = np.empty((b, v))
     for turn in range(t_max):
-        h, c = neural.lstm_cell(w_f, b_f, x, h, c, hidden)[:2]
+        if turn:
+            cells, newest_rows = np.unique(target_rows * v + actions[:, turn - 1],
+                                           return_inverse=True)
+            newest = cell_inputs[cells]
+        # the backward direction's one step, on each distinct newest input
+        backward = np.empty((len(newest), hidden))
+        for start, stop in neural._blocks(len(newest)):
+            backward[start:stop] = neural.lstm_cell(w_b, b_b, newest[start:stop], None, None,
+                                                    hidden)[0]
         masks[:, turn] = mask_now
-        out = _heads(model, h, x, mean_guest, mask_now)
-        acts = sample_actions(out.probs, mode, rng)
+        for start, stop in neural._blocks(b):
+            block = slice(start, stop)
+            if turn:
+                h[block], c[block] = neural.lstm_cell(w_f, b_f, uttered[block, turn - 1],
+                                                      h[block], c[block], hidden)[:2]
+            out = _heads(model, h[block], backward[newest_rows[block]], mean_guest[block],
+                         mask_now[block])
+            log_probs_now[block], values[block, turn] = out.log_probs, out.value
+        acts = sample_actions(np.exp(log_probs_now), mode, rng)
         actions[:, turn] = acts
-        log_probs[:, turn] = out.log_probs[rows, acts]
-        values[:, turn] = out.value
-        del out
+        log_probs[:, turn] = log_probs_now[rows, acts]
         mask_now[rows, acts] = True
-        x = uttered[:, turn] = corpus.utterances[target_rows, acts]
+        uttered[:, turn] = corpus.utterances[target_rows, acts]
     return _PlayedGames(mean_guest, uttered, masks, actions, log_probs, values)
 
 

@@ -112,7 +112,8 @@ class Games:
     target's column among them and the words the target uttered; the
     gathered ``guests`` (B, K, D) and ``uttered`` (B, T, D) and the
     ``mean_guest`` (B, D) are taken from the corpus on first use.  Scoring
-    never gathers ``guests``: training and the cosine yardstick read them."""
+    gathers neither ``guests`` nor ``uttered``: training and the cosine
+    yardstick read them."""
 
     corpus: Corpus
     guest_rows: np.ndarray    # (B, K)
@@ -165,9 +166,10 @@ def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray
     passed as (K, D) and (T, D) and comes back with a batch axis of one.
     Requires K >= 1 and T >= 1.  An eval pass given as ``rows`` the ``Games``
     the arrays were gathered from takes the nets' item products from the
-    corpus rows, each distinct row once, and the mean guest from
-    ``rows.mean_guest``, with the same outputs at one BLAS thread; it reads
-    only the shape of ``guests``.
+    corpus rows, each distinct row once, the mean guest from
+    ``rows.mean_guest`` and the pooled utterances from the utterance table
+    by blocks of games, with the same outputs at one BLAS thread; it reads
+    only the shapes of ``guests`` and ``uttered``.
     """
     guests = np.asarray(guests, dtype=np.float64)
     uttered = np.asarray(uttered, dtype=np.float64)
@@ -194,7 +196,14 @@ def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray
         model.store, "attn", utter_items, mean_guest, keep_cache=train, dropout=dropout,
         rng=rng, rows=utter_rows)
     attn_weights = neural.softmax(attn_logits, axis=1)
-    pooled = np.einsum("bt,btd->bd", attn_weights, uttered)
+    if rows is None:
+        pooled = np.einsum("bt,btd->bd", attn_weights, uttered)
+    else:   # from the utterance table, a block of games at a time
+        pooled = np.empty((b, d))
+        for start in range(0, b, neural.PREDICT_BLOCK_ROWS):
+            block = slice(start, start + neural.PREDICT_BLOCK_ROWS)
+            pooled[block] = np.einsum("bt,btd->bd", attn_weights[block],
+                                      utter_items[utter_rows[block]])
 
     score_logits, score_cache = neural.pair_forward(
         model.store, "score", guest_items, pooled, keep_cache=train, dropout=dropout,
@@ -398,8 +407,9 @@ def evaluate_guesser(model: GuesserModel, corpus: Corpus, n_guests: int,
 def guesser_success(model: GuesserModel, games: Games) -> np.ndarray:
     """Batched 0/1 indicator of argmax matching the target (eval mode),
     scored from the corpus rows the games were dealt from."""
-    # the rows form reads only the guests' shape: a zero-copy stand-in
-    # takes the place of the (B, K, D) gather
-    guests = np.broadcast_to(0.0, (*games.guest_rows.shape, games.corpus.dimension))
-    probs = guesser_forward(model, guests, games.uttered, rows=games).probs
+    # the rows form reads only the arrays' shapes: zero-copy stand-ins take
+    # the place of the (B, K, D) and (B, T, D) gathers
+    guests, uttered = (np.broadcast_to(0.0, (*rows.shape, games.corpus.dimension))
+                       for rows in (games.guest_rows, games.words))
+    probs = guesser_forward(model, guests, uttered, rows=games).probs
     return (np.argmax(probs, axis=1) == games.targets).astype(np.float64)

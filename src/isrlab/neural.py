@@ -434,7 +434,8 @@ def lstm_cell(W: np.ndarray, bias: np.ndarray, x: np.ndarray, h: np.ndarray | No
     gates += bias
     # the sigmoid runs on the input/forget and output quarters only; the
     # cell-candidate quarter takes the tanh
-    i, f = np.split(sigmoid(gates[:, :2 * hidden]), 2, axis=1)
+    i_f = sigmoid(gates[:, :2 * hidden])
+    i, f = i_f[:, :hidden], i_f[:, hidden:]
     o = sigmoid(gates[:, 3 * hidden:])
     g = np.tanh(gates[:, 2 * hidden:3 * hidden])
     c_next = f * c + i * g
@@ -705,7 +706,8 @@ def load_params(path) -> tuple[ParamStore, str, dict]:
 
 
 def check_params(store: ParamStore, expected: ParamStore) -> None:
-    """Raise ValueError naming a parameter missing, unexpected or misshapen."""
+    """Raise ValueError naming a parameter missing, unexpected, misshapen
+    or holding a NaN or an infinity."""
     for name in sorted(store.values.keys() | expected.values.keys()):
         if name not in store.values:
             raise ValueError(f"checkpoint is missing parameter {name!r}")
@@ -714,3 +716,5 @@ def check_params(store: ParamStore, expected: ParamStore) -> None:
         got, want = store.values[name].shape, expected.values[name].shape
         if got != want:
             raise ValueError(f"checkpoint parameter {name!r} has shape {got}, expected {want}")
+        if not np.all(np.isfinite(store.values[name])):
+            raise ValueError(f"checkpoint parameter {name!r} holds a non-finite value")

@@ -1,6 +1,7 @@
 """Policy masking, sampling, GAE identities, and PPO update mechanics."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -66,33 +67,58 @@ class TestForward:
 
 
 class TestPlayGames:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts threads in /proc/self/task")
     @pytest.mark.parametrize("mode", ["greedy", "explore"])
-    def test_turns_equal_the_policy_pass_on_each_prefix(self, corpus, model, mode):
-        # the played turns carry the forward state and keep no caches; a
-        # replay that runs the whole policy pass on each prefix, drawing
-        # from the same stream, must give the same turns bit for bit
-        guest_rows, targets = sample_game_batch(corpus, 40, 4, np.random.default_rng(3))
-        games = _play_games(model, corpus, guest_rows, targets, 4, mode,
-                            np.random.default_rng(4))
-        rng = np.random.default_rng(4)
-        e, t, d = 40, 4, corpus.dimension
-        rows, target_rows = np.arange(e), guest_rows[np.arange(e), targets]
-        mean_guest = corpus.voice_prints[guest_rows].mean(axis=1)
-        uttered, mask = np.zeros((e, t, d)), np.zeros((e, corpus.vocab_size), dtype=bool)
-        actions = np.zeros((e, t), dtype=np.int64)
-        log_probs, values = np.zeros((e, t)), np.zeros((e, t))
-        for turn in range(t):
-            out = _policy_pass(model, mean_guest, uttered[:, :turn], mask.copy(), rows,
-                               np.full(e, -1))
-            actions[:, turn] = sample_actions(out.probs, mode, rng)
-            log_probs[:, turn] = out.log_probs[rows, actions[:, turn]]
-            values[:, turn] = out.value
-            mask[rows, actions[:, turn]] = True
-            uttered[:, turn] = corpus.utterances[target_rows, actions[:, turn]]
-        assert np.array_equal(games.actions, actions)
-        assert np.array_equal(games.log_probs, log_probs)
-        assert np.array_equal(games.values, values)
-        assert np.array_equal(games.mean_guest, mean_guest)
+    def test_turns_equal_the_policy_pass_on_each_prefix(self, one_blas_thread, mode):
+        # the played turns go by blocks of 256 games, take turn 0's steps on
+        # the one start-token row and each later backward step once per
+        # (speaker, word) cell, and keep no caches; a replay that runs the
+        # whole policy pass on each prefix, drawing from the same stream,
+        # must give the same turns bit for bit.  The game counts sit on
+        # either side of the 512 games that make a second block; from 511
+        # games on each later turn's table holds more than 256 cells, and at
+        # 1,200 games more than 512, so the table goes in blocks too
+        one_blas_thread(f"""
+            from isrlab.corpus import SynthConfig, generate_synthetic
+            from isrlab.enquirer import (EnquirerConfig, EnquirerModel, _play_games,
+                                         _policy_pass, sample_actions)
+            from isrlab.guesser import sample_game_batch
+            corpus = generate_synthetic(SynthConfig(train_speakers=600, test_speakers=0,
+                                                    enrollments=2, seed=2))
+            model = EnquirerModel.init(EnquirerConfig(dim=32, vocab_size=20),
+                                       np.random.default_rng(0))
+            mode, v = {mode!r}, corpus.vocab_size
+            for t in (1, 4):
+                for e in (1, 2, 40, 511, 512, 513, 1200):
+                    guest_rows, targets = sample_game_batch(corpus, e, 4,
+                                                            np.random.default_rng(e))
+                    games = _play_games(model, corpus, guest_rows, targets, t, mode,
+                                        np.random.default_rng(4))
+                    rng = np.random.default_rng(4)
+                    rows = np.arange(e)
+                    target_rows = guest_rows[rows, targets]
+                    mean_guest = corpus.voice_prints[guest_rows].mean(axis=1)
+                    uttered, mask = np.zeros((e, t, 32)), np.zeros((e, v), dtype=bool)
+                    cells = []
+                    for turn in range(t):
+                        out = _policy_pass(model, mean_guest, uttered[:, :turn], mask.copy(),
+                                           rows, np.full(e, -1))
+                        acts = sample_actions(out.probs, mode, rng)
+                        case = (t, e, turn)
+                        assert np.array_equal(games.masks[:, turn], mask), case
+                        assert np.array_equal(games.actions[:, turn], acts), case
+                        assert np.array_equal(games.log_probs[:, turn],
+                                              out.log_probs[rows, acts]), case
+                        assert np.array_equal(games.values[:, turn], out.value), case
+                        mask[rows, acts] = True
+                        uttered[:, turn] = corpus.utterances[target_rows, acts]
+                        cells.append(len(np.unique(target_rows * v + acts)))
+                    assert np.array_equal(games.uttered, uttered), (t, e)
+                    assert np.array_equal(games.mean_guest, mean_guest), (t, e)
+                    if t > 1 and e >= 511:
+                        assert min(cells[:t - 1]) > (512 if e == 1200 else 256), (e, cells)
+            """)
 
 
 class TestSampling:
@@ -433,7 +459,9 @@ class TestCheckpoint:
         ("value/W2", lambda p: p.update({"value/W2": {"shape": [1], "values": [0.0]}}),
          "unexpected"),
         ("start", lambda p: p["start"].update({"shape": [2, 3]}), r"\(2, 3\)"),
-    ], ids=["missing", "unexpected", "misshapen"])
+        ("lstm/Wf", lambda p: p["lstm/Wf"]["values"].__setitem__(7, float("-inf")),
+         "non-finite"),
+    ], ids=["missing", "unexpected", "misshapen", "non-finite"])
     def test_parameter_defect_rejected_by_name(self, model, tmp_path, name, edit, message):
         path = tmp_path / "enquirer.json"
         model.save(path)

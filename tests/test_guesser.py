@@ -204,7 +204,7 @@ class TestScoringHoldsNoGuestGather:
         games = Games(corpus, guest_rows, targets,
                       sample_word_subsets(rng, 300, np.arange(8), 3))
         assert guesser_success(model, games).shape == (300,)
-        assert "guests" not in games.__dict__
+        assert "guests" not in games.__dict__ and "uttered" not in games.__dict__
 
     def test_evaluate_guesser_at_fifty_guests(self, world, monkeypatch):
         corpus, model = world
@@ -217,7 +217,8 @@ class TestScoringHoldsNoGuestGather:
         monkeypatch.setattr(guesser_module, "guesser_forward", recording)
         evaluate_guesser(model, corpus, 50, 3, "random", 600, seed=2, chunk=256)
         assert [len(games.targets) for games in scored] == [256, 256, 88]
-        assert all("guests" not in games.__dict__ for games in scored)
+        assert all("guests" not in games.__dict__ and "uttered" not in games.__dict__
+                   for games in scored)
 
 
 class TestBlockedEval:
@@ -249,7 +250,8 @@ class TestBlockedEval:
                         guests, uttered = rows.guests, rows.uttered
                         want = guesser_forward(model, guests, uttered)
                         got = guesser_forward(model, guests, uttered, rows=rows)
-                        for name in ("attn_logits", "score_logits", "probs"):
+                        for name in ("attn_logits", "attn_weights", "pooled",
+                                     "score_logits", "probs"):
                             assert np.array_equal(getattr(got, name), getattr(want, name)), \
                                 (k, t, games, name)
             """)
@@ -488,7 +490,9 @@ class TestCheckpoint:
         ("score/W2", lambda p: p.update({"score/W2": {"shape": [1], "values": [0.0]}}),
          "unexpected"),
         ("attn/W0", lambda p: p["attn/W0"].update({"shape": [5, 8]}), r"\(5, 8\)"),
-    ], ids=["missing", "unexpected", "misshapen"])
+        ("score/W1", lambda p: p["score/W1"].update(
+            {"values": [float("nan")] * len(p["score/W1"]["values"])}), "non-finite"),
+    ], ids=["missing", "unexpected", "misshapen", "non-finite"])
     def test_parameter_defect_rejected_by_name(self, tiny_model, tmp_path, name, edit,
                                                message):
         path = tmp_path / "guesser.json"

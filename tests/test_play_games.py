@@ -251,8 +251,10 @@ def test_heuristic_scores_at_most_one_chunk_per_guesser_call(world, monkeypatch)
                     reason="counts threads in /proc/self/task")
 def test_evaluators_hold_only_what_they_read(one_blas_thread):
     # traced peaks at one BLAS thread, in MB: scoring 4,096 games at K=50
-    # held their (B, K, D) guest gather (63.7 MB); greedy play held each
-    # turn's LSTM steps and head caches through the next turn (74.0 MB)
+    # held their (B, K, D) guest gather (63.7 MB), and at T=20 their
+    # (B, T, D) utterance gather (31.5 MB); greedy play held each turn's
+    # LSTM steps and head caches through the next turn (74.0 MB), and then
+    # the whole chunk's step and heads of one turn (34.6 MB)
     one_blas_thread("""
         import tracemalloc
         from isrlab.corpus import SynthConfig, generate_synthetic
@@ -265,7 +267,8 @@ def test_evaluators_hold_only_what_they_read(one_blas_thread):
         enquirer = EnquirerModel.init(EnquirerConfig(dim=32, vocab_size=20), rng)
         for budget, call in [
                 (25, lambda: evaluate_guesser(guesser, corpus, 50, 3, "random", 4096, 0)),
-                (45, lambda: evaluate_enquirer(enquirer, guesser, corpus, 5, 3, 2000, 0))]:
+                (15, lambda: evaluate_guesser(guesser, corpus, 5, 20, "random", 4096, 0)),
+                (20, lambda: evaluate_enquirer(enquirer, guesser, corpus, 5, 3, 2000, 0))]:
             tracemalloc.start()
             call()
             peak = tracemalloc.get_traced_memory()[1] / 1e6
