@@ -11,14 +11,14 @@ At turn t the trunk is the forward state after ``[start, u_0..u_{t-1}]``,
 the backward direction's one step from the zero state on the newest
 input, and the mean guest print, so one forward sweep over an episode
 yields every turn's trunk: games carry the forward state from turn to
-turn, and a PPO minibatch sweeps each sampled episode once (T cell steps
-where re-encoding each prefix took T(T+1)/2).  The steps from the zero
-state (the backward direction's one step, the forward direction's
-start-token step and a game's turn 0) multiply only the input rows of the
-LSTM weights.  Played games go turn by turn in blocks of 256 games, and
-the steps no game's state enters are taken once: turn 0's start-token
-steps on the one start-token row, and each later turn's backward steps on
-a table of the distinct (speaker, word) cells the games requested.
+turn, and a PPO minibatch sweeps each sampled episode once, to its last
+sampled turn.  Steps from the zero state multiply only the input rows of
+the LSTM weights, and the steps no game's state enters are taken once:
+each direction's start-token step on one row, in play and in the update,
+and in play each later turn's backward steps on a table of the distinct
+(speaker, word) cells requested.  Played games go turn by turn in blocks
+of 256 games.  The update forms no input gradient for an utterance,
+which is data; only the start token's reaches a parameter.
 
 Training maximizes the clipped PPO surrogate plus an entropy bonus minus
 a value regression term, with GAE advantages and a single Adam step with
@@ -119,20 +119,61 @@ def _heads(model: EnquirerModel, h_forward: np.ndarray, h_backward: np.ndarray,
     return out
 
 
+def _start_step(model: EnquirerModel, tag: str) -> tuple:
+    """``lstm_cell``'s ``(h, c, step)`` for direction ``tag``'s ("f" or "b")
+    step from the zero state on the start token, one row for every game."""
+    store = model.store
+    return neural.lstm_cell(store.values[f"lstm/W{tag}"], store.values[f"lstm/b{tag}"],
+                            store.values["start"][None], None, None, model.config.lstm_hidden)
+
+
 def _policy_pass(model: EnquirerModel, mean_guest: np.ndarray, uttered: np.ndarray,
                  mask: np.ndarray, rows: np.ndarray, turns: np.ndarray) -> EnquirerOutput:
     """Outputs at turn ``turns[k]`` (-1 is the last) of sequence ``rows[k]``
-    for each k, from one forward sweep over the start token and ``uttered``
-    (E, L-1, D) and the backward direction's one step on each turn's
-    newest input.  ``mean_guest`` is (E, D); no (row, turn) pair may repeat."""
+    for each k, from the start token and ``uttered`` (E, L-1, D);
+    ``mean_guest`` is (E, D) and no (row, turn) pair may repeat.
+
+    Each direction steps the start token once.  The forward direction
+    sweeps each sequence to its last requested turn, ordered by that turn,
+    latest first, so those still stepping are a leading slice (the order
+    is the given one when every turn is the last).  At one BLAS thread the
+    outputs are those of full sweeps over every sequence.
+    """
     store, hidden = model.store, model.config.lstm_hidden
-    inputs = neural.bilstm_inputs(model.lstm_spec, uttered, store.values["start"])
-    states_f, steps_f = neural.lstm_forward(store.values["lstm/Wf"], store.values["lstm/bf"],
-                                            inputs, range(inputs.shape[1]), hidden)
-    h_backward, steps_b = neural.lstm_forward(store.values["lstm/Wb"], store.values["lstm/bb"],
-                                              inputs[rows, turns][:, None], [0], hidden)
-    return _heads(model, states_f[rows, turns], h_backward[:, 0], mean_guest[rows], mask,
-                  (inputs.shape, rows, turns, steps_f, steps_b))
+    e, length = uttered.shape[0], uttered.shape[1] + 1
+    turns = turns % length
+    guest = mean_guest[rows]
+    if turns.min() == length - 1:
+        active = [e] * (length - 1)
+    else:
+        last = np.zeros(e, dtype=np.intp)
+        np.maximum.at(last, rows, turns)
+        order = np.argsort(-last, kind="stable")
+        rows, uttered = np.argsort(order)[rows], uttered[order]
+        active = [np.count_nonzero(last >= pos) for pos in range(1, last.max() + 1)]
+    h, c, start_f = _start_step(model, "f")
+    h, c = h.repeat(e, axis=0), c.repeat(e, axis=0)
+    states = np.empty((e, length, hidden))
+    states[:, 0] = h
+    steps_f = []
+    for pos, n in enumerate(active, 1):
+        h, c, step = neural.lstm_cell(store.values["lstm/Wf"], store.values["lstm/bf"],
+                                      uttered[:n, pos - 1], h[:n], c[:n], hidden)
+        states[:n, pos] = h
+        steps_f.append(step)
+    # the backward direction's one step: on the start token once, for every
+    # turn 0, and on each later turn's newest utterance
+    later = np.flatnonzero(turns)
+    h_backward = np.empty((len(turns), hidden))
+    start_b = step_b = None
+    if len(later) < len(turns):
+        h_backward[turns == 0], _, start_b = _start_step(model, "b")
+    if len(later):
+        h_backward[later], _, step_b = neural.lstm_cell(
+            store.values["lstm/Wb"], store.values["lstm/bb"],
+            uttered[rows[later], turns[later] - 1], None, None, hidden)
+    return _heads(model, states[rows, turns], h_backward, guest, mask,
+                  (states.shape, rows, turns, start_f, steps_f, start_b, step_b))
 
 
 def _forward_core(model: EnquirerModel, mean_guest: np.ndarray, uttered: np.ndarray,
@@ -156,11 +197,19 @@ def enquirer_forward(model: EnquirerModel, guests: np.ndarray, uttered: np.ndarr
         guests, uttered, mask = guests[None], uttered[None], mask[None]
     if mask.shape[1] != model.config.vocab_size:
         raise ValueError(f"mask width {mask.shape[1]} != vocabulary {model.config.vocab_size}")
+    if uttered.ndim != 3 or uttered.shape[2] != model.config.dim:
+        raise ValueError(f"expected uttered of shape (n, t, {model.config.dim}), "
+                         f"got {uttered.shape}")
     return _forward_core(model, guests.mean(axis=1), uttered, mask)
 
 
 def _backward_core(model: EnquirerModel, out: EnquirerOutput,
                    dlogits: np.ndarray, dvalue: np.ndarray) -> None:
+    """Accumulate every parameter's gradient through the steps
+    ``_policy_pass`` took.  No input gradient is formed for an utterance,
+    which is data: a forward step passes back only its hidden columns.  A
+    start-token step, which every sequence shares, takes its rows' gate
+    gradients' column sums and passes the start token its gradient."""
     # Masked logits were replaced by -inf before the softmax, so no
     # gradient may flow back into the policy net at masked positions.
     dlogits = np.where(out._mask, 0.0, dlogits)
@@ -168,15 +217,37 @@ def _backward_core(model: EnquirerModel, out: EnquirerOutput,
                                  out._policy_cache, dlogits)
     dtrunk += neural.mlp_backward(model.store, "value", model.value_spec,
                                   out._value_cache, dvalue[:, None])
-    (e, length, _), rows, turns, steps_f, steps_b = out._lstm_cache
-    store, hidden = model.store, model.config.lstm_hidden
+    (e, length, hidden), rows, turns, start_f, steps_f, start_b, step_b = out._lstm_cache
+    store, dim = model.store, model.config.dim
+
+    def weight_grads(tag, step, dgates):
+        store.grads[f"lstm/W{tag}"][:step[0].shape[1]] += step[0].T @ dgates
+        store.grads[f"lstm/b{tag}"] += dgates.sum(axis=0)
+        return dgates
+
+    def start_grads(tag, step, dh, dc):
+        # the start row's one step serves every row: the column sums of
+        # their gate gradients, and the start token's input gradient
+        dgates = neural.lstm_gate_grads(step, dh, dc).sum(axis=0, keepdims=True)
+        return weight_grads(tag, step, dgates) @ store.values[f"lstm/W{tag}"][:dim].T
+
     d_states = np.zeros((e, length, hidden))
     d_states[rows, turns] = dtrunk[:, :hidden]
-    d_inputs = neural.lstm_backward(store, "lstm/Wf", "lstm/bf", steps_f, d_states, hidden)
-    # at turn 0 the backward direction's one step also reads the start token
-    d_inputs[rows, turns] += neural.lstm_backward(
-        store, "lstm/Wb", "lstm/bb", steps_b, dtrunk[:, None, hidden:2 * hidden], hidden)[:, 0]
-    store.grads["start"] += d_inputs[:, 0].sum(axis=0)
+    dh_next, dc_next = np.zeros((e, hidden)), np.zeros((e, hidden))
+    for pos in range(len(steps_f), 0, -1):
+        step = steps_f[pos - 1]
+        n = len(step[0])
+        dgates = neural.lstm_gate_grads(step, d_states[:n, pos] + dh_next[:n], dc_next[:n])
+        dh_next[:n] = weight_grads("f", step, dgates) @ store.values["lstm/Wf"][dim:].T
+    d_start = start_grads("f", start_f, d_states[:, 0] + dh_next, dc_next)
+    dh_backward = dtrunk[:, hidden:2 * hidden]
+    if start_b is not None:
+        dh = dh_backward[turns == 0]
+        d_start += start_grads("b", start_b, dh, np.zeros_like(dh))
+    if step_b is not None:
+        dh = dh_backward[turns > 0]
+        weight_grads("b", step_b, neural.lstm_gate_grads(step_b, dh, np.zeros_like(dh)))
+    store.grads["start"] += d_start[0]
 
 
 def sample_actions(probs: np.ndarray, mode: str, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -361,10 +432,10 @@ def _play_games(model: EnquirerModel, corpus: Corpus, guest_rows: np.ndarray,
     w_f, b_f = store.values["lstm/Wf"], store.values["lstm/bf"]
     w_b, b_b = store.values["lstm/Wb"], store.values["lstm/bb"]
     # turn 0 steps both directions on the start token, the same for every game
-    newest = store.values["start"][None]
-    h, c = neural.lstm_cell(w_f, b_f, newest, None, None, hidden)[:2]
+    h, c, _ = _start_step(model, "f")
     h, c = np.repeat(h, b, axis=0), np.repeat(c, b, axis=0)
-    newest_rows = np.zeros(b, dtype=np.intp)    # each game's row of ``newest``
+    backward = _start_step(model, "b")[0]
+    newest_rows = np.zeros(b, dtype=np.intp)    # each game's row of ``backward``
 
     rows = np.arange(b)
     uttered = np.zeros((b, t_max, corpus.dimension))
@@ -375,15 +446,14 @@ def _play_games(model: EnquirerModel, corpus: Corpus, guest_rows: np.ndarray,
     mask_now = np.zeros((b, v), dtype=bool)
     log_probs_now = np.empty((b, v))
     for turn in range(t_max):
-        if turn:
+        if turn:    # the backward direction's one step, on each distinct newest input
             cells, newest_rows = np.unique(target_rows * v + actions[:, turn - 1],
                                            return_inverse=True)
             newest = cell_inputs[cells]
-        # the backward direction's one step, on each distinct newest input
-        backward = np.empty((len(newest), hidden))
-        for start, stop in neural._blocks(len(newest)):
-            backward[start:stop] = neural.lstm_cell(w_b, b_b, newest[start:stop], None, None,
-                                                    hidden)[0]
+            backward = np.empty((len(newest), hidden))
+            for start, stop in neural._blocks(len(newest)):
+                backward[start:stop] = neural.lstm_cell(w_b, b_b, newest[start:stop], None,
+                                                        None, hidden)[0]
         masks[:, turn] = mask_now
         for start, stop in neural._blocks(b):
             block = slice(start, stop)

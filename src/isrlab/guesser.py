@@ -169,7 +169,8 @@ def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray
     corpus rows, each distinct row once, the mean guest from
     ``rows.mean_guest`` and the pooled utterances from the utterance table
     by blocks of games, with the same outputs at one BLAS thread; it reads
-    only the shapes of ``guests`` and ``uttered``.
+    only the shapes of ``guests`` and ``uttered`` and keeps neither, so
+    ``guesser_loss`` rejects its activations.
     """
     guests = np.asarray(guests, dtype=np.float64)
     uttered = np.asarray(uttered, dtype=np.float64)
@@ -212,7 +213,7 @@ def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray
     return GuesserActivations(
         mean_guest=mean_guest, attn_logits=attn_logits, attn_weights=attn_weights,
         pooled=pooled, score_logits=score_logits, probs=probs,
-        _guests=guests, _uttered=uttered,
+        _guests=guests if rows is None else None, _uttered=uttered if rows is None else None,
         _attn_cache=attn_cache, _score_cache=score_cache)
 
 
@@ -222,8 +223,12 @@ def guesser_loss(model: GuesserModel, acts: GuesserActivations, targets) -> floa
     The backward pass runs through the score net, the attention pooling
     and the attention net.  Eval-mode activations carry no caches, so each
     net is run once more on the same inputs, explicitly without dropout,
-    to rebuild them.
+    to rebuild them.  A pass given ``rows`` keeps no inputs, so its
+    activations are rejected.
     """
+    if acts._uttered is None:
+        raise ValueError("guesser_loss needs the activations of a pass on arrays: a pass "
+                         "given rows keeps no inputs to backpropagate through")
     targets = np.atleast_1d(np.asarray(targets))
     b = acts.probs.shape[0]
     attn_cache, score_cache = acts._attn_cache, acts._score_cache

@@ -4,10 +4,11 @@ Everything the guesser and enquirer need and nothing more: dense ReLU
 networks with inverted dropout (and the guesser's paired form, which
 scores rows [item, context] without building them), a bidirectional LSTM,
 stabilized softmax cross-entropy, and Adam with global-norm gradient
-clipping.  The LSTM's one-direction passes are public, so the enquirer
-can run its two directions over different positions.  Parameters live in
-a ParamStore keyed by name; backward passes accumulate gradients into the
-store and an explicit ``adam_step`` consumes them.
+clipping.  The LSTM's cell step and its gate gradients are public, so
+the enquirer can step its two directions over different positions and
+rows.  Parameters live in a ParamStore keyed by name; backward passes
+accumulate gradients into the store and an explicit ``adam_step``
+consumes them.
 
 All math is float64.  Every backward pass here is checked against central
 finite differences in the test suite, so keep forward and backward in
@@ -458,19 +459,6 @@ def lstm_forward(W, bias, inputs, order, hidden):
     return states, steps
 
 
-def bilstm_inputs(spec: BiLstmSpec, sequence, start_token) -> np.ndarray:
-    """Validate and prepend the start token: (batch, T+1, in_width)."""
-    sequence = np.asarray(sequence, dtype=np.float64)
-    if sequence.ndim != 3 or sequence.shape[2] != spec.in_width:
-        raise ValueError(f"expected sequence of shape (n, t, {spec.in_width}), got {sequence.shape}")
-    start_token = np.asarray(start_token, dtype=np.float64)
-    if start_token.shape != (spec.in_width,):
-        raise ValueError(f"start token must have shape ({spec.in_width},), got {start_token.shape}")
-    batch = sequence.shape[0]
-    return np.concatenate(
-        [np.broadcast_to(start_token, (batch, 1, spec.in_width)), sequence], axis=1)
-
-
 def bilstm_forward(store: ParamStore, prefix: str, spec: BiLstmSpec,
                    sequence: np.ndarray,
                    start_token: np.ndarray) -> tuple[np.ndarray, BiLstmCache]:
@@ -481,7 +469,14 @@ def bilstm_forward(store: ParamStore, prefix: str, spec: BiLstmSpec,
     produces one output.  Position t carries the concatenation of the
     forward state and the backward state at t.
     """
-    inputs = bilstm_inputs(spec, sequence, start_token)
+    sequence = np.asarray(sequence, dtype=np.float64)
+    if sequence.ndim != 3 or sequence.shape[2] != spec.in_width:
+        raise ValueError(f"expected sequence of shape (n, t, {spec.in_width}), got {sequence.shape}")
+    start_token = np.asarray(start_token, dtype=np.float64)
+    if start_token.shape != (spec.in_width,):
+        raise ValueError(f"start token must have shape ({spec.in_width},), got {start_token.shape}")
+    inputs = np.concatenate([np.broadcast_to(start_token, (len(sequence), 1, spec.in_width)),
+                             sequence], axis=1)
     length = inputs.shape[1]
     states_f, steps_f = lstm_forward(
         store.values[f"{prefix}/Wf"], store.values[f"{prefix}/bf"],
@@ -493,14 +488,45 @@ def bilstm_forward(store: ParamStore, prefix: str, spec: BiLstmSpec,
     return hidden, BiLstmCache(steps_f, steps_b)
 
 
+def lstm_gate_grads(step, dh, dc_next) -> np.ndarray:
+    """One ``lstm_cell`` step's (batch, 4H) gate gradients, the four
+    written into one buffer, from the gradients of its new state.  ``dh``
+    is overwritten, and ``dc_next``, the cell gradient carried back from
+    the step after, becomes the one this step passes back.  ``step`` is
+    the cell's intermediates; one row of them serves a batch of rows that
+    share the step."""
+    _, i, f, g, o, c_prev, tanh_c = step
+    dgates = np.empty((dh.shape[0], 4 * dh.shape[1]))
+    di, df, dg, do = np.split(dgates, 4, axis=1)
+    tmp = np.empty_like(dh)
+    np.multiply(dh, tanh_c, out=do)
+    # dc = dc_next + dh * o * (1 - tanh_c^2), built in dh
+    dh *= o
+    dh *= np.subtract(1.0, np.multiply(tanh_c, tanh_c, out=tmp), out=tmp)
+    dc = np.add(dc_next, dh, out=dh)
+    # each gate's gradient into its quarter of dgates, its products taken
+    # left to right as in dc * g * i * (1 - i), which fixes the rounding
+    np.multiply(dc, g, out=di)
+    di *= i
+    di *= np.subtract(1.0, i, out=tmp)
+    np.multiply(dc, c_prev, out=df)
+    df *= f
+    df *= np.subtract(1.0, f, out=tmp)
+    np.multiply(dc, i, out=dg)
+    dg *= np.subtract(1.0, np.multiply(g, g, out=tmp), out=tmp)
+    do *= o
+    do *= np.subtract(1.0, o, out=tmp)
+    np.multiply(dc, f, out=dc_next)
+    return dgates
+
+
 def lstm_backward(store, w_name, b_name, steps, d_states, hidden):
     """Backpropagate (batch, L, hidden) state gradients through the steps of
     ``lstm_forward``; accumulates into the direction's weight and bias
     gradients and returns the (batch, L, in_width) input gradients.
 
-    The four gate gradients of a step are written into one (batch, 4H)
-    buffer.  A step taken from the zero state cached only its input as
-    ``xh``, so its weight gradient goes to the input rows of ``W`` alone.
+    A step taken from the zero state cached only its input as ``xh``, so
+    its weight gradient goes to the input rows of ``W`` alone.
     """
     W = store.values[w_name]
     dW = store.grads[w_name]
@@ -510,30 +536,9 @@ def lstm_backward(store, w_name, b_name, steps, d_states, hidden):
     d_inputs = np.zeros((batch, d_states.shape[1], in_width))
     dh_next = np.zeros((batch, hidden))
     dc_next = np.zeros((batch, hidden))
-    dgates = np.empty((batch, 4 * hidden))
-    di, df, dg, do = np.split(dgates, 4, axis=1)
-    tmp = np.empty((batch, hidden))
-    for pos, xh, i, f, g, o, c_prev, tanh_c in reversed(steps):
-        dh = d_states[:, pos, :] + dh_next
-        np.multiply(dh, tanh_c, out=do)
-        # dc = dc_next + dh * o * (1 - tanh_c^2), built in dh
-        dh *= o
-        dh *= np.subtract(1.0, np.multiply(tanh_c, tanh_c, out=tmp), out=tmp)
-        dc = np.add(dc_next, dh, out=dh)
-        # each gate's gradient into its quarter of dgates, its products
-        # taken left to right as in dc * g * i * (1 - i), which fixes the
-        # rounding
-        np.multiply(dc, g, out=di)
-        di *= i
-        di *= np.subtract(1.0, i, out=tmp)
-        np.multiply(dc, c_prev, out=df)
-        df *= f
-        df *= np.subtract(1.0, f, out=tmp)
-        np.multiply(dc, i, out=dg)
-        dg *= np.subtract(1.0, np.multiply(g, g, out=tmp), out=tmp)
-        do *= o
-        do *= np.subtract(1.0, o, out=tmp)
-        np.multiply(dc, f, out=dc_next)
+    for pos, *step in reversed(steps):
+        dgates = lstm_gate_grads(step, d_states[:, pos, :] + dh_next, dc_next)
+        xh = step[0]
         dW[:xh.shape[1]] += xh.T @ dgates
         db += dgates.sum(axis=0)
         dxh = dgates @ W.T
@@ -672,35 +677,67 @@ def save_params(path, store: ParamStore, kind: str, arch: dict) -> None:
     """Write parameters as JSON: name -> shape + flat value list.
 
     The file carries a format version and a hash of the architecture
-    dictionary so mismatched models are rejected at load time.
+    dictionary so mismatched models are rejected at load time.  It holds
+    the bytes ``json.dumps`` gives for the whole payload, written by the C
+    encoder 4,096 values at a time, so no more text than that is held.
     """
-    payload = {
+    header = json.dumps({
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "kind": kind,
         "arch": arch,
         "arch_hash": arch_hash(arch),
         "step_count": store.step_count,
-        "params": {
-            name: {"shape": list(value.shape), "values": value.ravel().tolist()}
-            for name, value in store.values.items()
-        },
-    }
+    })
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(header[:-1] + ', "params": {')
+        for k, (name, value) in enumerate(store.values.items()):
+            fh.write(f'{", " * (k > 0)}{json.dumps(name)}: '
+                     f'{{"shape": {json.dumps(list(value.shape))}, "values": [')
+            flat = value.ravel()
+            for start in range(0, flat.size, 4096):
+                fh.write(", " * (start > 0) + json.dumps(flat[start:start + 4096].tolist())[1:-1])
+            fh.write("]}")
+        fh.write("}}")
+
+
+class CheckpointFormatError(ValueError):
+    """A checkpoint file that is not a saved model: names the file and what
+    is wrong with it."""
 
 
 def load_params(path) -> tuple[ParamStore, str, dict]:
+    def fail(what):
+        return CheckpointFormatError(f"checkpoint {path}: {what}")
+
+    def to_array(obj):
+        # each parameter's values become an array as soon as they are
+        # parsed, so one parameter's floats at most are Python objects
+        if "shape" in obj and "values" in obj:
+            obj["values"] = np.asarray(obj["values"], dtype=np.float64)
+        return obj
+
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    version = payload.get("format_version")
+        try:
+            payload = json.load(fh, object_hook=to_array)
+        except json.JSONDecodeError as err:
+            raise fail(f"not valid JSON ({err})") from None
+    if not isinstance(payload, dict):
+        raise fail(f"holds a JSON {type(payload).__name__}, not an object")
+    for key in ("format_version", "kind", "arch", "arch_hash", "params"):
+        if key not in payload:
+            raise fail(f"missing key {key!r}")
+    version = payload["format_version"]
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format version {version!r}")
+        raise fail(f"unsupported format version {version!r}")
     arch = payload["arch"]
     if arch_hash(arch) != payload["arch_hash"]:
-        raise ValueError("checkpoint architecture hash mismatch")
+        raise fail("architecture hash mismatch")
     store = ParamStore()
     for name, rec in payload["params"].items():
-        store.add(name, np.asarray(rec["values"], dtype=np.float64).reshape(rec["shape"]))
+        for key in ("shape", "values"):
+            if key not in rec:
+                raise fail(f"parameter {name!r} has no {key!r}")
+        store.add(name, rec["values"].reshape(rec["shape"]))
     store.step_count = int(payload.get("step_count", 0))
     return store, payload["kind"], arch
 

@@ -261,15 +261,21 @@ class TestPpoUpdate:
 
     def test_shared_prefix_backward_matches_finite_differences(self):
         # one forward sweep serves several turns of the same episode, so
-        # gradients from several positions meet in one recurrence
-        rows, turns = np.array([0, 0, 0, 1, 1]), np.array([0, 1, 2, 0, 2])
+        # gradients from several positions meet in one recurrence; in the
+        # second pattern episodes 0 and 2 stop below the last position, at
+        # turns 1 and 0
+        for rows, turns in (([0, 0, 0, 1, 1], [0, 1, 2, 0, 2]),
+                            ([0, 0, 1, 1, 2], [1, 0, 2, 0, 0])):
+            self.check_policy_pass_gradients(np.array(rows), np.array(turns))
+
+    def check_policy_pass_gradients(self, rows, turns):
         actions = np.array([3, 0, 2, 1, 3])
         for attempt in range(60):
             rng = np.random.default_rng(50 + 100_000 * attempt)
             model = EnquirerModel.init(EnquirerConfig(dim=3, vocab_size=4, lstm_hidden=3,
                                                       policy_hidden=4, value_hidden=4), rng)
-            uttered = rng.standard_normal((2, 2, 3))
-            mean_guest = rng.standard_normal((2, 3))
+            uttered = rng.standard_normal((rows.max() + 1, 2, 3))
+            mean_guest = rng.standard_normal((rows.max() + 1, 3))
             mask = np.zeros((5, 4), dtype=bool)
             mask[[1, 2, 4], [3, 3, 0]] = True
             w_logp, w_value = rng.standard_normal(5), rng.standard_normal(5)

@@ -288,6 +288,21 @@ class TestBlockedEval:
                     assert np.array_equal(grads[0][name], grads[1][name]), (games, name)
             """)
 
+    def test_loss_rejects_rows_form_activations(self):
+        # a rows-form pass keeps none of the caller's arrays (scorers pass
+        # zero stand-ins), so there is nothing to rebuild the nets' caches from
+        corpus = generate_synthetic(SynthConfig(dimension=6, vocab_size=5, train_speakers=10,
+                                                test_speakers=0, enrollments=2, seed=3))
+        model = GuesserModel.init(GuesserConfig(dim=6), np.random.default_rng(4))
+        rng = np.random.default_rng(5)
+        guest_rows, targets = sample_game_batch(corpus, 8, 3, rng)
+        rows = Games(corpus, guest_rows, targets, sample_word_subsets(rng, 8, np.arange(5), 2))
+        acts = guesser_forward(model, rows.guests, rows.uttered, rows=rows)
+        assert acts._guests is None and acts._uttered is None
+        with pytest.raises(ValueError, match="pass given rows keeps no inputs"):
+            guesser_loss(model, acts, targets)
+        assert not any(g.any() for g in model.store.grads.values())
+
     @pytest.mark.parametrize("k, share", [(50, 0.25), (5, 0.75)])
     def test_eval_peak_memory_is_blocks_not_the_paired_rows(self, k, share):
         # an eval pass holds a block of hidden activations and a block of
