@@ -185,20 +185,12 @@ def synthetic_split(config: SynthConfig) -> tuple[Corpus, Corpus]:
     return split_speakers(corpus, fraction, config.seed)
 
 
-def save_corpus(corpus: Corpus, path, enrollments: np.ndarray | None = None) -> None:
-    """Write the interchange file; voice prints are stored explicitly.
-
-    ``enrollments`` of shape (S, M, D), when given, is written as
-    per-speaker enrollment records ahead of the voiceprint records.
-    """
+def save_corpus(corpus: Corpus, path) -> None:
+    """Write the interchange file; voice prints are stored explicitly."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"type": "header", "dimension": corpus.dimension,
                              "vocab": list(corpus.vocab)}) + "\n")
         for i, sid in enumerate(corpus.speaker_ids):
-            if enrollments is not None:
-                for vec in enrollments[i]:
-                    fh.write(json.dumps({"type": "enrollment", "speaker": int(sid),
-                                         "embedding": vec.tolist()}) + "\n")
             fh.write(json.dumps({"type": "voiceprint", "speaker": int(sid),
                                  "embedding": corpus.voice_prints[i].tolist()}) + "\n")
             for w in range(corpus.vocab_size):
@@ -224,7 +216,7 @@ def _int_field(rec: dict, name: str, line_no: int) -> int:
             f"line {line_no}: field {name!r} is not an integer: {value!r}") from None
 
 
-def load_corpus(path, split: str = "full") -> Corpus:
+def load_corpus(path) -> Corpus:
     """Load and validate an interchange file.
 
     Rejections name what is wrong: a malformed record is named by its line
@@ -333,7 +325,7 @@ def load_corpus(path, split: str = "full") -> Corpus:
         for sid in speaker_ids])
     return Corpus(dimension=dimension, vocab=vocab,
                   speaker_ids=speaker_ids, voice_prints=voice_prints,
-                  utterances=utterances, split=split)
+                  utterances=utterances)
 
 
 def corpus_fingerprint(corpus: Corpus) -> str:

@@ -29,7 +29,7 @@ whether a frozen guesser picks the target from the collected utterances.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -82,12 +82,8 @@ class EnquirerModel:
 
     @classmethod
     def load(cls, path) -> "EnquirerModel":
-        store, kind, arch = neural.load_params(path)
-        if kind != "enquirer":
-            raise ValueError(f"checkpoint holds a {kind!r} model, not an enquirer")
-        config = EnquirerConfig(**{f.name: arch[f.name] for f in fields(EnquirerConfig)})
-        neural.check_params(store, cls.init(config, np.random.default_rng(0)).store)
-        return cls(config, store)
+        return cls(*neural.load_model(
+            path, "enquirer", EnquirerConfig, lambda c: cls.init(c, np.random.default_rng(0)).store))
 
 
 @dataclass
@@ -280,18 +276,14 @@ def sample_actions(probs: np.ndarray, mode: str, rng: np.random.Generator | None
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, gamma: float,
                 lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized advantage estimates and value targets.
+    """Generalized advantage estimates and value targets of (E, T) episodes.
 
-    Accepts (T,) vectors or (E, T) batches.  The post-terminal bootstrap
-    value is zero, so ``delta_t = r_t + gamma * V_{t+1} - V_t`` with
-    ``V_T = 0`` and ``A_t = sum_l (gamma * lam)^l delta_{t+l}``; returns
-    are ``A_t + V_t``.
+    The post-terminal bootstrap value is zero, so ``delta_t = r_t + gamma *
+    V_{t+1} - V_t`` with ``V_T = 0`` and ``A_t = sum_l (gamma * lam)^l
+    delta_{t+l}``; returns are ``A_t + V_t``.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    squeeze = rewards.ndim == 1
-    if squeeze:
-        rewards, values = rewards[None], values[None]
     e, t = rewards.shape
     next_values = np.concatenate([values[:, 1:], np.zeros((e, 1))], axis=1)
     deltas = rewards + gamma * next_values - values
@@ -300,10 +292,7 @@ def compute_gae(rewards: np.ndarray, values: np.ndarray, gamma: float,
     for step in range(t - 1, -1, -1):
         carry = deltas[:, step] + gamma * lam * carry
         advantages[:, step] = carry
-    returns = advantages + values
-    if squeeze:
-        return advantages[0], returns[0]
-    return advantages, returns
+    return advantages, advantages + values
 
 
 @dataclass(frozen=True)
@@ -334,32 +323,38 @@ class PpoConfig:
                             "collapse_patience")
 
 
-def ppo_update(model: EnquirerModel, games: _PlayedGames, idx: np.ndarray,
+def ppo_update(model: EnquirerModel, rollout: _Rollout, idx: np.ndarray,
                config: PpoConfig) -> dict:
     """One clipped-surrogate update on the rollout transitions ``idx``.
 
     Transition ``i`` of the (E, T) rollout is turn ``i % T`` of episode
-    ``i // T``.  One forward sweep over each sampled episode serves all of
-    its sampled turns, and one backward pass returns through it.
-    Advantages are normalized to zero mean and unit variance within the
-    minibatch.  The objective is max E[min(ratio * A, clip(ratio) * A)]
-    plus an entropy bonus minus the value regression term; one Adam step
-    with global-norm clipping applies the combined gradient.
+    ``i // T``; the mean guests and utterances come from the dealt
+    ``Games``, and its mask marks the words requested before its turn.
+    One forward sweep over each sampled episode serves all of its sampled
+    turns, and one backward pass returns through it.  Advantages are
+    normalized to zero mean and unit variance within the minibatch.  The
+    objective is max E[min(ratio * A, clip(ratio) * A)] plus an entropy
+    bonus minus the value regression term; one Adam step with global-norm
+    clipping applies the combined gradient.
     """
-    n, t_max = len(idx), games.actions.shape[1]
+    dealt = rollout.dealt
+    n, t_max = len(idx), dealt.words.shape[1]
     episodes, turns = np.divmod(idx, t_max)
-    actions = games.actions[episodes, turns]
-    adv = games.advantages[episodes, turns]
+    actions = dealt.words[episodes, turns]
+    adv = rollout.advantages[episodes, turns]
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
+    masks = np.zeros((n, dealt.corpus.vocab_size), dtype=bool)
+    k, before = np.nonzero(np.arange(t_max) < turns[:, None])
+    masks[k, dealt.words[episodes[k], before]] = True
     played, rows = np.unique(episodes, return_inverse=True)
-    out = _policy_pass(model, games.mean_guest[played], games.uttered[played, :t_max - 1],
-                       games.masks[episodes, turns], rows, turns)
+    out = _policy_pass(model, dealt.mean_guest[played], dealt.uttered[played, :t_max - 1],
+                       masks, rows, turns)
     sel = np.arange(n)
     new_log_probs = out.log_probs[sel, actions]
     entropies = neural.categorical_entropy(out.probs, out.log_probs)
 
-    ratios = np.exp(new_log_probs - games.log_probs[episodes, turns])
+    ratios = np.exp(new_log_probs - rollout.log_probs[episodes, turns])
     if not np.all(np.isfinite(ratios)):
         bad = int(np.flatnonzero(~np.isfinite(ratios))[0])
         raise RuntimeError(
@@ -367,7 +362,7 @@ def ppo_update(model: EnquirerModel, games: _PlayedGames, idx: np.ndarray,
             f"(turn {int(turns[bad])}, action {int(actions[bad])})")
     surrogate = np.minimum(ratios * adv, np.clip(ratios, 1.0 - config.clip,
                                                  1.0 + config.clip) * adv)
-    value_err = out.value - games.returns[episodes, turns]
+    value_err = out.value - rollout.returns[episodes, turns]
 
     # d(surrogate)/d(ratio) is the advantage wherever the unclipped branch
     # is active, zero on the flat clipped branch.
@@ -390,24 +385,22 @@ def ppo_update(model: EnquirerModel, games: _PlayedGames, idx: np.ndarray,
             "mean_ratio": float(ratios.mean())}
 
 
-@dataclass
-class _PlayedGames:
-    """A batch of games played to the word budget, with each turn's record."""
+@dataclass(frozen=True)
+class _Rollout:
+    """A round of explored episodes: the dealt ``Games``, whose words are
+    the chosen actions, and each turn's record for the update."""
 
-    mean_guest: np.ndarray   # (B, D)
-    uttered: np.ndarray      # (B, T, D)
-    masks: np.ndarray        # (B, T, V) words already requested before each turn
-    actions: np.ndarray      # (B, T)
-    log_probs: np.ndarray    # (B, T) of the chosen words
-    values: np.ndarray       # (B, T)
-    advantages: np.ndarray | None = None   # (B, T) GAE, set by a training rollout
-    returns: np.ndarray | None = None      # (B, T) value targets, likewise
+    dealt: Games
+    log_probs: np.ndarray    # (E, T) of the chosen words
+    advantages: np.ndarray   # (E, T) GAE
+    returns: np.ndarray      # (E, T) value targets
 
 
 def _play_games(model: EnquirerModel, corpus: Corpus, guest_rows: np.ndarray,
                 targets: np.ndarray, word_budget: int, mode: str,
-                rng: np.random.Generator) -> _PlayedGames:
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Play the dealt games with the policy; explore mode draws from ``rng``.
+    Returns the (B, T) chosen words, their log-probabilities and the values.
 
     Turn by turn, the games go ``neural.PREDICT_BLOCK_ROWS`` at a time: each
     block carries its forward state one step and its heads write the
@@ -415,11 +408,11 @@ def _play_games(model: EnquirerModel, corpus: Corpus, guest_rows: np.ndarray,
     ``sample_actions`` picks every game's word at once.  Steps that depend
     on no game's state are taken once: turn 0's steps of both directions
     on the start token, and each later turn's backward step on each
-    distinct (speaker, word) cell, which the blocks gather from that turn's
-    table.  At one BLAS thread a row's product does not depend on its batch
-    or its block, so the outputs are those of ``_policy_pass`` on each
-    turn's whole prefix.  No step keeps a cache: the PPO update re-runs
-    ``_policy_pass``.
+    distinct (speaker, word) cell, a table the blocks gather from for both
+    directions' inputs.  At one BLAS thread a row's product does not depend
+    on its batch or its block, so the outputs are those of ``_policy_pass``
+    on each turn's whole prefix.  No step keeps a cache: the PPO update
+    re-runs ``_policy_pass``.
     """
     b, t_max, v = len(targets), word_budget, corpus.vocab_size
     if not 1 <= word_budget <= v:
@@ -438,12 +431,10 @@ def _play_games(model: EnquirerModel, corpus: Corpus, guest_rows: np.ndarray,
     newest_rows = np.zeros(b, dtype=np.intp)    # each game's row of ``backward``
 
     rows = np.arange(b)
-    uttered = np.zeros((b, t_max, corpus.dimension))
-    masks = np.zeros((b, t_max, v), dtype=bool)
     actions = np.zeros((b, t_max), dtype=np.int64)
     log_probs = np.zeros((b, t_max))
     values = np.zeros((b, t_max))
-    mask_now = np.zeros((b, v), dtype=bool)
+    mask = np.zeros((b, v), dtype=bool)
     log_probs_now = np.empty((b, v))
     for turn in range(t_max):
         if turn:    # the backward direction's one step, on each distinct newest input
@@ -454,36 +445,33 @@ def _play_games(model: EnquirerModel, corpus: Corpus, guest_rows: np.ndarray,
             for start, stop in neural._blocks(len(newest)):
                 backward[start:stop] = neural.lstm_cell(w_b, b_b, newest[start:stop], None,
                                                         None, hidden)[0]
-        masks[:, turn] = mask_now
         for start, stop in neural._blocks(b):
             block = slice(start, stop)
             if turn:
-                h[block], c[block] = neural.lstm_cell(w_f, b_f, uttered[block, turn - 1],
+                h[block], c[block] = neural.lstm_cell(w_f, b_f, newest[newest_rows[block]],
                                                       h[block], c[block], hidden)[:2]
             out = _heads(model, h[block], backward[newest_rows[block]], mean_guest[block],
-                         mask_now[block])
+                         mask[block])
             log_probs_now[block], values[block, turn] = out.log_probs, out.value
         acts = sample_actions(np.exp(log_probs_now), mode, rng)
         actions[:, turn] = acts
         log_probs[:, turn] = log_probs_now[rows, acts]
-        mask_now[rows, acts] = True
-        uttered[:, turn] = corpus.utterances[target_rows, acts]
-    return _PlayedGames(mean_guest, uttered, masks, actions, log_probs, values)
+        mask[rows, acts] = True
+    return actions, log_probs, values
 
 
 def _collect_rollout(model: EnquirerModel, corpus: Corpus, n_episodes: int,
                      config: PpoConfig, rng: np.random.Generator,
-                     reward_fn) -> tuple[_PlayedGames, np.ndarray]:
-    e, t_max = n_episodes, config.word_budget
-    guest_rows, targets = sample_game_batch(corpus, e, config.n_guests, rng)
-    games = _play_games(model, corpus, guest_rows, targets, t_max, "explore", rng)
-    episode_rewards = np.asarray(
-        reward_fn(Games(corpus, guest_rows, targets, games.actions)), dtype=np.float64)
-    rewards = np.zeros((e, t_max))
+                     reward_fn) -> tuple[_Rollout, np.ndarray]:
+    guest_rows, targets = sample_game_batch(corpus, n_episodes, config.n_guests, rng)
+    actions, log_probs, values = _play_games(model, corpus, guest_rows, targets,
+                                             config.word_budget, "explore", rng)
+    dealt = Games(corpus, guest_rows, targets, actions)
+    episode_rewards = np.asarray(reward_fn(dealt), dtype=np.float64)
+    rewards = np.zeros_like(values)
     rewards[:, -1] = episode_rewards
-    games.advantages, games.returns = compute_gae(rewards, games.values, config.gamma,
-                                                  config.gae_lambda)
-    return games, episode_rewards
+    advantages, returns = compute_gae(rewards, values, config.gamma, config.gae_lambda)
+    return _Rollout(dealt, log_probs, advantages, returns), episode_rewards
 
 
 def train_enquirer(guesser: GuesserModel | None, corpus: Corpus, config: PpoConfig,
@@ -516,7 +504,7 @@ def train_enquirer(guesser: GuesserModel | None, corpus: Corpus, config: PpoConf
     start = time.perf_counter()
     while episodes_done < config.episodes:
         n_episodes = min(episodes_per_round, config.episodes - episodes_done)
-        games, episode_rewards = _collect_rollout(
+        rollout, episode_rewards = _collect_rollout(
             model, corpus, n_episodes, config, rng, reward_fn)
         episodes_done += n_episodes
         reward_history.extend(episode_rewards.tolist())
@@ -530,11 +518,11 @@ def train_enquirer(guesser: GuesserModel | None, corpus: Corpus, config: PpoConf
                 f"({episodes_done} played, lr={config.lr}, clip={config.clip})")
 
         stats = []
-        n_transitions = games.actions.size
+        n_transitions = rollout.log_probs.size
         for _ in range(config.update_batches):
             size = min(config.update_batch_size, n_transitions)
             idx = rng.choice(n_transitions, size=size, replace=False)
-            stats.append(ppo_update(model, games, idx, config))
+            stats.append(ppo_update(model, rollout, idx, config))
         window = reward_history[-1000:]
         curve.append({"episode": episodes_done,
                       "moving_avg_reward": float(np.mean(window)),
@@ -563,7 +551,7 @@ def evaluate_enquirer(enquirer: EnquirerModel, guesser: GuesserModel, corpus: Co
     """
     def greedy(guest_rows, targets, rng):
         return _play_games(enquirer, corpus, guest_rows, targets, word_budget, "greedy",
-                           rng).actions
+                           rng)[0]
 
     rate, stderr, tuples = play_games(corpus, n_guests, n_games, greedy,
                                       partial(guesser_success, guesser),

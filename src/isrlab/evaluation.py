@@ -14,6 +14,7 @@ from functools import partial
 
 import numpy as np
 
+from . import neural
 from .corpus import Corpus, corpus_fingerprint
 from .enquirer import evaluate_enquirer
 from .guesser import (Games, GuesserModel, evaluate_guesser, guesser_success, play_games,
@@ -120,8 +121,7 @@ def heuristic_baseline(guesser: GuesserModel, corpus: Corpus,
     if not config.word_budget <= config.curated_size <= v:
         raise ValueError(
             f"need word_budget <= curated_size <= {v}, got {config.curated_size}")
-    if config.games_per_word < 1 or config.eval_games < 1:
-        raise ValueError("game counts must be positive")
+    neural.check_counts(config, "games_per_word", "eval_games")
 
     def forcing(word: int):
         rest = word_pool_policy(np.delete(np.arange(v), word), config.word_budget - 1)

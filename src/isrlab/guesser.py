@@ -19,7 +19,7 @@ word sets, no policy involved.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -66,12 +66,8 @@ class GuesserModel:
 
     @classmethod
     def load(cls, path) -> "GuesserModel":
-        store, kind, arch = neural.load_params(path)
-        if kind != "guesser":
-            raise ValueError(f"checkpoint holds a {kind!r} model, not a guesser")
-        config = GuesserConfig(**{f.name: arch[f.name] for f in fields(GuesserConfig)})
-        neural.check_params(store, cls.init(config, np.random.default_rng(0)).store)
-        return cls(config, store)
+        return cls(*neural.load_model(
+            path, "guesser", GuesserConfig, lambda c: cls.init(c, np.random.default_rng(0)).store))
 
 
 @dataclass
@@ -317,7 +313,6 @@ class GuesserTrainConfig:
     dropout: float = 0.5
     attn_hidden: int = 256
     score_hidden: int = 512
-    grad_clip: float | None = None
     valid_games: int = 10_000
     eval_every: int = 10          # batches between validation points
     seed: int = 0
@@ -372,7 +367,7 @@ def train_guesser(corpus_train: Corpus, corpus_valid: Corpus,
             raise TrainingDiverged(
                 f"non-finite loss {loss} at batch {batch_idx} "
                 f"({games_seen} games seen, lr={config.lr})")
-        neural.adam_step(model.store, config.lr, clip_norm=config.grad_clip)
+        neural.adam_step(model.store, config.lr)
         games_seen += b
         losses_since_eval.append(loss)
         if (batch_idx + 1) % config.eval_every == 0:

@@ -1,8 +1,8 @@
 """Minimal differentiable layers on plain numpy arrays.
 
 Everything the guesser and enquirer need and nothing more: dense ReLU
-networks with inverted dropout (and the guesser's paired form, which
-scores rows [item, context] without building them), a bidirectional LSTM,
+networks, the guesser's paired form (rows [item, context] scored without
+building them, with inverted dropout in training), a bidirectional LSTM,
 stabilized softmax cross-entropy, and Adam with global-norm gradient
 clipping.  The LSTM's cell step and its gate gradients are public, so
 the enquirer can step its two directions over different positions and
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,18 +152,16 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Affine -> ReLU -> dropout -> ... -> affine chain."""
+    """Affine -> ReLU -> ... -> affine chain, with no dropout."""
 
     in_width: int
     hidden: tuple[int, ...]
     out_width: int
-    dropout: float = 0.0
 
     def __post_init__(self):
         widths = (self.in_width, *self.hidden, self.out_width)
         if any(w < 1 for w in widths):
             raise ValueError(f"all widths must be >= 1, got {widths}")
-        check_dropout(self.dropout)
 
 
 def init_mlp(store: ParamStore, prefix: str, spec: MlpSpec,
@@ -174,54 +174,42 @@ def init_mlp(store: ParamStore, prefix: str, spec: MlpSpec,
 
 @dataclass(eq=False, slots=True)
 class MlpCache:
-    """Intermediates for one forward pass; consumable exactly once."""
+    """Each layer's input for one forward pass; consumable exactly once."""
 
     affine_inputs: list
-    relu_outputs: list
-    dropout_masks: list
     consumed: bool = False
 
 
-def mlp_forward(store: ParamStore, prefix: str, spec: MlpSpec, x: np.ndarray,
-                train: bool = False,
-                rng: np.random.Generator | None = None) -> tuple[np.ndarray, MlpCache]:
+def mlp_forward(store: ParamStore, prefix: str, spec: MlpSpec,
+                x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
     """Run the network on a (batch, in_width) matrix.
 
-    Dropout is applied after each ReLU only when ``train`` is true; eval
-    mode is the identity thanks to inverted-dropout scaling at train time.
     Bias and ReLU are applied in place to each matmul's fresh result, so
-    ``x`` is never written; without dropout, each cached ReLU output is the
-    array the next layer read.
+    ``x`` is never written, and each ReLU output is the array the next
+    layer reads and the cache keeps as that layer's input.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.in_width:
         raise ValueError(f"expected input of shape (n, {spec.in_width}), got {x.shape}")
-    use_dropout = train and spec.dropout > 0.0
-    if use_dropout and rng is None:
-        raise ValueError("train-mode dropout requires an rng")
     n_affine = len(spec.hidden) + 1
     h = x
-    affine_inputs, relu_outputs, dropout_masks = [], [], []
+    affine_inputs = []
     for i in range(n_affine):
         affine_inputs.append(h)
         h = _mm(h, store.values[f"{prefix}/W{i}"])
         h += store.values[f"{prefix}/b{i}"]
         if i < n_affine - 1:
             np.maximum(h, 0.0, out=h)
-            relu_outputs.append(h)
-            mask = dropout_mask(rng, h.shape, spec.dropout) if use_dropout else None
-            dropout_masks.append(mask)
-            if mask is not None:
-                h = h * mask
-    return h, MlpCache(affine_inputs, relu_outputs, dropout_masks)
+    return h, MlpCache(affine_inputs)
 
 
 def mlp_backward(store: ParamStore, prefix: str, spec: MlpSpec,
                  cache: MlpCache, dout: np.ndarray) -> np.ndarray:
     """Accumulate parameter gradients; return the gradient w.r.t. the input.
 
-    The masks multiply each matmul's fresh result in place, so neither
-    ``dout`` nor the cache is written.
+    A ReLU's gate is where its output, the next layer's cached input, is
+    positive.  The gates multiply each matmul's fresh result in place, so
+    neither ``dout`` nor the cache is written.
     """
     if cache.consumed:
         raise ValueError("mlp backward cache already consumed")
@@ -233,10 +221,7 @@ def mlp_backward(store: ParamStore, prefix: str, spec: MlpSpec,
         store.grads[f"{prefix}/b{i}"] += d.sum(axis=0)
         d = d @ store.values[f"{prefix}/W{i}"].T
         if i > 0:
-            mask = cache.dropout_masks[i - 1]
-            if mask is not None:
-                d *= mask
-            d *= cache.relu_outputs[i - 1] > 0.0
+            d *= cache.affine_inputs[i] > 0.0
     return d
 
 
@@ -581,18 +566,14 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return z - np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
 
 
-def softmax_cross_entropy(logits: np.ndarray, target) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-entropy of softmax(logits) at ``target`` with its logit gradient.
-
-    1-D logits with an int target give a scalar loss; 2-D logits with a
-    vector of targets give per-row losses.  The gradient is always
-    softmax(logits) - one_hot(target).
-    """
+def softmax_cross_entropy(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row cross-entropy of softmax(logits) at the ``targets`` and its
+    logit gradient softmax(logits) - one_hot(targets), for (n, width)
+    logits and (n,) targets."""
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim == 1:
-        loss, grad = softmax_cross_entropy(logits[None, :], np.array([target]))
-        return float(loss[0]), grad[0]
-    targets = np.asarray(target)
+    targets = np.asarray(targets)
+    if logits.ndim != 2:
+        raise ValueError(f"expected (n, width) logits, got shape {logits.shape}")
     n, width = logits.shape
     if targets.shape != (n,):
         raise ValueError(f"expected {n} targets, got shape {targets.shape}")
@@ -705,15 +686,24 @@ class CheckpointFormatError(ValueError):
     is wrong with it."""
 
 
+def _is_count(value, least: int = 0) -> bool:
+    # an int of at least ``least``; JSON's true and false are not counts
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def load_params(path) -> tuple[ParamStore, str, dict]:
     def fail(what):
         return CheckpointFormatError(f"checkpoint {path}: {what}")
 
     def to_array(obj):
         # each parameter's values become an array as soon as they are
-        # parsed, so one parameter's floats at most are Python objects
+        # parsed, so one parameter's floats at most are Python objects;
+        # values that are not numbers stay as parsed, rejected below
         if "shape" in obj and "values" in obj:
-            obj["values"] = np.asarray(obj["values"], dtype=np.float64)
+            try:
+                obj["values"] = np.asarray(obj["values"], dtype=np.float64)
+            except (TypeError, ValueError):
+                pass
         return obj
 
     with open(path, encoding="utf-8") as fh:
@@ -721,11 +711,16 @@ def load_params(path) -> tuple[ParamStore, str, dict]:
             payload = json.load(fh, object_hook=to_array)
         except json.JSONDecodeError as err:
             raise fail(f"not valid JSON ({err})") from None
+        except UnicodeDecodeError:
+            raise fail("not valid UTF-8") from None
     if not isinstance(payload, dict):
         raise fail(f"holds a JSON {type(payload).__name__}, not an object")
     for key in ("format_version", "kind", "arch", "arch_hash", "params"):
         if key not in payload:
             raise fail(f"missing key {key!r}")
+    for key in ("arch", "params"):
+        if not isinstance(payload[key], dict):
+            raise fail(f"{key!r} is a JSON {type(payload[key]).__name__}, not an object")
     version = payload["format_version"]
     if version != CHECKPOINT_FORMAT_VERSION:
         raise fail(f"unsupported format version {version!r}")
@@ -734,12 +729,46 @@ def load_params(path) -> tuple[ParamStore, str, dict]:
         raise fail("architecture hash mismatch")
     store = ParamStore()
     for name, rec in payload["params"].items():
+        if not isinstance(rec, dict):
+            raise fail(f"parameter {name!r} is not an object")
         for key in ("shape", "values"):
             if key not in rec:
                 raise fail(f"parameter {name!r} has no {key!r}")
-        store.add(name, rec["values"].reshape(rec["shape"]))
-    store.step_count = int(payload.get("step_count", 0))
+        shape, values = rec["shape"], rec["values"]
+        if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
+            raise fail(f"parameter {name!r} has a shape that is not a list of counts: {shape!r}")
+        if not isinstance(values, np.ndarray) or values.shape != (math.prod(shape),):
+            raise fail(f"parameter {name!r} does not hold the {math.prod(shape)} numbers "
+                       f"of its shape {tuple(shape)}")
+        store.add(name, values.reshape(shape))
+    store.step_count = payload.get("step_count", 0)
+    if not _is_count(store.step_count):
+        raise fail(f"step_count {store.step_count!r} is not a count")
     return store, payload["kind"], arch
+
+
+def load_model(path, kind: str, config_type, init) -> tuple[object, ParamStore]:
+    """The config and parameters of the ``kind`` checkpoint at ``path``: the
+    ``config_type`` of its ``arch`` fields, each an integer of at least 1
+    or a number as its field's type says (true and false are neither), and
+    parameters matching ``init(config)``'s by name and shape."""
+    store, found, arch = load_params(path)
+    if found != kind:
+        raise ValueError(f"checkpoint holds a {found!r} model, not "
+                         f"{'an' if kind[0] in 'aeiou' else 'a'} {kind}")
+    fields = {}
+    for name, want in typing.get_type_hints(config_type).items():
+        if name not in arch:
+            raise CheckpointFormatError(f"checkpoint {path}: arch has no field {name!r}")
+        fields[name] = value = arch[name]
+        if not (_is_count(value, 1) if want is int else
+                isinstance(value, (int, float)) and not isinstance(value, bool)):
+            raise CheckpointFormatError(
+                f"checkpoint {path}: arch field {name!r} is not "
+                f"{'an integer of at least 1' if want is int else 'a number'}: {value!r}")
+    config = config_type(**fields)
+    check_params(store, init(config))
+    return config, store
 
 
 def check_params(store: ParamStore, expected: ParamStore) -> None:

@@ -267,6 +267,34 @@ def test_no_guests_named_before_any_artifact(corpus_file, guesser_ckpt, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, truncated", [
+    ("eval", "guesser"), ("eval", "enquirer"), ("train-enquirer", "guesser"),
+    ("baseline-heuristic", "guesser")])
+def test_truncated_checkpoint_is_named_before_any_artifact(
+        corpus_file, guesser_ckpt, tmp_path, capsys, command, truncated):
+    import numpy as np
+    from isrlab.enquirer import EnquirerConfig, EnquirerModel
+    enquirer_ckpt = tmp_path / "enquirer.json"
+    EnquirerModel.init(EnquirerConfig(dim=8, vocab_size=8, lstm_hidden=4, policy_hidden=4,
+                                      value_hidden=4), np.random.default_rng(0)).save(enquirer_ckpt)
+    checkpoints = {"guesser": guesser_ckpt, "enquirer": enquirer_ckpt}
+    bad = tmp_path / "truncated.json"
+    bad.write_bytes(checkpoints[truncated].read_bytes()[:200])
+    checkpoints[truncated] = bad
+    out = tmp_path / "out"
+    argv = [command, "--corpus", str(corpus_file), "--guesser", str(checkpoints["guesser"]),
+            "--out-dir", str(out)]
+    if command == "eval":
+        argv += ["--policy", "enquirer", "--enquirer", str(checkpoints["enquirer"]),
+                 "--games", "50"]
+    capsys.readouterr()
+    assert run(argv) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "CheckpointFormatError"
+    assert record["message"].startswith(f"checkpoint {bad}: not valid JSON")
+    assert not out.exists()
+
+
 class TestEval:
     def test_random_policy_metrics(self, corpus_file, guesser_ckpt, tmp_path):
         code = run(["eval", "--corpus", str(corpus_file), "--guesser",

@@ -19,6 +19,14 @@ from isrlab.guesser import (Games, GuesserConfig, GuesserModel, GuesserTrainConf
                             guesser_success, sample_game_batch, train_guesser)
 
 
+def masks_before(words, turns, vocab_size):
+    # row k marks the words ``words[k]`` requested before turn ``turns[k]``
+    masks = np.zeros((len(words), vocab_size), dtype=bool)
+    for k, turn in enumerate(turns):
+        masks[k, words[k, :turn]] = True
+    return masks
+
+
 @pytest.fixture(scope="module")
 def corpus():
     return generate_synthetic(SynthConfig(dimension=6, vocab_size=8,
@@ -93,8 +101,8 @@ class TestPlayGames:
                 for e in (1, 2, 40, 511, 512, 513, 1200):
                     guest_rows, targets = sample_game_batch(corpus, e, 4,
                                                             np.random.default_rng(e))
-                    games = _play_games(model, corpus, guest_rows, targets, t, mode,
-                                        np.random.default_rng(4))
+                    actions, log_probs, values = _play_games(
+                        model, corpus, guest_rows, targets, t, mode, np.random.default_rng(4))
                     rng = np.random.default_rng(4)
                     rows = np.arange(e)
                     target_rows = guest_rows[rows, targets]
@@ -106,16 +114,12 @@ class TestPlayGames:
                                            rows, np.full(e, -1))
                         acts = sample_actions(out.probs, mode, rng)
                         case = (t, e, turn)
-                        assert np.array_equal(games.masks[:, turn], mask), case
-                        assert np.array_equal(games.actions[:, turn], acts), case
-                        assert np.array_equal(games.log_probs[:, turn],
-                                              out.log_probs[rows, acts]), case
-                        assert np.array_equal(games.values[:, turn], out.value), case
+                        assert np.array_equal(actions[:, turn], acts), case
+                        assert np.array_equal(log_probs[:, turn], out.log_probs[rows, acts]), case
+                        assert np.array_equal(values[:, turn], out.value), case
                         mask[rows, acts] = True
                         uttered[:, turn] = corpus.utterances[target_rows, acts]
                         cells.append(len(np.unique(target_rows * v + acts)))
-                    assert np.array_equal(games.uttered, uttered), (t, e)
-                    assert np.array_equal(games.mean_guest, mean_guest), (t, e)
                     if t > 1 and e >= 511:
                         assert min(cells[:t - 1]) > (512 if e == 1200 else 256), (e, cells)
             """)
@@ -156,14 +160,14 @@ class TestSampling:
 
 class TestGae:
     def test_all_zero_inputs_give_zero_advantages(self):
-        adv, ret = compute_gae(np.zeros(4), np.zeros(4), 0.9, 0.95)
-        assert np.array_equal(adv, np.zeros(4))
-        assert np.array_equal(ret, np.zeros(4))
+        adv, ret = compute_gae(np.zeros((1, 4)), np.zeros((1, 4)), 0.9, 0.95)
+        assert np.array_equal(adv, np.zeros((1, 4)))
+        assert np.array_equal(ret, np.zeros((1, 4)))
 
     def test_single_step_closed_form(self):
-        adv, ret = compute_gae(np.array([1.0]), np.array([0.5]), 0.9, 0.95)
-        assert adv[0] == pytest.approx(0.5, abs=1e-15)
-        assert ret[0] == pytest.approx(1.0, abs=1e-15)
+        adv, ret = compute_gae(np.array([[1.0]]), np.array([[0.5]]), 0.9, 0.95)
+        assert adv[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert ret[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_three_step_hand_recursion(self):
         # deltas: d0 = 0 + g*0.4 - 0.2, d1 = 0 + g*0.6 - 0.4, d2 = 1 - 0.6
@@ -177,7 +181,7 @@ class TestGae:
         a2 = d2
         a1 = d1 + gamma * lam * a2
         a0 = d0 + gamma * lam * a1
-        adv, ret = compute_gae(rewards, values, gamma, lam)
+        (adv,), (ret,) = compute_gae(rewards[None], values[None], gamma, lam)
         assert np.allclose(adv, [a0, a1, a2], atol=1e-15)
         assert np.allclose(ret, adv + values, atol=1e-15)
 
@@ -188,7 +192,7 @@ class TestGae:
         rewards = np.zeros(t)
         rewards[-1] = rng.random()
         values = rng.standard_normal(t)
-        adv, _ = compute_gae(rewards, values, 1.0, 1.0)
+        (adv,), _ = compute_gae(rewards[None], values[None], 1.0, 1.0)
         totals = np.cumsum(rewards[::-1])[::-1]
         assert np.allclose(adv, totals - values, atol=1e-12)
 
@@ -199,7 +203,7 @@ class TestGae:
         rewards = np.zeros(t)
         rewards[-1] = rng.random()
         values = rng.standard_normal(t)
-        adv, _ = compute_gae(rewards, values, 0.9, 0.0)
+        (adv,), _ = compute_gae(rewards[None], values[None], 0.9, 0.0)
         next_values = np.append(values[1:], 0.0)
         assert np.allclose(adv, rewards + 0.9 * next_values - values, atol=1e-12)
 
@@ -214,27 +218,29 @@ class TestPpoUpdate:
     def test_first_update_ratios_are_exactly_one(self, corpus, model):
         # the rollout carries LSTM state across turns; re-encoding each
         # whole prefix must give the same log-probs and values, bit for bit
-        config, (games, episode_rewards) = self.collect(corpus, model)
-        e, t = games.actions.shape
+        config, (rollout, episode_rewards) = self.collect(corpus, model)
+        games = rollout.dealt
+        e, t = games.words.shape
         logps = np.zeros((e, t))
         values = np.zeros((e, t))
         for turn in range(t):
             out = _forward_core(model, games.mean_guest, games.uttered[:, :turn],
-                                games.masks[:, turn])
-            logps[:, turn] = out.log_probs[np.arange(e), games.actions[:, turn]]
+                                masks_before(games.words, np.full(e, turn),
+                                             games.corpus.vocab_size))
+            logps[:, turn] = out.log_probs[np.arange(e), games.words[:, turn]]
             values[:, turn] = out.value
-        ratios = np.exp(logps - games.log_probs)
+        ratios = np.exp(logps - rollout.log_probs)
         assert np.all(ratios == 1.0)
         rewards = np.zeros((e, t))
         rewards[:, -1] = episode_rewards
         advantages, returns = compute_gae(rewards, values, config.gamma,
                                           config.gae_lambda)
-        assert np.array_equal(advantages, games.advantages)
-        assert np.array_equal(returns, games.returns)
+        assert np.array_equal(advantages, rollout.advantages)
+        assert np.array_equal(returns, rollout.returns)
 
     def test_unit_ratio_surrogate_is_mean_normalized_advantage(self, corpus, model):
-        config, (games, _) = self.collect(corpus, model)
-        stats = ppo_update(model, games, np.arange(games.actions.size), config)
+        config, (rollout, _) = self.collect(corpus, model)
+        stats = ppo_update(model, rollout, np.arange(rollout.log_probs.size), config)
         # with ratio 1 everywhere both surrogate branches agree and the
         # objective is the mean of the normalized advantages, which is 0
         assert stats["policy_loss"] == pytest.approx(0.0, abs=1e-12)
@@ -254,10 +260,10 @@ class TestPpoUpdate:
         assert ent[0] == pytest.approx(np.log(20.0), abs=1e-12)
 
     def test_non_finite_ratio_names_the_transition(self, corpus, model):
-        config, (games, _) = self.collect(corpus, model)
-        games.log_probs[1, 2] = -np.inf      # episode 1, turn 2 of 3
+        config, (rollout, _) = self.collect(corpus, model)
+        rollout.log_probs[1, 2] = -np.inf    # episode 1, turn 2 of 3
         with pytest.raises(RuntimeError, match="transition 5"):
-            ppo_update(model, games, np.arange(games.actions.size), config)
+            ppo_update(model, rollout, np.arange(rollout.log_probs.size), config)
 
     def test_shared_prefix_backward_matches_finite_differences(self):
         # one forward sweep serves several turns of the same episode, so
@@ -303,9 +309,9 @@ class TestPpoUpdate:
             assert neural.max_relative_error(model.store.grads[name], num) < 1e-4, name
 
     def test_update_changes_parameters(self, corpus, model):
-        config, (games, _) = self.collect(corpus, model)
+        config, (rollout, _) = self.collect(corpus, model)
         before = {k: v.copy() for k, v in model.store.values.items()}
-        ppo_update(model, games, np.arange(games.actions.size), config)
+        ppo_update(model, rollout, np.arange(rollout.log_probs.size), config)
         changed = any(not np.array_equal(before[k], model.store.values[k])
                       for k in before)
         assert changed
@@ -352,10 +358,10 @@ class TestTraining:
 
     def test_rollouts_never_repeat_words(self, corpus, model):
         config = PpoConfig(word_budget=4, n_guests=3, seed=1)
-        games, _ = _collect_rollout(model, corpus, 50, config,
-                                    np.random.default_rng(1), self.bandit_reward(0))
-        assert games.actions.shape == (50, 4)
-        assert all(len(set(row)) == 4 for row in games.actions.tolist())
+        rollout, _ = _collect_rollout(model, corpus, 50, config,
+                                      np.random.default_rng(1), self.bandit_reward(0))
+        assert rollout.dealt.words.shape == (50, 4)
+        assert all(len(set(row)) == 4 for row in rollout.dealt.words.tolist())
 
     def test_two_runs_same_seed_identical_curves(self, corpus):
         config = PpoConfig(episodes=300, horizon=60, update_batch_size=30,
@@ -477,6 +483,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=message) as exc:
             EnquirerModel.load(path)
         assert repr(name) in str(exc.value)
+
+    def test_zero_width_arch_field_is_named(self, model, tmp_path):
+        path = tmp_path / "enquirer.json"
+        model.save(path)
+        payload = json.loads(path.read_text())
+        payload["arch"]["lstm_hidden"] = 0
+        payload["arch_hash"] = neural.arch_hash(payload["arch"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(neural.CheckpointFormatError,
+                           match="arch field 'lstm_hidden' is not an integer of at least 1: 0$"):
+            EnquirerModel.load(path)
 
     def test_wrong_kind_rejected(self, tmp_path):
         guesser = GuesserModel.init(GuesserConfig(dim=4), np.random.default_rng(0))

@@ -180,6 +180,14 @@ class TestHeuristic:
                                HeuristicConfig(curated_size=1, n_guests=4,
                                                word_budget=2), seed=0)
 
+    @pytest.mark.parametrize("field", ["games_per_word", "eval_games"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_game_count_below_one_is_named(self, degenerate_setup, field, value):
+        corpus, guesser = degenerate_setup
+        config = HeuristicConfig(curated_size=3, n_guests=4, word_budget=2, **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1, got {value}$"):
+            heuristic_baseline(guesser, corpus, config, seed=0)
+
     def test_oversized_guest_count_rejected(self, degenerate_setup):
         corpus, guesser = degenerate_setup
         with pytest.raises(ValueError, match="exceed"):

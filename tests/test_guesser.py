@@ -1,6 +1,7 @@
 """Attention pooling, scoring symmetry, gradient flow, and training loop."""
 
 import json
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -527,4 +528,59 @@ class TestCheckpoint:
         payload["arch_hash"] = neural.arch_hash(payload["arch"])
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=r"^dropout must be in \[0, 1\), got 1.5$"):
+            GuesserModel.load(path)
+
+    # one defect per case, the arch hash redone after the edit; each is
+    # named with the file and the field or parameter
+    DEFECTS = {
+        "arch-field-missing": (lambda p: p["arch"].pop("score_hidden"),
+                               "arch has no field 'score_hidden'"),
+        "string-dim": (lambda p: p["arch"].update(dim="3"),
+                       "arch field 'dim' is not an integer of at least 1: '3'"),
+        "fractional-dim": (lambda p: p["arch"].update(dim=2.5),
+                           "arch field 'dim' is not an integer of at least 1: 2.5"),
+        "boolean-dim": (lambda p: p["arch"].update(dim=True),
+                        "arch field 'dim' is not an integer of at least 1: True"),
+        "string-dropout": (lambda p: p["arch"].update(dropout="0"),
+                           "arch field 'dropout' is not a number: '0'"),
+        "arch-list": (lambda p: p.update(arch=list(p["arch"].values())),
+                      "'arch' is a JSON list, not an object"),
+        "params-list": (lambda p: p.update(params=list(p["params"].values())),
+                        "'params' is a JSON list, not an object"),
+        "record-not-object": (lambda p: p["params"].update({"attn/W0": [0.0] * 40}),
+                              "parameter 'attn/W0' is not an object"),
+        "one-value-short": (lambda p: p["params"]["attn/W0"]["values"].pop(),
+                            r"parameter 'attn/W0' does not hold the 40 numbers of its "
+                            r"shape \(8, 5\)"),
+        "string-shape": (lambda p: p["params"]["attn/W0"].update(shape=[8, "5"]),
+                         r"parameter 'attn/W0' has a shape that is not a list of counts: "
+                         r"\[8, '5'\]"),
+        "string-values": (lambda p: p["params"]["attn/W0"].update(values="abc"),
+                          r"parameter 'attn/W0' does not hold the 40 numbers of its "
+                          r"shape \(8, 5\)"),
+        "string-step-count": (lambda p: p.update(step_count="7"),
+                              "step_count '7' is not a count"),
+        "fractional-step-count": (lambda p: p.update(step_count=2.5),
+                                  "step_count 2.5 is not a count"),
+    }
+
+    @pytest.mark.parametrize("case", list(DEFECTS))
+    def test_format_defect_is_named(self, tiny_model, tmp_path, case):
+        edit, message = self.DEFECTS[case]
+        path = tmp_path / "guesser.json"
+        tiny_model.save(path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        payload["arch_hash"] = neural.arch_hash(payload["arch"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(neural.CheckpointFormatError,
+                           match=f"^checkpoint {re.escape(str(path))}: {message}$"):
+            GuesserModel.load(path)
+
+    def test_byte_that_is_not_utf8_is_named(self, tiny_model, tmp_path):
+        path = tmp_path / "guesser.json"
+        tiny_model.save(path)
+        path.write_bytes(path.read_bytes().replace(b'"guesser"', b'"gues\xffser"', 1))
+        with pytest.raises(neural.CheckpointFormatError,
+                           match=f"^checkpoint {re.escape(str(path))}: not valid UTF-8$"):
             GuesserModel.load(path)

@@ -10,7 +10,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from isrlab import neural
@@ -130,70 +130,26 @@ class TestDropout:
         assert abs(kept - (1.0 - rate)) < 4 * sigma
         assert np.allclose(mask[mask > 0], 1.0 / (1.0 - rate))
 
-    def test_eval_mode_is_identity(self):
-        rng = np.random.default_rng(7)
-        spec = MlpSpec(3, (8,), 2, dropout=0.5)
-        store = make_mlp(spec, rng)
-        x = rng.standard_normal((4, 3))
-        y1, _ = mlp_forward(store, "net", spec, x, train=False)
-        y2, _ = mlp_forward(store, "net", spec, x, train=False)
-        assert np.array_equal(y1, y2)
 
-    def test_train_mode_deterministic_under_seed(self):
-        rng = np.random.default_rng(8)
-        spec = MlpSpec(3, (8,), 2, dropout=0.5)
-        store = make_mlp(spec, rng)
-        x = rng.standard_normal((4, 3))
-        y1, _ = mlp_forward(store, "net", spec, x, train=True, rng=np.random.default_rng(42))
-        y2, _ = mlp_forward(store, "net", spec, x, train=True, rng=np.random.default_rng(42))
-        assert np.array_equal(y1, y2)
-
-    def test_dropout_gradient_uses_same_mask(self):
-        rng = np.random.default_rng(9)
-        spec = MlpSpec(3, (6,), 2, dropout=0.4)
-        store = make_mlp(spec, rng)
-        x = rng.standard_normal((5, 3))
-        dout = rng.standard_normal((5, 2))
-        seed = 1234
-
-        def loss():
-            y, _ = mlp_forward(store, "net", spec, x, train=True,
-                               rng=np.random.default_rng(seed))
-            return float((y * dout).sum())
-
-        _, cache = mlp_forward(store, "net", spec, x, train=True,
-                               rng=np.random.default_rng(seed))
-        mlp_backward(store, "net", spec, cache, dout)
-        for name, p in store.values.items():
-            num = numerical_gradient(lambda _: loss(), p)
-            assert max_relative_error(store.grads[name], num) < GRAD_TOL, name
-
-
-def _allocating_mlp(store, spec, x, dout, train=False, rng=None):
+def _allocating_mlp(store, spec, x, dout):
     # the allocating forward and backward formulas the in-place passes
     # replaced: returns the output, input gradient, parameter gradients
     # and ReLU outputs
     n_affine = len(spec.hidden) + 1
     h = x
-    inputs, relus, masks = [], [], []
+    inputs, relus = [], []
     for i in range(n_affine):
         inputs.append(h)
         h = neural._mm(h, store.values[f"net/W{i}"]) + store.values[f"net/b{i}"]
         if i < n_affine - 1:
             h = np.maximum(h, 0.0)
             relus.append(h)
-            mask = dropout_mask(rng, h.shape, spec.dropout) if train else None
-            masks.append(mask)
-            if mask is not None:
-                h = h * mask
     y, d, grads = h, dout, {}
     for i in reversed(range(n_affine)):
         grads[f"net/W{i}"] = inputs[i].T @ d
         grads[f"net/b{i}"] = d.sum(axis=0)
         d = d @ store.values[f"net/W{i}"].T
         if i > 0:
-            if masks[i - 1] is not None:
-                d = d * masks[i - 1]
             d = d * (relus[i - 1] > 0.0)
     return y, d, grads, relus
 
@@ -202,60 +158,45 @@ class TestInPlacePasses:
     """The in-place MLP passes equal the allocating formulas, bit for bit,
     and write into neither their inputs nor the cache."""
 
-    def check(self, store, spec, x, dout, train=False, seed=None):
+    def check(self, store, spec, x, dout):
         x_before, dout_before = x.copy(), dout.copy()
-        rng = None if seed is None else np.random.default_rng(seed)
-        y, cache = mlp_forward(store, "net", spec, x, train=train, rng=rng)
-        cached = [a.copy() for a in cache.affine_inputs + cache.relu_outputs]
+        y, cache = mlp_forward(store, "net", spec, x)
+        cached = [a.copy() for a in cache.affine_inputs]
         dx = mlp_backward(store, "net", spec, cache, dout)
 
-        rng = None if seed is None else np.random.default_rng(seed)
         ref_y, ref_dx, ref_grads, ref_relus = _allocating_mlp(
-            store, spec, x_before, dout_before, train=train, rng=rng)
+            store, spec, x_before, dout_before)
         assert np.array_equal(y, ref_y, equal_nan=True)
         assert np.array_equal(dx, ref_dx, equal_nan=True)
         for name, grad in ref_grads.items():
             assert np.array_equal(store.grads[name], grad, equal_nan=True), name
-        for got, want in zip(cache.relu_outputs, ref_relus):
+        # each hidden layer's ReLU output is the next layer's cached input
+        for got, want in zip(cache.affine_inputs[1:], ref_relus, strict=True):
             assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(x, x_before, equal_nan=True)
         assert np.array_equal(dout, dout_before, equal_nan=True)
-        for got, want in zip(cache.affine_inputs + cache.relu_outputs, cached):
+        for got, want in zip(cache.affine_inputs, cached):
             assert np.array_equal(got, want, equal_nan=True)
         return cache
 
     def test_eval_mode(self):
         rng = np.random.default_rng(30)
-        spec = MlpSpec(6, (16, 8), 3, dropout=0.5)
+        spec = MlpSpec(6, (16, 8), 3)
         store = make_mlp(spec, rng)
-        cache = self.check(store, spec, rng.standard_normal((37, 6)),
-                           rng.standard_normal((37, 3)))
-        # without dropout each cached ReLU output is the next layer's input
-        for relu_out, next_in in zip(cache.relu_outputs, cache.affine_inputs[1:]):
-            assert relu_out is next_in
+        self.check(store, spec, rng.standard_normal((37, 6)), rng.standard_normal((37, 3)))
 
-    def test_train_mode_with_dropout(self):
-        rng = np.random.default_rng(31)
-        spec = MlpSpec(6, (16, 8), 3, dropout=0.5)
-        store = make_mlp(spec, rng)
-        self.check(store, spec, rng.standard_normal((37, 6)),
-                   rng.standard_normal((37, 3)), train=True, seed=32)
-
-    @pytest.mark.parametrize("train", [False, True])
-    def test_single_row_takes_the_padded_path(self, train):
+    def test_single_row_takes_the_padded_path(self):
         rng = np.random.default_rng(33)
-        spec = MlpSpec(6, (16,), 1, dropout=0.5)
+        spec = MlpSpec(6, (16,), 1)
         store = make_mlp(spec, rng)
-        self.check(store, spec, rng.standard_normal((1, 6)),
-                   rng.standard_normal((1, 1)), train=train, seed=34)
+        self.check(store, spec, rng.standard_normal((1, 6)), rng.standard_normal((1, 1)))
 
-    @pytest.mark.parametrize("train", [False, True])
-    def test_signed_zero_nan_and_huge_pre_activations(self, train):
+    def test_signed_zero_nan_and_huge_pre_activations(self):
         # an identity first layer passes the inputs through, and the bias
         # adds to them: the pre-activations hold zeros, nan, inf, +-1e308
         # and negative subnormals (a zero sum leaves gemm as +0.0, so the
         # signed zeros of the inputs and the bias all arrive as +0.0)
-        spec = MlpSpec(6, (6,), 2, dropout=0.5)
+        spec = MlpSpec(6, (6,), 2)
         store = ParamStore()
         store.add("net/W0", np.eye(6))
         store.add("net/b0", np.array([-0.0, 0.0, np.nan, 1e308, -0.0, -7.5]))
@@ -265,8 +206,7 @@ class TestInPlacePasses:
                       [1e308] * 6, [-1e-320] * 6])
         with np.errstate(over="ignore", invalid="ignore"):
             pre = x @ store.values["net/W0"] + store.values["net/b0"]
-            self.check(store, spec, x, np.random.default_rng(36).standard_normal((4, 2)),
-                       train=train, seed=37)
+            self.check(store, spec, x, np.random.default_rng(36).standard_normal((4, 2)))
         assert np.isnan(pre).any() and np.isposinf(pre).any() and (pre == 0.0).any()
         assert (pre == -1e308).any() and ((pre < 0.0) & (pre > -1e-300)).any()
 
@@ -919,31 +859,35 @@ class TestInPlaceLstm:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_two_way_is_ln2(self):
-        loss, grad = softmax_cross_entropy(np.array([0.0, 0.0]), 0)
+        (loss,), (grad,) = softmax_cross_entropy(np.array([[0.0, 0.0]]), [0])
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
         assert np.allclose(grad, [-0.5, 0.5], atol=1e-12)
 
     def test_huge_logit_does_not_overflow(self):
-        loss, grad = softmax_cross_entropy(np.array([1000.0, 0.0]), 0)
+        (loss,), (grad,) = softmax_cross_entropy(np.array([[1000.0, 0.0]]), [0])
         assert loss == pytest.approx(0.0, abs=1e-12)
         assert np.all(np.isfinite(grad))
 
     def test_value_matches_arbitrary_precision_oracle(self):
         # loss = ln(e^1 + e^2 + e^3) - 3 evaluated at 50 digits
         expected = float(mpmath.log(mpmath.e ** 1 + mpmath.e ** 2 + mpmath.e ** 3) - 3)
-        loss, _ = softmax_cross_entropy(np.array([1.0, 2.0, 3.0]), 2)
+        (loss,), _ = softmax_cross_entropy(np.array([[1.0, 2.0, 3.0]]), [2])
         assert loss == pytest.approx(expected, abs=1e-14)
         assert loss == pytest.approx(0.40760596444438, abs=1e-12)
 
     def test_gradient_is_softmax_minus_one_hot(self):
         logits = np.array([0.3, -1.2, 2.0])
-        loss, grad = softmax_cross_entropy(logits, 1)
+        (loss,), (grad,) = softmax_cross_entropy(logits[None], [1])
         p = softmax(logits)
         assert np.allclose(grad, p - np.eye(3)[1], atol=1e-12)
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError, match="range"):
-            softmax_cross_entropy(np.array([0.0, 1.0]), 2)
+            softmax_cross_entropy(np.array([[0.0, 1.0]]), [2])
+
+    def test_one_dimensional_logits_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected \(n, width\) logits, got shape \(2,\)$"):
+            softmax_cross_entropy(np.array([0.0, 1.0]), 1)
 
     @given(st.lists(st.floats(-17, 17), min_size=2, max_size=8))
     @settings(max_examples=200, deadline=None)
@@ -1122,3 +1066,50 @@ class TestCheckpoints:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="version"):
             load_params(path)
+
+
+def _small_models():
+    from isrlab.enquirer import EnquirerConfig, EnquirerModel
+    from isrlab.guesser import GuesserConfig, GuesserModel
+    rng = np.random.default_rng(17)
+    return {"guesser": GuesserModel.init(GuesserConfig(dim=2, attn_hidden=2, score_hidden=2),
+                                         rng),
+            "enquirer": EnquirerModel.init(EnquirerConfig(dim=2, vocab_size=3, lstm_hidden=1,
+                                                          policy_hidden=2, value_hidden=2), rng)}
+
+
+SMALL_MODELS = _small_models()
+
+
+@given(kind=st.sampled_from(sorted(SMALL_MODELS)),
+       op=st.sampled_from(["replace", "delete", "insert"]),
+       at=st.integers(0, 2 ** 16), byte=st.integers(0, 255))
+@example(kind="guesser", op="replace", at=300, byte=0xFF)     # not UTF-8
+@example(kind="enquirer", op="delete", at=2 ** 16, byte=0)     # the closing brace
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_one_byte_mutation_loads_or_raises_checkpoint_error(tmp_path, kind, op, at, byte):
+    # a loaded model has the saved one's parameters, finite and of the same
+    # shapes; any rejection is a ValueError whose message leads with the
+    # word checkpoint (CheckpointFormatError, check_params, the kind check)
+    model = SMALL_MODELS[kind]
+    path = tmp_path / "model.json"
+    model.save(path)
+    data = bytearray(path.read_bytes())
+    at %= len(data)
+    if op == "replace":
+        data[at] = byte
+    elif op == "delete":
+        del data[at]
+    else:
+        data.insert(at, byte)
+    path.write_bytes(bytes(data))
+    try:
+        loaded = type(model).load(path)
+    except ValueError as err:
+        assert str(err).startswith("checkpoint"), err
+        return
+    assert loaded.store.values.keys() == model.store.values.keys()
+    for name, value in loaded.store.values.items():
+        assert value.shape == model.store.values[name].shape, name
+        assert np.all(np.isfinite(value)), name

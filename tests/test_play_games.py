@@ -78,11 +78,11 @@ def reference_evaluate_enquirer(enquirer, guesser, corpus, n_guests, word_budget
     while done < n_games:
         b = min(chunk, n_games - done)
         guest_rows, targets = sample_game_batch(corpus, b, n_guests, rng)
-        games = _play_games(enquirer, corpus, guest_rows, targets, word_budget,
-                            "greedy", rng)
-        probs = guesser_forward(guesser, corpus.voice_prints[guest_rows], games.uttered).probs
+        words = _play_games(enquirer, corpus, guest_rows, targets, word_budget,
+                            "greedy", rng)[0]
+        probs = guesser_forward(guesser, *gather(corpus, guest_rows, targets, words)).probs
         hits += int(np.sum(np.argmax(probs, axis=1) == targets))
-        tuples.append(games.actions)
+        tuples.append(words)
         done += b
     rate = hits / n_games
     return rate, float(np.sqrt(rate * (1.0 - rate) / n_games)), np.concatenate(tuples)

@@ -51,11 +51,19 @@ def reference_backward_core(model, out, dlogits, dvalue):
     store.grads["start"] += d_inputs[:, 0].sum(axis=0)
 
 
-def minibatches(games, rng):
+def masks_before(words, turns, vocab_size):
+    # row k marks the words ``words[k]`` requested before turn ``turns[k]``
+    masks = np.zeros((len(words), vocab_size), dtype=bool)
+    for k, turn in enumerate(turns):
+        masks[k, words[k, :turn]] = True
+    return masks
+
+
+def minibatches(words, rng):
     """(rows, turns) patterns as ``ppo_update`` draws them from the (E, T)
-    rollout ``games``, with the episodes they play: 1, 2, 40 and 512
+    rollout of ``words``, with the episodes they play: 1, 2, 40 and 512
     transitions, and two where episodes stop at turns 0 and 1."""
-    n_episodes, t_max = games.actions.shape
+    n_episodes, t_max = words.shape
     for size in (1, 2, 40, 512):
         idx = rng.choice(n_episodes * t_max, size=size, replace=False)
         episodes, turns = np.divmod(idx, t_max)
@@ -76,18 +84,19 @@ def check_against_full_sweep(seed):
     corpus = generate_synthetic(SynthConfig(test_speakers=0, enrollments=2, seed=seed))
     rng = np.random.default_rng(seed)
     model = EnquirerModel.init(EnquirerConfig(dim=32, vocab_size=20), rng)
-    games, _ = _collect_rollout(model, corpus, 342, PpoConfig(), rng,
-                                lambda games: (games.words == 2).any(axis=1).astype(float))
-    t_max = games.actions.shape[1]
-    for played, rows, turns in minibatches(games, rng):
+    rollout, _ = _collect_rollout(model, corpus, 342, PpoConfig(), rng,
+                                  lambda games: (games.words == 2).any(axis=1).astype(float))
+    games = rollout.dealt
+    t_max = games.words.shape[1]
+    for played, rows, turns in minibatches(games.words, rng):
         n = len(rows)
         args = (games.mean_guest[played], games.uttered[played, :t_max - 1],
-                games.masks[played[rows], turns], rows, turns)
+                masks_before(games.words[played[rows]], turns, 20), rows, turns)
         got, want = _policy_pass(model, *args), reference_policy_pass(model, *args)
         for name in ("probs", "log_probs", "value"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (n, name)
         one_hot = np.zeros((n, 20))
-        one_hot[np.arange(n), games.actions[played[rows], turns]] = 1.0
+        one_hot[np.arange(n), games.words[played[rows], turns]] = 1.0
         dlogits = rng.standard_normal(n)[:, None] * (one_hot - got.probs) / n
         dvalue = rng.standard_normal(n) / n
         reference_backward_core(model, want, dlogits, dvalue)
@@ -100,7 +109,8 @@ def check_against_full_sweep(seed):
         model.store.zero_grads()
     for b in (1, 2, 40, 342):
         for t in range(t_max):
-            args = (model, games.mean_guest[:b], games.uttered[:b, :t], games.masks[:b, t])
+            args = (model, games.mean_guest[:b], games.uttered[:b, :t],
+                    masks_before(games.words[:b], np.full(b, t), 20))
             got = _forward_core(*args)
             want = reference_policy_pass(*args, np.arange(b), np.full(b, -1))
             for name in ("probs", "log_probs", "value"):

@@ -25,15 +25,20 @@ from isrlab.enquirer import (EnquirerConfig, EnquirerModel, PpoConfig, _backward
                              _collect_rollout, _forward_core, ppo_update)
 
 
-def reference_flatten(games):
-    e, t_max = games.actions.shape
+def reference_flatten(rollout):
+    games = rollout.dealt
+    e, t_max = games.words.shape
+    turns = np.tile(np.arange(t_max), e)
+    episode_words = np.repeat(games.words, t_max, axis=0)
+    masks = np.zeros((e * t_max, games.corpus.vocab_size), dtype=bool)
+    for k, turn in enumerate(turns):
+        masks[k, episode_words[k, :turn]] = True
     return SimpleNamespace(
         mean_guest=np.repeat(games.mean_guest, t_max, axis=0),
         episode_uttered=np.repeat(games.uttered, t_max, axis=0),
-        turns=np.tile(np.arange(t_max), e),
-        masks=games.masks.reshape(e * t_max, -1),
-        actions=games.actions.ravel(), behavior_log_probs=games.log_probs.ravel(),
-        advantages=games.advantages.ravel(), returns=games.returns.ravel())
+        turns=turns, masks=masks,
+        actions=games.words.ravel(), behavior_log_probs=rollout.log_probs.ravel(),
+        advantages=rollout.advantages.ravel(), returns=rollout.returns.ravel())
 
 
 def reference_select(batch, idx):
@@ -104,12 +109,12 @@ def test_record_updates_equal_the_flat_batch(corpus, word_budget):
     rng = np.random.default_rng(2)
     reward = lambda games: (
         (games.words == 1).any(axis=1) | (games.targets == 0)).astype(float)
-    games, _ = _collect_rollout(model, corpus, 37, config, rng, reward)
-    batch = reference_flatten(games)
+    rollout, _ = _collect_rollout(model, corpus, 37, config, rng, reward)
+    batch = reference_flatten(rollout)
 
     for _ in range(4):
-        idx = rng.choice(games.actions.size, size=23, replace=False)
-        got = ppo_update(model, games, idx, config)
+        idx = rng.choice(rollout.log_probs.size, size=23, replace=False)
+        got = ppo_update(model, rollout, idx, config)
         want = reference_ppo_update(reference, reference_select(batch, idx), config)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         for name, value in reference.store.values.items():
