@@ -118,15 +118,22 @@ def heuristic_baseline(guesser: GuesserModel, corpus: Corpus,
     evaluation run.
     """
     v = corpus.vocab_size
+    neural.check_counts(config, "word_budget", "games_per_word", "eval_games")
     if not config.word_budget <= config.curated_size <= v:
         raise ValueError(
             f"need word_budget <= curated_size <= {v}, got {config.curated_size}")
-    neural.check_counts(config, "games_per_word", "eval_games")
 
     def forcing(word: int):
-        rest = word_pool_policy(np.delete(np.arange(v), word), config.word_budget - 1)
+        # the word, then the first word_budget - 1 of the other words in a
+        # random order: the words and draws of word_pool_policy(others,
+        # word_budget - 1), which at a budget of one would ask for no words
+        others = np.delete(np.arange(v), word)
+        if not others.size:     # a one-word vocabulary: the word alone
+            return lambda guest_rows, targets, rng: np.full((len(targets), 1), word)
+        shuffled = word_pool_policy(others, others.size)
         return lambda guest_rows, targets, rng: np.concatenate(
-            [np.full((len(targets), 1), word), rest(guest_rows, targets, rng)], axis=1)
+            [np.full((len(targets), 1), word),
+             shuffled(guest_rows, targets, rng)[:, :config.word_budget - 1]], axis=1)
 
     rng = np.random.default_rng(seed)
     score = partial(guesser_success, guesser)

@@ -8,9 +8,11 @@ per-guest probabilities.  Scoring is per guest, so the whole thing is
 permutation-equivariant in the guest list by construction.  Both nets are
 ``neural.pair_forward`` nets: each game's context half of the first layer
 is taken once, not once per word or guest, and every pass runs in blocks
-of games and item rows; a training pass keeps one activation per net.
-An eval pass over dealt games (``Games``) takes the item half from the
-corpus rows, once per distinct guest print or utterance.
+of games.  A training pass takes a block's item rows in blocks and keeps
+one activation per net; an eval pass takes its games 128 at a time, one
+guest or word slot at a time, and keeps none.  An eval pass over dealt
+games (``Games``) takes the item half from the corpus rows, once per
+distinct guest print or utterance.
 
 Training is plain supervised cross-entropy on games with uniformly random
 word sets, no policy involved.
@@ -267,6 +269,8 @@ def sample_word_subsets(rng: np.random.Generator, n_games: int, pool: np.ndarray
                         n_words: int) -> np.ndarray:
     """Per game, ``n_words`` distinct words drawn uniformly from ``pool``."""
     pool = np.asarray(pool)
+    if n_words < 1:
+        raise ValueError(f"n_words must be at least 1, got {n_words}")
     if n_words > pool.size:
         raise ValueError(f"cannot draw {n_words} distinct words from a pool of {pool.size}")
     keys = rng.random((n_games, pool.size))

@@ -27,10 +27,16 @@ import numpy as np
 
 CHECKPOINT_FORMAT_VERSION = 1
 
-# Games and item rows per block of every ``pair_forward``, cached or not: a
-# power of two, so every block starts on a boundary of the BLAS kernels' row
-# tiles.  Of 128, 256 and 512, 512 ran 204,800 eval rows slowest.
+# Games per block of every ``pair_forward``, and item rows per block of a
+# cached one and of the last few games of one without a cache: a power of
+# two, so every block starts on a boundary of the BLAS kernels' row tiles.
+# Of 128, 256 and 512 item rows, 512 ran 204,800 eval rows slowest.
 PREDICT_BLOCK_ROWS = 256
+
+# Games per sub-block of a ``pair_forward`` without a cache, whose (128, H)
+# buffer takes one item slot of them at a time: 64 ran about as fast, and
+# 256 ran 9-15% slower, its buffer (1 MB at H=512) no longer in cache.
+PREDICT_SUB_BLOCK_GAMES = 128
 
 
 def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -278,20 +284,31 @@ def pair_forward(store: ParamStore, prefix: str, items: np.ndarray, context: np.
     ``[item, context]`` of (B, N, D) ``items`` and (B, D) ``context``, never
     built: ``context @ W0[D:] + b0`` is taken once per game.
 
-    Games and then their item rows go ``PREDICT_BLOCK_ROWS`` at a time, the
-    last block taking the remainder, so at one BLAS thread each row keeps
-    its offset in the kernels' row tiles and its bytes.  A ``keep_cache``
-    pass writes each block's item product into the cache's one (B*N, H)
-    activation and applies there the ReLU and a ``dropout_mask`` at rate
-    ``dropout`` from ``rng``: block after block, the uniforms of one
+    Games go ``PREDICT_BLOCK_ROWS`` at a time, the last block taking the
+    remainder.  A ``keep_cache`` pass takes each block's item rows in
+    blocks of the same size, writes their item product into the cache's one
+    (B*N, H) activation and applies there the ReLU and a ``dropout_mask``
+    at rate ``dropout`` from ``rng``: block after block, the uniforms of one
     whole-batch draw.
 
-    With (B, N) integer ``rows`` (an eval pass only), ``items`` is an
-    (R, D) table and game b's items are ``items[rows[b]]``: each distinct
-    row the games use is multiplied by ``W0[:D]`` once and the blocks
-    gather their products from that projection.  At one BLAS thread a row's
-    product does not depend on its batch, so the outputs are those of the
-    pass on ``items[rows]``.
+    A pass without a cache takes a block's games ``PREDICT_SUB_BLOCK_GAMES``
+    at a time and, within those, one item slot at a time: the slot's item
+    products, context rows and ReLU go through one buffer, whose product
+    with ``W1`` is the slot's column of the outputs.  At one BLAS thread a
+    row of that ``(M, H) @ (H, 1)`` product does not depend on its batch
+    unless it is one of the last ``M % 4``.  So the sub-blocks hold
+    multiples of 4 games, and when a block has not a multiple of 4 its last
+    4 to 7 games (all, under 8) go item row by item row as in a cached pass;
+    not 1 to 3, as a lone row would be padded to a pair, which rounds it
+    another way.  Every output then has the bytes of the cached pass
+    without dropout.
+
+    With (B, N) integer ``rows`` (a pass without a cache only), ``items`` is
+    an (R, D) table and game b's items are ``items[rows[b]]``: each
+    distinct row the games use is multiplied by ``W0[:D]`` once and the
+    blocks gather their products from that projection.  At one BLAS thread
+    a row's product does not depend on its batch, so the outputs are those
+    of the pass on ``items[rows]``.
     """
     if dropout > 0.0 and (not keep_cache or rng is None):
         raise ValueError("dropout needs a cached pass and an rng")
@@ -306,31 +323,49 @@ def pair_forward(store: ParamStore, prefix: str, items: np.ndarray, context: np.
         d = items.shape[1]
         check_indices("item row", rows, len(items))
         # slot[r] becomes row r's place among the distinct rows used, and
-        # flat each item's row of ``projected``
+        # rows each item's row of the projection, which ``items`` becomes
         slot = np.zeros(len(items), dtype=np.intp)
         slot[rows] = 1
         distinct = np.flatnonzero(slot)
-        projected = _mm(items[distinct], w0[:d])
+        items = _mm(items[distinct], w0[:d])
         slot[distinct] = np.arange(len(distinct))
-        flat = slot[rows.reshape(-1)]
-    out = np.empty((b * n, 1))
+        rows = slot[rows]
+    out = np.empty((b, n))
     hidden = np.empty((b * n, w0.shape[1])) if keep_cache else None
-    # blocks of games first: their item rows start on a block boundary
+    buf = None if keep_cache else np.empty((min(b, PREDICT_SUB_BLOCK_GAMES), w0.shape[1]))
     for g0, g1 in _blocks(b):
         ctx = _mm(context[g0:g1], w0[d:])
         ctx += store.values[f"{prefix}/b0"]
-        for start, stop in _blocks((g1 - g0) * n):
-            block = slice(g0 * n + start, g0 * n + stop)
+        # the games before ``split`` go slot by slot, in sub-blocks of a
+        # multiple of 4 games; the rest, an eval pass's last 4 to 7 games
+        # when its block has not a multiple of 4, item row by item row
+        extra = (g1 - g0) % 4
+        split = g0 if keep_cache else g1 - (extra and min(g1 - g0, 4 + extra))
+        for s0 in range(g0, split, PREDICT_SUB_BLOCK_GAMES):
+            s1 = min(s0 + PREDICT_SUB_BLOCK_GAMES, split)
+            h = buf[:s1 - s0]
+            for j in range(n):
+                if rows is None:
+                    _mm(items[s0:s1, j], w0[:d], out=h)
+                else:
+                    np.take(items, rows[s0:s1, j], axis=0, mode="clip", out=h)
+                h += ctx[s0 - g0:s1 - g0]
+                np.maximum(h, 0.0, out=h)
+                _mm(h, w1, out=out[s0:s1, j:j + 1])
+        if split == g1:
+            continue
+        for start, stop in _blocks((g1 - split) * n):
+            block = slice(split * n + start, split * n + stop)
             h = (_mm(flat[block], w0[:d], None if hidden is None else hidden[block])
-                 if rows is None else projected[flat[block]])
-            _add_context(h, ctx, start, n)
+                 if rows is None else items[rows.reshape(-1)[block]])
+            _add_context(h, ctx[split - g0:], start, n)
             np.maximum(h, 0.0, out=h)
             if dropout > 0.0:
                 h *= dropout_mask(rng, h.shape, dropout)
-            out[block] = _mm(h, w1)
+            out.reshape(b * n, 1)[block] = _mm(h, w1)
     out += store.values[f"{prefix}/b1"]
     cache = PairCache(flat, context, hidden, 1.0 / (1.0 - dropout)) if keep_cache else None
-    return out.reshape(b, n), cache
+    return out, cache
 
 
 def pair_backward(store: ParamStore, prefix: str, cache: PairCache, dout: np.ndarray,
@@ -750,8 +785,9 @@ def load_params(path) -> tuple[ParamStore, str, dict]:
 def load_model(path, kind: str, config_type, init) -> tuple[object, ParamStore]:
     """The config and parameters of the ``kind`` checkpoint at ``path``: the
     ``config_type`` of its ``arch`` fields, each an integer of at least 1
-    or a number as its field's type says (true and false are neither), and
-    parameters matching ``init(config)``'s by name and shape."""
+    or a number as its field's type says (true and false are neither) and
+    within the config's own range, and parameters matching
+    ``init(config)``'s by name and shape."""
     store, found, arch = load_params(path)
     if found != kind:
         raise ValueError(f"checkpoint holds a {found!r} model, not "
@@ -766,7 +802,10 @@ def load_model(path, kind: str, config_type, init) -> tuple[object, ParamStore]:
             raise CheckpointFormatError(
                 f"checkpoint {path}: arch field {name!r} is not "
                 f"{'an integer of at least 1' if want is int else 'a number'}: {value!r}")
-    config = config_type(**fields)
+    try:
+        config = config_type(**fields)
+    except ValueError as err:   # a field outside the config's own range
+        raise CheckpointFormatError(f"checkpoint {path}: {err}") from None
     check_params(store, init(config))
     return config, store
 

@@ -239,6 +239,23 @@ class TestCountRejections:
             "error": "ValueError", "message": f"{field} must be at least 1, got {value}"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, extra, field", [
+        ("eval", [], "n_words"),
+        ("eval", ["--policy", "fixed", "--fixed-words", "0,1,2"], "n_words"),
+        ("eval", ["--policy", "heuristic"], "word_budget"),
+        ("eval", ["--sweep", "guests", "--grid", "3"], "n_words"),
+        ("baseline-heuristic", [], "word_budget")])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_word_budget_below_one_is_named_before_any_artifact(
+            self, corpus_file, guesser_ckpt, tmp_path, capsys, command, extra, field, value):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run([command, "--corpus", str(corpus_file), "--guesser", str(guesser_ckpt),
+                    "--words", value, "--out-dir", str(out), *extra]) == 1
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "ValueError", "message": f"{field} must be at least 1, got {value}"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["1", "-0.5"])
     def test_dropout_outside_unit_interval_is_named_before_any_artifact(
             self, corpus_file, tmp_path, capsys, value):

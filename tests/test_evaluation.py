@@ -188,6 +188,14 @@ class TestHeuristic:
         with pytest.raises(ValueError, match=f"^{field} must be at least 1, got {value}$"):
             heuristic_baseline(guesser, corpus, config, seed=0)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_word_budget_below_one_is_named(self, degenerate_setup, value):
+        # -1 once played all but one of the other words beside each forced word
+        corpus, guesser = degenerate_setup
+        config = HeuristicConfig(curated_size=3, n_guests=4, word_budget=value)
+        with pytest.raises(ValueError, match=f"^word_budget must be at least 1, got {value}$"):
+            heuristic_baseline(guesser, corpus, config, seed=0)
+
     def test_oversized_guest_count_rejected(self, degenerate_setup):
         corpus, guesser = degenerate_setup
         with pytest.raises(ValueError, match="exceed"):

@@ -391,6 +391,12 @@ class TestSamplers:
         assert all(len(set(w)) == 3 for w in words)
         assert set(words.ravel()) <= set(pool.tolist())
 
+    @pytest.mark.parametrize("n_words", [0, -1])
+    def test_word_count_below_one_named(self, n_words):
+        # -1 once kept all but the last of the pool's words, and 0 none
+        with pytest.raises(ValueError, match=f"^n_words must be at least 1, got {n_words}$"):
+            sample_word_subsets(np.random.default_rng(0), 10, np.arange(20), n_words)
+
     def test_oversized_requests_rejected(self):
         corpus = generate_synthetic(SynthConfig(dimension=3, vocab_size=4,
                                                 train_speakers=3, test_speakers=0,
@@ -527,7 +533,9 @@ class TestCheckpoint:
         payload["arch"]["dropout"] = 1.5
         payload["arch_hash"] = neural.arch_hash(payload["arch"])
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=r"^dropout must be in \[0, 1\), got 1.5$"):
+        with pytest.raises(neural.CheckpointFormatError,
+                           match=rf"^checkpoint {re.escape(str(path))}: "
+                                 r"dropout must be in \[0, 1\), got 1.5$"):
             GuesserModel.load(path)
 
     # one defect per case, the arch hash redone after the edit; each is

@@ -420,6 +420,58 @@ def test_blocked_cached_pair_pass_equals_whole_batch(one_blas_thread):
         """)
 
 
+def check_eval_pair_pass(games, n, hidden, seed):
+    """A ``pair_forward`` without a cache, on the (B, N, D) items or on
+    (B, N) rows into a table of them, gives the outputs of the cached pass
+    without dropout bit for bit.  A quarter of the hidden units have
+    exactly zero pre-activations."""
+    rng = np.random.default_rng(seed)
+    d = 32
+    store = make_mlp(MlpSpec(2 * d, (hidden,), 1), rng)
+    for value in store.values.values():
+        value += 0.1 * rng.standard_normal(value.shape)
+    dead = rng.permutation(hidden)[:hidden // 4]
+    store.values["net/W0"][:, dead] = 0.0
+    store.values["net/b0"][dead] = 0.0
+    table = rng.standard_normal((60, d))
+    rows = rng.integers(0, len(table), size=(games, n))
+    context = rng.standard_normal((games, d))
+    want, _ = neural.pair_forward(store, "net", table[rows], context, keep_cache=True)
+    for form, items, item_rows in (("array", table[rows], None), ("rows", table, rows)):
+        got, cache = neural.pair_forward(store, "net", items, context, rows=item_rows)
+        assert cache is None and got.flags.c_contiguous, (games, n, hidden, form)
+        assert np.array_equal(got, want), (games, n, hidden, form)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts threads in /proc/self/task")
+def test_eval_pair_pass_equals_cached_pass(one_blas_thread):
+    # the eval pass takes games slot by slot in sub-blocks whose game counts
+    # are multiples of 4, and a block's last 4 to 7 games item row by item
+    # row: game counts on either side of the 128-game sub-blocks and of the
+    # 256-game blocks, both nets' widths, and one item per game at counts
+    # of 1 mod 4, whose last game alone would be padded to a two-row product
+    one_blas_thread(f"""
+        import sys
+        sys.path.insert(0, {str(Path(__file__).parent)!r})
+        from hypothesis import assume, example, given, settings, strategies as st
+        from test_neural import check_eval_pair_pass
+
+        @given(st.integers(1, 600) | st.sampled_from([255, 256, 257, 511, 512, 513, 767, 1023]),
+               st.integers(1, 60), st.sampled_from([256, 512]), st.integers(0, 2 ** 32 - 1))
+        @example(5, 1, 256, 0)
+        @example(29, 1, 512, 1)
+        @example(513, 1, 256, 2)
+        @example(1023, 11, 512, 3)
+        @settings(max_examples=80, deadline=None, database=None)
+        def eval_pass_equals_cached_pass(games, n, hidden, seed):
+            assume(games * n <= 12_288)      # the cached pass holds a (B*N, H) activation
+            check_eval_pair_pass(games, n, hidden, seed)
+
+        eval_pass_equals_cached_pass()
+        """)
+
+
 class TestBiLstm:
     def test_empty_sequence_encodes_start_token_alone(self):
         rng = np.random.default_rng(10)

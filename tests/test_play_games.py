@@ -97,8 +97,9 @@ def reference_heuristic_scores(guesser, corpus, config, seed):
         others = np.array([w for w in range(v) if w != word])
         guest_rows, targets = sample_game_batch(
             corpus, config.games_per_word, config.n_guests, rng)
-        rest = sample_word_subsets(rng, config.games_per_word, others,
-                                   config.word_budget - 1)
+        # the word sampler's draw, which rejects a count of none at T=1
+        keys = rng.random((config.games_per_word, others.size))
+        rest = others[np.argsort(keys, axis=1)[:, :config.word_budget - 1]]
         words = np.concatenate(
             [np.full((config.games_per_word, 1), word), rest], axis=1)
         guests, uttered = gather(corpus, guest_rows, targets, words)
@@ -191,11 +192,11 @@ class TestPlayGames:
 
     def test_no_words_is_a_named_error(self, world):
         # an empty word set would score NaN rows (the cosine yardstick's
-        # argmax then picks guest 0): the dealt games reject it
+        # argmax then picks guest 0): the word sampler rejects it
         corpus, guesser, _ = world
         for call in (lambda: cosine_nearest_print_accuracy(corpus, 4, 0, 10, 0),
                      lambda: evaluate_guesser(guesser, corpus, 4, 0, "random", 10, 0)):
-            with pytest.raises(ValueError, match="^need at least one word per game, got 0$"):
+            with pytest.raises(ValueError, match="^n_words must be at least 1, got 0$"):
                 call()
 
     def test_heuristic_at_one_word_forces_that_word_alone(self, world):
