@@ -33,7 +33,7 @@ _TRAIN_ENQUIRER_REFERENCE = (
     "horizon", "update_batches", "update_batch_size", "guests", "words")
 _HEURISTIC_REFERENCE = ("eta",)
 
-# flag names that differ from the library config field they fill
+# flag names that differ from the library config field they fill, each a count of at least 1
 _FIELD_NAMES = {"dim": "dimension", "games": "n_games", "guests": "n_guests",
                 "words": "word_budget", "eta": "games_per_word"}
 
@@ -76,6 +76,9 @@ def _resolve(ns: argparse.Namespace) -> tuple[dict, object]:
                                  f"a valid {type(default).__name__}") from None
         else:
             out[key] = default
+    for key in _FIELD_NAMES:
+        if key in out and out[key] < 1:
+            raise ValueError(f"--{key} must be at least 1, got {out[key]}")
     return out, ns.library_config(**{field: out[key] for key, field in ns.fields.items()})
 
 
@@ -91,7 +94,9 @@ def _emit(path: Path) -> None:
 
 
 def _load_split(corpus_path: str, cfg: dict, *sides: str) -> list:
-    """Parse the corpus once and return each named side: train, test or full."""
+    """Parse the corpus once and return each named side: train, test or full.
+    A setting in ``cfg`` the side cannot hold, a --words above the vocabulary
+    or a --guests above its speakers, is rejected naming the flag."""
     from .corpus import load_corpus, split_speakers
     for which in sides:
         if which not in ("train", "test", "full"):
@@ -100,6 +105,12 @@ def _load_split(corpus_path: str, cfg: dict, *sides: str) -> list:
     if set(sides) - {"full"}:
         named["train"], named["test"] = split_speakers(
             named["full"], cfg["train_fraction"], cfg["split_seed"])
+    for which in sides:
+        corpus = named[which]
+        for key, limit, what in (("words", corpus.vocab_size, "words of the vocabulary"),
+                                 ("guests", corpus.n_speakers, f"speakers of the {which} split")):
+            if key in cfg and cfg[key] > limit:
+                raise ValueError(f"--{key} {cfg[key]} exceeds the {limit} {what}")
     return [named[which] for which in sides]
 
 
@@ -230,7 +241,9 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                          "--words entries in --fixed-words")
     if ns.diversity and cfg["diversity_games"] < 2:
         raise ValueError(f"diversity_games must be at least 2, got {cfg['diversity_games']}")
-    [corpus] = _load_split(ns.corpus, cfg, cfg["split"])
+    # a sweep's grid takes the place of the setting it varies
+    [corpus] = _load_split(ns.corpus, {k: v for k, v in cfg.items() if k != ns.sweep},
+                           cfg["split"])
     guesser = _load_guesser(ns.guesser, corpus)
     enquirer = EnquirerModel.load(ns.enquirer) if ns.enquirer else None
     seeds = _parse_int_list(cfg["seeds"])

@@ -41,6 +41,9 @@ from .guesser import (Games, GuesserModel, guesser_success, mean_guest_prints, p
 from .neural import BiLstmSpec, MlpSpec, ParamStore
 
 
+COLLAPSE_PATIENCE = 5000    # zero-reward episodes in a row that raise RewardCollapse
+
+
 class RewardCollapse(RuntimeError):
     """Raised when every episode in a long trailing window scored zero."""
 
@@ -64,8 +67,8 @@ class EnquirerModel:
         self.config = config
         trunk_width = 2 * config.lstm_hidden + config.dim
         self.lstm_spec = BiLstmSpec(config.dim, config.lstm_hidden)
-        self.policy_spec = MlpSpec(trunk_width, (config.policy_hidden,), config.vocab_size)
-        self.value_spec = MlpSpec(trunk_width, (config.value_hidden,), 1)
+        self.policy_spec = MlpSpec(trunk_width, config.policy_hidden, config.vocab_size)
+        self.value_spec = MlpSpec(trunk_width, config.value_hidden, 1)
         self.store = store if store is not None else ParamStore()
 
     @classmethod
@@ -172,15 +175,10 @@ def _policy_pass(model: EnquirerModel, mean_guest: np.ndarray, uttered: np.ndarr
                   (states.shape, rows, turns, start_f, steps_f, start_b, step_b))
 
 
-def _forward_core(model: EnquirerModel, mean_guest: np.ndarray, uttered: np.ndarray,
-                  mask: np.ndarray) -> EnquirerOutput:
-    b = len(mask)
-    return _policy_pass(model, mean_guest, uttered, mask, np.arange(b), np.full(b, -1))
-
-
 def enquirer_forward(model: EnquirerModel, guests: np.ndarray, uttered: np.ndarray,
                      mask: np.ndarray) -> EnquirerOutput:
-    """Action distribution and value for a batch of game prefixes.
+    """Action distribution and value for a batch of game prefixes, with
+    the caches ``_backward_core`` reads.
 
     ``guests`` is (B, K, D), ``uttered`` (B, t, D) with t >= 0 utterances
     so far, ``mask`` (B, V) boolean marking words already requested.  A
@@ -196,7 +194,8 @@ def enquirer_forward(model: EnquirerModel, guests: np.ndarray, uttered: np.ndarr
     if uttered.ndim != 3 or uttered.shape[2] != model.config.dim:
         raise ValueError(f"expected uttered of shape (n, t, {model.config.dim}), "
                          f"got {uttered.shape}")
-    return _forward_core(model, guests.mean(axis=1), uttered, mask)
+    return _policy_pass(model, guests.mean(axis=1), uttered, mask, np.arange(len(mask)),
+                        np.full(len(mask), -1))
 
 
 def _backward_core(model: EnquirerModel, out: EnquirerOutput,
@@ -209,10 +208,8 @@ def _backward_core(model: EnquirerModel, out: EnquirerOutput,
     # Masked logits were replaced by -inf before the softmax, so no
     # gradient may flow back into the policy net at masked positions.
     dlogits = np.where(out._mask, 0.0, dlogits)
-    dtrunk = neural.mlp_backward(model.store, "policy", model.policy_spec,
-                                 out._policy_cache, dlogits)
-    dtrunk += neural.mlp_backward(model.store, "value", model.value_spec,
-                                  out._value_cache, dvalue[:, None])
+    dtrunk = neural.mlp_backward(model.store, "policy", out._policy_cache, dlogits)
+    dtrunk += neural.mlp_backward(model.store, "value", out._value_cache, dvalue[:, None])
     (e, length, hidden), rows, turns, start_f, steps_f, start_b, step_b = out._lstm_cache
     store, dim = model.store, model.config.dim
 
@@ -310,7 +307,6 @@ class PpoConfig:
     update_batch_size: int = 512
     word_budget: int = 3
     n_guests: int = 5
-    collapse_patience: int = 5000
     seed: int = 0
 
     def __post_init__(self):
@@ -319,8 +315,7 @@ class PpoConfig:
         if self.clip <= 0.0:
             raise ValueError("clip must be positive")
         neural.check_counts(self, "episodes", "horizon", "update_batches",
-                            "update_batch_size", "word_budget", "n_guests",
-                            "collapse_patience")
+                            "update_batch_size", "word_budget", "n_guests")
 
 
 def ppo_update(model: EnquirerModel, rollout: _Rollout, idx: np.ndarray,
@@ -486,7 +481,7 @@ def train_enquirer(guesser: GuesserModel | None, corpus: Corpus, config: PpoConf
     drawn and applied.  Returns the model and a curve of dicts (episode,
     moving_avg_reward, entropy, value_loss, policy_loss); the moving average
     covers the trailing 1000 episodes.  Raises RewardCollapse after
-    ``collapse_patience`` consecutive zero-reward episodes.
+    ``COLLAPSE_PATIENCE`` consecutive zero-reward episodes.
     """
     if reward_fn is None:
         if guesser is None:
@@ -512,7 +507,7 @@ def train_enquirer(guesser: GuesserModel | None, corpus: Corpus, config: PpoConf
         nonzero = np.flatnonzero(episode_rewards)
         zero_run = (zero_run + n_episodes if nonzero.size == 0
                     else n_episodes - 1 - int(nonzero[-1]))
-        if zero_run >= config.collapse_patience:
+        if zero_run >= COLLAPSE_PATIENCE:
             raise RewardCollapse(
                 f"no reward in the last {zero_run} episodes "
                 f"({episodes_done} played, lr={config.lr}, clip={config.clip})")
@@ -542,8 +537,8 @@ class EnquirerEvalResult:
 
 
 def evaluate_enquirer(enquirer: EnquirerModel, guesser: GuesserModel, corpus: Corpus,
-                      n_guests: int, word_budget: int, n_games: int, seed: int,
-                      chunk: int = 4096) -> EnquirerEvalResult:
+                      n_guests: int, word_budget: int, n_games: int,
+                      seed: int) -> EnquirerEvalResult:
     """Greedy no-replacement rollouts scored by the guesser.
 
     Also returns the per-game requested word tuples, which feed the
@@ -555,5 +550,5 @@ def evaluate_enquirer(enquirer: EnquirerModel, guesser: GuesserModel, corpus: Co
 
     rate, stderr, tuples = play_games(corpus, n_guests, n_games, greedy,
                                       partial(guesser_success, guesser),
-                                      np.random.default_rng(seed), chunk)
+                                      np.random.default_rng(seed))
     return EnquirerEvalResult(success_rate=rate, stderr=stderr, word_tuples=tuples)

@@ -76,8 +76,7 @@ def nearest_print_success(games: Games) -> np.ndarray:
 
 
 def cosine_nearest_print_accuracy(corpus: Corpus, n_guests: int, n_words: int,
-                                  n_games: int, seed: int,
-                                  chunk: int = 4096) -> tuple[float, float]:
+                                  n_games: int, seed: int) -> tuple[float, float]:
     """Parameter-free reference guesser: average per-word cosine to each print.
 
     Serves as the independent yardstick the trained guesser is compared
@@ -85,8 +84,7 @@ def cosine_nearest_print_accuracy(corpus: Corpus, n_guests: int, n_words: int,
     """
     rate, stderr, _ = play_games(
         corpus, n_guests, n_games, word_pool_policy(np.arange(corpus.vocab_size), n_words),
-        nearest_print_success,
-        np.random.default_rng(seed), chunk)
+        nearest_print_success, np.random.default_rng(seed))
     return rate, stderr
 
 

@@ -31,6 +31,9 @@ from .corpus import Corpus
 from .neural import MlpSpec, ParamStore
 
 
+CHUNK_GAMES = 4096      # games ``play_games`` deals, plays and scores at a time
+
+
 class TrainingDiverged(RuntimeError):
     """Raised when a training loss goes non-finite."""
 
@@ -60,7 +63,7 @@ class GuesserModel:
     def init(cls, config: GuesserConfig, rng: np.random.Generator) -> "GuesserModel":
         model = cls(config)
         for prefix, hidden in (("attn", config.attn_hidden), ("score", config.score_hidden)):
-            neural.init_mlp(model.store, prefix, MlpSpec(2 * config.dim, (hidden,), 1), rng)
+            neural.init_mlp(model.store, prefix, MlpSpec(2 * config.dim, hidden, 1), rng)
         return model
 
     def save(self, path) -> None:
@@ -194,7 +197,7 @@ def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray
     attn_logits, attn_cache = neural.pair_forward(
         model.store, "attn", utter_items, mean_guest, keep_cache=train, dropout=dropout,
         rng=rng, rows=utter_rows)
-    attn_weights = neural.softmax(attn_logits, axis=1)
+    attn_weights = neural.softmax(attn_logits)
     if rows is None:
         pooled = np.einsum("bt,btd->bd", attn_weights, uttered)
     else:   # from the utterance table, a block of games at a time
@@ -207,7 +210,7 @@ def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray
     score_logits, score_cache = neural.pair_forward(
         model.store, "score", guest_items, pooled, keep_cache=train, dropout=dropout,
         rng=rng, rows=guest_rows)
-    probs = neural.softmax(score_logits, axis=1)
+    probs = neural.softmax(score_logits)
     return GuesserActivations(
         mean_guest=mean_guest, attn_logits=attn_logits, attn_weights=attn_weights,
         pooled=pooled, score_logits=score_logits, probs=probs,
@@ -279,8 +282,9 @@ def sample_word_subsets(rng: np.random.Generator, n_games: int, pool: np.ndarray
 
 
 def play_games(corpus: Corpus, n_guests: int, n_games: int, policy, scorer,
-               rng: np.random.Generator, chunk: int = 4096) -> tuple[float, float, np.ndarray]:
-    """Deal, play and score ``n_games`` seeded games, ``chunk`` at a time.
+               rng: np.random.Generator) -> tuple[float, float, np.ndarray]:
+    """Deal, play and score ``n_games`` seeded games, ``CHUNK_GAMES`` at a
+    time (another size would deal other games).
 
     Per chunk the games are dealt from ``rng``, then ``policy(guest_rows,
     targets, rng)`` returns each game's (b, T) word ids and ``scorer(games)``
@@ -289,12 +293,10 @@ def play_games(corpus: Corpus, n_guests: int, n_games: int, policy, scorer,
     """
     if n_games < 1:
         raise ValueError(f"need at least one game to score, got {n_games}")
-    if chunk < 1:
-        raise ValueError(f"need a chunk of at least one game, got {chunk}")
     hits, played = 0, []
-    for start in range(0, n_games, chunk):
+    for start in range(0, n_games, CHUNK_GAMES):
         guest_rows, targets = sample_game_batch(
-            corpus, min(chunk, n_games - start), n_guests, rng)
+            corpus, min(CHUNK_GAMES, n_games - start), n_guests, rng)
         games = Games(corpus, guest_rows, targets, policy(guest_rows, targets, rng))
         hits += int(scorer(games).sum())
         played.append(games.words)
@@ -383,8 +385,7 @@ def train_guesser(corpus_train: Corpus, corpus_valid: Corpus,
 
 
 def evaluate_guesser(model: GuesserModel, corpus: Corpus, n_guests: int,
-                     n_words: int, word_policy, n_games: int, seed: int,
-                     chunk: int = 4096) -> tuple[float, float]:
+                     n_words: int, word_policy, n_games: int, seed: int) -> tuple[float, float]:
     """Mean terminal success and binomial stderr over seeded games.
 
     ``word_policy`` is "random" or a fixed pool of distinct word ids in
@@ -404,7 +405,7 @@ def evaluate_guesser(model: GuesserModel, corpus: Corpus, n_guests: int,
         raise ValueError(f"word id {ids[counts > 1][0]} is repeated in the word pool")
     rate, stderr, _ = play_games(
         corpus, n_guests, n_games, word_pool_policy(pool, n_words),
-        partial(guesser_success, model), np.random.default_rng(seed), chunk)
+        partial(guesser_success, model), np.random.default_rng(seed))
     return rate, stderr
 
 

@@ -1,14 +1,14 @@
 """Minimal differentiable layers on plain numpy arrays.
 
-Everything the guesser and enquirer need and nothing more: dense ReLU
-networks, the guesser's paired form (rows [item, context] scored without
-building them, with inverted dropout in training), a bidirectional LSTM,
-stabilized softmax cross-entropy, and Adam with global-norm gradient
-clipping.  The LSTM's cell step and its gate gradients are public, so
-the enquirer can step its two directions over different positions and
-rows.  Parameters live in a ParamStore keyed by name; backward passes
-accumulate gradients into the store and an explicit ``adam_step``
-consumes them.
+Everything the guesser and enquirer need and nothing more: dense nets of
+one ReLU hidden layer, the guesser's paired form (rows [item, context]
+scored without building them, with inverted dropout in training), a
+bidirectional LSTM, stabilized softmax cross-entropy, and Adam, its
+moment and epsilon constants fixed, with global-norm gradient clipping.
+The LSTM's cell step and its gate gradients are public, so the enquirer
+can step its two directions over different positions and rows.
+Parameters live in a ParamStore keyed by name; backward passes accumulate
+gradients into the store and an explicit ``adam_step`` consumes them.
 
 All math is float64.  Every backward pass here is checked against central
 finite differences in the test suite, so keep forward and backward in
@@ -37,6 +37,10 @@ PREDICT_BLOCK_ROWS = 256
 # buffer takes one item slot of them at a time: 64 ran about as fast, and
 # 256 ran 9-15% slower, its buffer (1 MB at H=512) no longer in cache.
 PREDICT_SUB_BLOCK_GAMES = 128
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Kingma and Ba's defaults
+# finite-difference step, and the discrepancy ``max_relative_error`` counts as zero
+FD_STEP, FD_NOISE_FLOOR = 1e-5, 1e-8
 
 
 def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -123,9 +127,7 @@ def clip_grads_global_norm(store: ParamStore, max_norm: float) -> float:
     return norm
 
 
-def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8,
-              clip_norm: float | None = None) -> None:
+def adam_step(store: ParamStore, lr: float, clip_norm: float | None = None) -> None:
     """One Adam update with bias correction; zeroes gradients afterwards.
 
     Raises ValueError naming the parameter if any gradient is non-finite.
@@ -137,17 +139,17 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
     if clip_norm is not None:
         clip_grads_global_norm(store, clip_norm)
     t = store.step_count + 1
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in store.values.items():
         g = store.grads[name]
         m = store._m[name]
         v = store._v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     store.step_count = t
     store.zero_grads()
 
@@ -158,77 +160,66 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Affine -> ReLU -> ... -> affine chain, with no dropout."""
+    """Affine -> ReLU -> affine, one hidden layer, with no dropout."""
 
     in_width: int
-    hidden: tuple[int, ...]
+    hidden: int
     out_width: int
 
     def __post_init__(self):
-        widths = (self.in_width, *self.hidden, self.out_width)
+        widths = (self.in_width, self.hidden, self.out_width)
         if any(w < 1 for w in widths):
             raise ValueError(f"all widths must be >= 1, got {widths}")
 
 
 def init_mlp(store: ParamStore, prefix: str, spec: MlpSpec,
              rng: np.random.Generator) -> None:
-    widths = (spec.in_width, *spec.hidden, spec.out_width)
-    for i, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
+    for i, (a, b) in enumerate(((spec.in_width, spec.hidden), (spec.hidden, spec.out_width))):
         store.add(f"{prefix}/W{i}", uniform_fan_in(rng, a, (a, b)))
         store.add(f"{prefix}/b{i}", np.zeros(b))
 
 
 @dataclass(eq=False, slots=True)
 class MlpCache:
-    """Each layer's input for one forward pass; consumable exactly once."""
+    """A forward pass's input and hidden activation; consumable exactly once."""
 
-    affine_inputs: list
+    x: np.ndarray
+    hidden: np.ndarray
     consumed: bool = False
 
 
 def mlp_forward(store: ParamStore, prefix: str, spec: MlpSpec,
                 x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
-    """Run the network on a (batch, in_width) matrix.
-
-    Bias and ReLU are applied in place to each matmul's fresh result, so
-    ``x`` is never written, and each ReLU output is the array the next
-    layer reads and the cache keeps as that layer's input.
-    """
+    """Run the network on a (batch, in_width) matrix.  Bias and ReLU go in
+    place into each matmul's fresh result, so ``x`` is never written and the
+    cache keeps the ReLU output the output layer read."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.in_width:
         raise ValueError(f"expected input of shape (n, {spec.in_width}), got {x.shape}")
-    n_affine = len(spec.hidden) + 1
-    h = x
-    affine_inputs = []
-    for i in range(n_affine):
-        affine_inputs.append(h)
-        h = _mm(h, store.values[f"{prefix}/W{i}"])
-        h += store.values[f"{prefix}/b{i}"]
-        if i < n_affine - 1:
-            np.maximum(h, 0.0, out=h)
-    return h, MlpCache(affine_inputs)
+    h = _mm(x, store.values[f"{prefix}/W0"])
+    h += store.values[f"{prefix}/b0"]
+    np.maximum(h, 0.0, out=h)
+    y = _mm(h, store.values[f"{prefix}/W1"])
+    y += store.values[f"{prefix}/b1"]
+    return y, MlpCache(x, h)
 
 
-def mlp_backward(store: ParamStore, prefix: str, spec: MlpSpec,
-                 cache: MlpCache, dout: np.ndarray) -> np.ndarray:
+def mlp_backward(store: ParamStore, prefix: str, cache: MlpCache,
+                 dout: np.ndarray) -> np.ndarray:
     """Accumulate parameter gradients; return the gradient w.r.t. the input.
-
-    A ReLU's gate is where its output, the next layer's cached input, is
-    positive.  The gates multiply each matmul's fresh result in place, so
-    neither ``dout`` nor the cache is written.
-    """
+    The ReLU's gate, where its cached output is positive, multiplies the
+    fresh ``dout @ W1.T`` in place: neither ``dout`` nor the cache is written."""
     if cache.consumed:
         raise ValueError("mlp backward cache already consumed")
     cache.consumed = True
     d = np.asarray(dout, dtype=np.float64)
-    n_affine = len(spec.hidden) + 1
-    for i in reversed(range(n_affine)):
-        store.grads[f"{prefix}/W{i}"] += cache.affine_inputs[i].T @ d
-        store.grads[f"{prefix}/b{i}"] += d.sum(axis=0)
-        d = d @ store.values[f"{prefix}/W{i}"].T
-        if i > 0:
-            d *= cache.affine_inputs[i] > 0.0
-    return d
+    store.grads[f"{prefix}/W1"] += cache.hidden.T @ d
+    store.grads[f"{prefix}/b1"] += d.sum(axis=0)
+    d = d @ store.values[f"{prefix}/W1"].T
+    d *= cache.hidden > 0.0
+    store.grads[f"{prefix}/W0"] += cache.x.T @ d
+    store.grads[f"{prefix}/b0"] += d.sum(axis=0)
+    return d @ store.values[f"{prefix}/W0"].T
 
 
 def check_indices(name: str, indices: np.ndarray, high: int) -> None:
@@ -589,16 +580,16 @@ def bilstm_backward(store: ParamStore, prefix: str, spec: BiLstmSpec,
 # Softmax machinery
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-subtracted softmax; -inf logits map to exactly zero probability."""
-    z = logits - np.max(logits, axis=axis, keepdims=True)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax over the last axis; -inf logits give 0."""
+    z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = logits - np.max(logits, axis=axis, keepdims=True)
-    return z - np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - np.max(logits, axis=-1, keepdims=True)
+    return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
 
 
 def softmax_cross_entropy(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -614,7 +605,7 @@ def softmax_cross_entropy(logits: np.ndarray, targets) -> tuple[np.ndarray, np.n
         raise ValueError(f"expected {n} targets, got shape {targets.shape}")
     if np.any(targets < 0) or np.any(targets >= width):
         raise ValueError(f"target index out of range for width {width}")
-    logp = log_softmax(logits, axis=1)
+    logp = log_softmax(logits)
     rows = np.arange(n)
     loss = -logp[rows, targets]
     grad = np.exp(logp)
@@ -648,7 +639,7 @@ def categorical_entropy(probs: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
 # Numerical gradient checking
 
 
-def numerical_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
+def numerical_gradient(f, x: np.ndarray) -> np.ndarray:
     """Central finite differences of a scalar function at ``x``."""
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
@@ -656,20 +647,19 @@ def numerical_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     while not it.finished:
         idx = it.multi_index
         orig = x[idx]
-        x[idx] = orig + step
+        x[idx] = orig + FD_STEP
         hi = f(x)
-        x[idx] = orig - step
+        x[idx] = orig - FD_STEP
         lo = f(x)
         x[idx] = orig
-        grad[idx] = (hi - lo) / (2.0 * step)
+        grad[idx] = (hi - lo) / (2.0 * FD_STEP)
         it.iternext()
     return grad
 
 
-def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> float:
+def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
     """Max elementwise |a-b| / max(|a|, |b|), with discrepancies at or
-    below the absolute ``floor`` counted as zero (finite-difference noise
-    on near-zero gradients sits well under it)."""
+    below the absolute ``FD_NOISE_FLOOR`` counted as zero."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size == 0:
@@ -677,7 +667,7 @@ def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> flo
     diff = np.abs(a - b)
     denom = np.maximum(np.abs(a), np.abs(b))
     with np.errstate(invalid="ignore", divide="ignore"):
-        rel = np.where(diff <= floor, 0.0, diff / denom)
+        rel = np.where(diff <= FD_NOISE_FLOOR, 0.0, diff / denom)
     return float(np.max(rel))
 
 

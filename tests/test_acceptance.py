@@ -16,7 +16,7 @@ import pytest
 from isrlab import cli, neural
 from isrlab.corpus import SynthConfig, synthetic_split
 from isrlab.enquirer import (EnquirerConfig, EnquirerModel, PpoConfig,
-                             _forward_core, sample_actions, train_enquirer,
+                             enquirer_forward, sample_actions, train_enquirer,
                              evaluate_enquirer)
 from isrlab.evaluation import (HeuristicConfig, cosine_nearest_print_accuracy,
                                diversity_index, heuristic_baseline)
@@ -224,7 +224,7 @@ def test_criterion_8_gradient_suite():
         # dense net with ReLU hidden layer
         def make_mlp(rng):
             store = neural.ParamStore()
-            spec = neural.MlpSpec(3, (4,), 2)
+            spec = neural.MlpSpec(3, 4, 2)
             neural.init_mlp(store, "net", spec, rng)
             x = rng.standard_normal((4, 3))
             if np.min(np.abs(hidden_preact(store, "net", x))) < kink_floor:
@@ -233,7 +233,7 @@ def test_criterion_8_gradient_suite():
 
         store, spec, x, dout = draw(1000 + i, make_mlp)
         _, cache = neural.mlp_forward(store, "net", spec, x)
-        neural.mlp_backward(store, "net", spec, cache, dout)
+        neural.mlp_backward(store, "net", cache, dout)
         analytic = {k: g.copy() for k, g in store.grads.items()}
         store.zero_grads()
         check(store, analytic,
@@ -311,11 +311,11 @@ def test_criterion_8_gradient_suite():
         actions = np.array([3, 0])
 
         def enquirer_scalar():
-            out = _forward_core(em, mean_guest, prefix, mask)
+            out = enquirer_forward(em, mean_guest[:, None], prefix, mask)
             return float(out.log_probs[np.arange(2), actions].sum()
                          + out.value.sum())
 
-        out = _forward_core(em, mean_guest, prefix, mask)
+        out = enquirer_forward(em, mean_guest[:, None], prefix, mask)
         one_hot = np.zeros_like(out.probs)
         one_hot[np.arange(2), actions] = 1.0
         _backward_core(em, out, one_hot - out.probs, np.ones(2))
@@ -348,12 +348,11 @@ def test_criterion_9_ppo_bandit_sanity(corpora):
         n = 1000
         rows = rng.integers(0, train.n_speakers, (n, 5))
         guests = train.voice_prints[rows]
-        mean_guest = guests.mean(axis=1)
         uttered = np.zeros((n, 3, train.dimension))
         mask = np.zeros((n, train.vocab_size), dtype=bool)
         hit = np.zeros(n, dtype=bool)
         for t in range(3):
-            out = _forward_core(model, mean_guest, uttered[:, :t], mask)
+            out = enquirer_forward(model, guests, uttered[:, :t], mask)
             acts = sample_actions(out.probs, "greedy")
             hit |= acts == magic
             mask[np.arange(n), acts] = True

@@ -202,7 +202,7 @@ class TestTrainEnquirer:
                     "--vocab-size", "8"]) == 0
         capsys.readouterr()
         code = run(["train-enquirer", "--corpus", str(other),
-                    "--guesser", str(guesser_ckpt), "--episodes", "50",
+                    "--guesser", str(guesser_ckpt), "--episodes", "50", "--guests", "2",
                     "--out-dir", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == 1
@@ -213,18 +213,13 @@ class TestTrainEnquirer:
 
 class TestCountRejections:
     @pytest.mark.parametrize("command, flag, field", [
-        ("train-guesser", "--games", "n_games"),
         ("train-guesser", "--batch-size", "batch_size"),
         ("train-guesser", "--eval-every", "eval_every"),
         ("train-guesser", "--eval-games", "valid_games"),
-        ("train-guesser", "--guests", "n_guests"),
-        ("train-guesser", "--words", "word_budget"),
         ("train-enquirer", "--episodes", "episodes"),
         ("train-enquirer", "--horizon", "horizon"),
         ("train-enquirer", "--update-batches", "update_batches"),
         ("train-enquirer", "--update-batch-size", "update_batch_size"),
-        ("train-enquirer", "--guests", "n_guests"),
-        ("train-enquirer", "--words", "word_budget"),
         ("train-enquirer", "--eval-games", "eval_games")])
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_count_below_one_is_named_before_any_artifact(
@@ -235,23 +230,6 @@ class TestCountRejections:
             argv += ["--guesser", str(guesser_ckpt)]
         capsys.readouterr()
         assert run(argv) == 1
-        assert json.loads(capsys.readouterr().err.strip()) == {
-            "error": "ValueError", "message": f"{field} must be at least 1, got {value}"}
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command, extra, field", [
-        ("eval", [], "n_words"),
-        ("eval", ["--policy", "fixed", "--fixed-words", "0,1,2"], "n_words"),
-        ("eval", ["--policy", "heuristic"], "word_budget"),
-        ("eval", ["--sweep", "guests", "--grid", "3"], "n_words"),
-        ("baseline-heuristic", [], "word_budget")])
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_word_budget_below_one_is_named_before_any_artifact(
-            self, corpus_file, guesser_ckpt, tmp_path, capsys, command, extra, field, value):
-        out = tmp_path / "out"
-        capsys.readouterr()
-        assert run([command, "--corpus", str(corpus_file), "--guesser", str(guesser_ckpt),
-                    "--words", value, "--out-dir", str(out), *extra]) == 1
         assert json.loads(capsys.readouterr().err.strip()) == {
             "error": "ValueError", "message": f"{field} must be at least 1, got {value}"}
         assert not out.exists()
@@ -268,20 +246,78 @@ class TestCountRejections:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", "--guests", "0", "--games", "50"],
-    ["eval", "--sweep", "guests", "--grid", "0,5", "--games", "50"],
-    ["baseline-heuristic", "--guests", "0", "--eta", "10", "--eval-games", "50"]],
-    ids=["eval", "guest-sweep", "baseline-heuristic"])
-def test_no_guests_named_before_any_artifact(corpus_file, guesser_ckpt, tmp_path, capsys,
-                                             argv):
+def test_no_guests_in_a_sweep_grid_named_before_any_artifact(corpus_file, guesser_ckpt,
+                                                             tmp_path, capsys):
     out = tmp_path / "out"
     capsys.readouterr()
-    assert run([*argv, "--corpus", str(corpus_file), "--guesser", str(guesser_ckpt),
+    assert run(["eval", "--sweep", "guests", "--grid", "0,5", "--games", "50",
+                "--corpus", str(corpus_file), "--guesser", str(guesser_ckpt),
                 "--out-dir", str(out)]) == 1
     assert json.loads(capsys.readouterr().err.strip()) == {
         "error": "ValueError", "message": "need at least one guest per game, got 0"}
     assert not out.exists()
+
+
+# Every subcommand and policy that reads one of the flags filling a library
+# field of another name (``cli._FIELD_NAMES``).  The corpus has 8 words and
+# 22 speakers, 17 on the train side and 5 on the test side.
+_FLAG_USES = {
+    "dim": [["gen-corpus"]],
+    "games": [["train-guesser"], ["eval"], ["eval", "--sweep", "words", "--grid", "1"]],
+    "guests": [["train-guesser"], ["train-enquirer"], ["eval"],
+               ["eval", "--policy", "heuristic"], ["eval", "--sweep", "words", "--grid", "1"],
+               ["baseline-heuristic"]],
+    "words": [["train-guesser"], ["train-enquirer"], ["eval"],
+              ["eval", "--policy", "fixed", "--fixed-words", "0,1,2"],
+              ["eval", "--policy", "heuristic"], ["eval", "--policy", "enquirer"],
+              ["eval", "--sweep", "guests", "--grid", "3"], ["baseline-heuristic"]],
+    "eta": [["eval", "--policy", "heuristic"], ["baseline-heuristic"]],
+}
+_FLAG_REJECTIONS = [
+    (argv, flag, value, f"--{flag} must be at least 1, got {value}")
+    for flag, uses in _FLAG_USES.items() for argv in uses for value in ("0", "-1")
+] + [
+    (argv, "words", "9", "--words 9 exceeds the 8 words of the vocabulary")
+    for argv in _FLAG_USES["words"] if "fixed" not in argv
+] + [
+    (argv, "guests", "6", "--guests 6 exceeds the 5 speakers of the test split")
+    for argv in _FLAG_USES["guests"]
+] + [
+    (argv, "guests", "18", "--guests 18 exceeds the 17 speakers of the train split")
+    for argv in (["train-guesser"], ["train-enquirer"], ["eval", "--split", "train"])
+]
+
+
+@pytest.mark.parametrize("argv, flag, value, message", _FLAG_REJECTIONS,
+                         ids=[" ".join([*argv, f"--{flag}", value])
+                              for argv, flag, value, _ in _FLAG_REJECTIONS])
+def test_rejected_flag_is_named_before_any_checkpoint_or_artifact(
+        corpus_file, tmp_path, capsys, argv, flag, value, message):
+    # the checkpoints do not exist: a rejection after reading one would be
+    # a FileNotFoundError
+    out, missing = tmp_path / "out", str(tmp_path / "missing.json")
+    if argv[0] == "gen-corpus":
+        argv = [*argv, "--out", str(out / "c.jsonl")]
+    else:
+        argv = [*argv, "--corpus", str(corpus_file)]
+    if argv[0] in ("train-enquirer", "eval", "baseline-heuristic"):
+        argv += ["--guesser", missing]
+    if "enquirer" in argv:      # --policy enquirer
+        argv += ["--enquirer", missing]
+    capsys.readouterr()
+    assert run([*argv, f"--{flag}", value, "--out-dir", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "error": "ValueError", "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sweep, grid, flag", [("words", "2", "--words"),
+                                                ("guests", "3", "--guests")])
+def test_a_sweep_ignores_the_setting_its_grid_varies(corpus_file, guesser_ckpt, tmp_path,
+                                                     sweep, grid, flag):
+    assert run(["eval", "--corpus", str(corpus_file), "--guesser", str(guesser_ckpt),
+                "--sweep", sweep, "--grid", grid, flag, "99", "--games", "20",
+                "--out-dir", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("command, truncated", [
@@ -471,7 +507,7 @@ class TestBaselineHeuristic:
                     "--vocab-size", "8"]) == 0
         capsys.readouterr()
         assert run(["baseline-heuristic", "--corpus", str(other),
-                    "--guesser", str(guesser_ckpt), "--eta", "10",
+                    "--guesser", str(guesser_ckpt), "--eta", "10", "--guests", "2",
                     "--out-dir", str(tmp_path)]) == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record == {"error": "ValueError",

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from isrlab import neural
 from isrlab.corpus import SynthConfig, generate_synthetic
 from isrlab.enquirer import (EnquirerConfig, EnquirerModel, PpoConfig, RewardCollapse,
-                             _backward_core, _collect_rollout, _forward_core,
-                             _play_games, _policy_pass, compute_gae,
+                             _backward_core, _collect_rollout, _play_games, _policy_pass, compute_gae,
                              enquirer_forward, evaluate_enquirer, ppo_update,
                              sample_actions, train_enquirer)
 from isrlab.guesser import (Games, GuesserConfig, GuesserModel, GuesserTrainConfig,
@@ -224,9 +223,9 @@ class TestPpoUpdate:
         logps = np.zeros((e, t))
         values = np.zeros((e, t))
         for turn in range(t):
-            out = _forward_core(model, games.mean_guest, games.uttered[:, :turn],
-                                masks_before(games.words, np.full(e, turn),
-                                             games.corpus.vocab_size))
+            out = enquirer_forward(model, games.mean_guest[:, None], games.uttered[:, :turn],
+                                   masks_before(games.words, np.full(e, turn),
+                                                games.corpus.vocab_size))
             logps[:, turn] = out.log_probs[np.arange(e), games.words[:, turn]]
             values[:, turn] = out.value
         ratios = np.exp(logps - rollout.log_probs)
@@ -294,7 +293,7 @@ class TestPpoUpdate:
             out, _ = objective()
             # kink guard: keep the ReLU pre-activations clear of zero, where
             # a finite difference would straddle the kink
-            if all(np.min(np.abs(cache.affine_inputs[0] @ model.store.values[f"{net}/W0"]
+            if all(np.min(np.abs(cache.x @ model.store.values[f"{net}/W0"]
                                  + model.store.values[f"{net}/b0"])) >= 1e-3
                    for net, cache in (("policy", out._policy_cache),
                                       ("value", out._value_cache))):
@@ -318,8 +317,7 @@ class TestPpoUpdate:
 
 
 @pytest.mark.parametrize("field", ["episodes", "horizon", "update_batches",
-                                   "update_batch_size", "word_budget", "n_guests",
-                                   "collapse_patience"])
+                                   "update_batch_size", "word_budget", "n_guests"])
 def test_ppo_count_below_one_is_named(field):
     with pytest.raises(ValueError, match=f"^{field} must be at least 1, got 0$"):
         PpoConfig(**{field: 0})
@@ -373,11 +371,22 @@ class TestTraining:
                    {k: v for k, v in rb.items() if k != "wall_time_s"}
 
     def test_reward_collapse_aborts_with_diagnostics(self, corpus):
-        config = PpoConfig(episodes=2000, horizon=60, update_batch_size=30,
-                           word_budget=3, n_guests=3, collapse_patience=200, seed=6)
-        zero = lambda games: np.zeros(len(games.words))
-        with pytest.raises(RewardCollapse, match="episodes"):
-            train_enquirer(None, corpus, config, reward_fn=zero)
+        # one reward, on the first of a 5,000-episode round, leaves a zero
+        # run of 4,999; the last round's one episode brings it to the 5,000
+        # of COLLAPSE_PATIENCE
+        config = PpoConfig(episodes=5001, horizon=15_000, update_batches=1,
+                           update_batch_size=30, word_budget=3, n_guests=3, seed=6)
+        rounds = []
+
+        def one_reward(games):
+            rewards = np.zeros(len(games.words))
+            rewards[0] = not rounds
+            rounds.append(len(rewards))
+            return rewards
+        with pytest.raises(RewardCollapse,
+                           match=r"^no reward in the last 5000 episodes \(5001 played"):
+            train_enquirer(None, corpus, config, reward_fn=one_reward)
+        assert rounds == [5000, 1]
 
     def test_curve_rows_have_documented_fields(self, corpus):
         config = PpoConfig(episodes=120, horizon=60, update_batch_size=30,
@@ -431,7 +440,7 @@ class TestEvaluate:
         mask = np.zeros((n_games, corpus.vocab_size), dtype=bool)
         words = np.zeros((n_games, budget), dtype=np.int64)
         for turn in range(budget):
-            out = _forward_core(enquirer, guests.mean(axis=1), uttered[:, :turn], mask)
+            out = enquirer_forward(enquirer, guests, uttered[:, :turn], mask)
             words[:, turn] = sample_actions(out.probs, "greedy")
             mask[np.arange(n_games), words[:, turn]] = True
             uttered[:, turn] = corpus.utterances[target_rows, words[:, turn]]

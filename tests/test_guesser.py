@@ -216,8 +216,8 @@ class TestScoringHoldsNoGuestGather:
             scored.append(kwargs["rows"])
             return original(*args, **kwargs)
         monkeypatch.setattr(guesser_module, "guesser_forward", recording)
-        evaluate_guesser(model, corpus, 50, 3, "random", 600, seed=2, chunk=256)
-        assert [len(games.targets) for games in scored] == [256, 256, 88]
+        evaluate_guesser(model, corpus, 50, 3, "random", 4097, seed=2)
+        assert [len(games.targets) for games in scored] == [4096, 1]
         assert all("guests" not in games.__dict__ and "uttered" not in games.__dict__
                    for games in scored)
 

@@ -120,33 +120,28 @@ def world():
     return corpus, guesser, enquirer
 
 
-SIZES = [(30, 7), (4097, 4096)]   # (games, chunk): both end on a partial chunk
+N_GAMES = 4097   # a whole chunk of 4,096 games and a partial one
 
 
 class TestSameOutputsAsTheLoopsReplaced:
-    @pytest.mark.parametrize("n_games, chunk", SIZES)
     @pytest.mark.parametrize("policy", ["random", [0, 2, 3, 5]], ids=["random", "pool"])
-    def test_evaluate_guesser(self, world, n_games, chunk, policy):
+    def test_evaluate_guesser(self, world, policy):
         corpus, guesser, _ = world
-        got = evaluate_guesser(guesser, corpus, 4, 3, policy, n_games, seed=1, chunk=chunk)
-        assert got == reference_evaluate_guesser(guesser, corpus, 4, 3, policy, n_games,
-                                                 seed=1, chunk=chunk)
+        got = evaluate_guesser(guesser, corpus, 4, 3, policy, N_GAMES, seed=1)
+        assert got == reference_evaluate_guesser(guesser, corpus, 4, 3, policy, N_GAMES,
+                                                 seed=1)
 
-    @pytest.mark.parametrize("n_games, chunk", SIZES)
     @pytest.mark.parametrize("n_words", [1, 3])
-    def test_cosine_yardstick(self, world, n_games, chunk, n_words):
+    def test_cosine_yardstick(self, world, n_words):
         corpus, _, _ = world
-        got = cosine_nearest_print_accuracy(corpus, 4, n_words, n_games, seed=2,
-                                            chunk=chunk)
-        assert got == reference_cosine(corpus, 4, n_words, n_games, seed=2, chunk=chunk)
+        got = cosine_nearest_print_accuracy(corpus, 4, n_words, N_GAMES, seed=2)
+        assert got == reference_cosine(corpus, 4, n_words, N_GAMES, seed=2)
 
-    @pytest.mark.parametrize("n_games, chunk", SIZES)
-    def test_evaluate_enquirer(self, world, n_games, chunk):
+    def test_evaluate_enquirer(self, world):
         corpus, guesser, enquirer = world
-        got = evaluate_enquirer(enquirer, guesser, corpus, 4, 3, n_games, seed=3,
-                                chunk=chunk)
+        got = evaluate_enquirer(enquirer, guesser, corpus, 4, 3, N_GAMES, seed=3)
         rate, stderr, tuples = reference_evaluate_enquirer(
-            enquirer, guesser, corpus, 4, 3, n_games, seed=3, chunk=chunk)
+            enquirer, guesser, corpus, 4, 3, N_GAMES, seed=3)
         assert (got.success_rate, got.stderr) == (rate, stderr)
         assert np.array_equal(got.word_tuples, tuples)
 
@@ -170,10 +165,10 @@ class TestPlayGames:
             return sample_word_subsets(rng, len(targets), np.arange(6), 2)
 
         rate, stderr, words = play_games(
-            corpus, 3, 20, policy, lambda games: np.ones(len(games.targets)),
-            np.random.default_rng(0), chunk=8)
-        assert seen == [8, 8, 4]
-        assert words.shape == (20, 2)
+            corpus, 3, 8200, policy, lambda games: np.ones(len(games.targets)),
+            np.random.default_rng(0))
+        assert seen == [4096, 4096, 8]
+        assert words.shape == (8200, 2)
         assert (rate, stderr) == (1.0, 0.0)
 
     def test_oversized_guest_count_named(self, world):
@@ -207,12 +202,6 @@ class TestPlayGames:
         got = heuristic_baseline(guesser, corpus, config, seed=6).word_scores
         assert np.array_equal(got, reference_heuristic_scores(guesser, corpus, config,
                                                               seed=6))
-
-    @pytest.mark.parametrize("chunk", [0, -4])
-    def test_chunk_below_one_game_is_a_named_error(self, world, chunk):
-        corpus, guesser, _ = world
-        with pytest.raises(ValueError, match=f"chunk of at least one game, got {chunk}"):
-            evaluate_guesser(guesser, corpus, 4, 3, "random", 10, seed=0, chunk=chunk)
 
     def test_non_sequence_word_policy_rejected(self, world):
         corpus, guesser, enquirer = world

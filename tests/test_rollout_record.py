@@ -22,7 +22,7 @@ import pytest
 from isrlab import neural
 from isrlab.corpus import SynthConfig, generate_synthetic
 from isrlab.enquirer import (EnquirerConfig, EnquirerModel, PpoConfig, _backward_core,
-                             _collect_rollout, _forward_core, ppo_update)
+                             _collect_rollout, enquirer_forward, ppo_update)
 
 
 def reference_flatten(rollout):
@@ -57,8 +57,8 @@ def reference_ppo_update(model, batch, config):
     groups = []
     for turn in np.unique(batch.turns):
         sel = rows[batch.turns == turn]
-        out = _forward_core(model, batch.mean_guest[sel],
-                            batch.episode_uttered[sel, :turn], batch.masks[sel])
+        out = enquirer_forward(model, batch.mean_guest[sel, None],
+                               batch.episode_uttered[sel, :turn], batch.masks[sel])
         groups.append((sel, out))
         new_log_probs[sel] = out.log_probs[np.arange(len(sel)), batch.actions[sel]]
         values[sel] = out.value
