@@ -244,6 +244,17 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     # a sweep's grid takes the place of the setting it varies
     [corpus] = _load_split(ns.corpus, {k: v for k, v in cfg.items() if k != ns.sweep},
                            cfg["split"])
+    if ns.sweep:
+        grid = _parse_int_list(cfg["grid"])
+        if not grid:
+            raise ValueError("--sweep requires --grid values")
+        limit, what = ((corpus.vocab_size, "words of the vocabulary") if ns.sweep == "words"
+                       else (corpus.n_speakers, f"speakers of the {cfg['split']} split"))
+        for value in grid:
+            if value < 1:
+                raise ValueError(f"--grid values must be at least 1, got {value}")
+            if value > limit:
+                raise ValueError(f"--grid {value} exceeds the {limit} {what}")
     guesser = _load_guesser(ns.guesser, corpus)
     enquirer = EnquirerModel.load(ns.enquirer) if ns.enquirer else None
     seeds = _parse_int_list(cfg["seeds"])
@@ -252,9 +263,6 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     written = []
 
     if ns.sweep:
-        grid = _parse_int_list(cfg["grid"])
-        if not grid:
-            raise ValueError("--sweep requires --grid values")
         if ns.sweep == "words":
             result = word_sweep(guesser, corpus, grid, cfg["guests"], seeds,
                                 n_games=cfg["games"], enquirer=enquirer,

@@ -187,13 +187,11 @@ def enquirer_forward(model: EnquirerModel, guests: np.ndarray, uttered: np.ndarr
     guests = np.asarray(guests, dtype=np.float64)
     uttered = np.asarray(uttered, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
+    neural.check_game_shapes(guests, model.config.dim,
+                             uttered=(uttered, ("t", model.config.dim)),
+                             mask=(mask, (model.config.vocab_size,)))
     if guests.ndim == 2:
         guests, uttered, mask = guests[None], uttered[None], mask[None]
-    if mask.shape[1] != model.config.vocab_size:
-        raise ValueError(f"mask width {mask.shape[1]} != vocabulary {model.config.vocab_size}")
-    if uttered.ndim != 3 or uttered.shape[2] != model.config.dim:
-        raise ValueError(f"expected uttered of shape (n, t, {model.config.dim}), "
-                         f"got {uttered.shape}")
     return _policy_pass(model, guests.mean(axis=1), uttered, mask, np.arange(len(mask)),
                         np.full(len(mask), -1))
 

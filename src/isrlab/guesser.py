@@ -175,15 +175,11 @@ def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray
     """
     guests = np.asarray(guests, dtype=np.float64)
     uttered = np.asarray(uttered, dtype=np.float64)
+    neural.check_game_shapes(guests, model.config.dim,
+                             uttered=(uttered, ("T", model.config.dim)))
     if guests.ndim == 2:
-        guests = guests[None]
-    if uttered.ndim == 2:
-        uttered = uttered[None]
+        guests, uttered = guests[None], uttered[None]
     b, k, d = guests.shape
-    if d != model.config.dim:
-        raise ValueError(f"guest dimension {d} != model dimension {model.config.dim}")
-    if uttered.shape[0] != b or uttered.shape[2] != d:
-        raise ValueError(f"uttered shape {uttered.shape} incompatible with guests {guests.shape}")
     t = uttered.shape[1]
     if k < 1 or t < 1:
         raise ValueError("need at least one guest and one uttered word")

@@ -27,9 +27,8 @@ import numpy as np
 
 CHECKPOINT_FORMAT_VERSION = 1
 
-# Games per block of every ``pair_forward``, and item rows per block of a
-# cached one and of the last few games of one without a cache: a power of
-# two, so every block starts on a boundary of the BLAS kernels' row tiles.
+# Item rows per block of a cached ``pair_forward`` (whole games, a multiple
+# of 4 of them) and rows or games per block of ``_blocks``: a power of two.
 # Of 128, 256 and 512 item rows, 512 ran 204,800 eval rows slowest.
 PREDICT_BLOCK_ROWS = 256
 
@@ -237,6 +236,23 @@ def check_counts(config, *names: str) -> None:
             raise ValueError(f"{name} must be at least 1, got {getattr(config, name)}")
 
 
+def check_game_shapes(guests: np.ndarray, dim: int, **arrays: tuple) -> None:
+    """Raise a ValueError naming the argument and both shapes unless
+    ``guests`` is (B, K, ``dim``), or (K, ``dim``) for one game unbatched,
+    and each ``name=(array, shape)`` is (B, *shape), or ``shape`` with
+    unbatched guests; a str entry of ``shape`` names a free size."""
+    if guests.ndim not in (2, 3) or guests.shape[-1] != dim:
+        raise ValueError(f"guests shape {guests.shape} is neither (B, K, {dim}) nor "
+                         f"(K, {dim}), for the model dimension {dim}")
+    for name, (array, shape) in arrays.items():
+        want = (*guests.shape[:guests.ndim - 2], *shape)
+        if array.ndim != len(want) or any(
+                isinstance(w, int) and w != size for w, size in zip(want, array.shape)):
+            want = ", ".join(map(str, want)) + ("," if len(want) == 1 else "")
+            raise ValueError(f"{name} shape {array.shape} does not fit guests shape "
+                             f"{guests.shape}: expected ({want})")
+
+
 def _blocks(count: int):
     # (start, stop) by ``PREDICT_BLOCK_ROWS``, the last block taking the
     # remainder; one block under two blocks' worth
@@ -246,14 +262,15 @@ def _blocks(count: int):
     return zip(starts, [*starts[1:], count])
 
 
-def _add_context(hidden: np.ndarray, context: np.ndarray, start: int, n: int) -> None:
-    # adds to each item row (rows ``start`` on, ``n`` per game) its game's context row
-    head = min(-start % n, len(hidden))    # the rest of a game begun before ``start``
-    game, whole = -(-start // n), (len(hidden) - head) // n
-    hidden[:head] += context[game - 1:game]
-    body = hidden[head:head + whole * n].reshape(whole, n, hidden.shape[1])
-    body += context[game:game + whole, None]
-    hidden[head + whole * n:] += context[game + whole:game + whole + 1]
+def _score_rows(h: np.ndarray, w1: np.ndarray, out: np.ndarray) -> None:
+    # ``h @ w1`` into ``out``, ``h`` zero-padded to a multiple of 4 rows.  At
+    # one BLAS thread a row of this (M, H) @ (H, 1) product depends on its
+    # batch only when it is one of the last M % 4, which BLAS's 4-row
+    # register tile leaves over, so padded, no output depends on its block.
+    m = len(h)
+    if m % 4:
+        h = np.concatenate([h, np.zeros((-m % 4, h.shape[1]))])
+    out[...] = (h @ w1)[:m]
 
 
 @dataclass(eq=False, slots=True)
@@ -275,24 +292,21 @@ def pair_forward(store: ParamStore, prefix: str, items: np.ndarray, context: np.
     ``[item, context]`` of (B, N, D) ``items`` and (B, D) ``context``, never
     built: ``context @ W0[D:] + b0`` is taken once per game.
 
-    Games go ``PREDICT_BLOCK_ROWS`` at a time, the last block taking the
-    remainder.  A ``keep_cache`` pass takes each block's item rows in
-    blocks of the same size, writes their item product into the cache's one
-    (B*N, H) activation and applies there the ReLU and a ``dropout_mask``
-    at rate ``dropout`` from ``rng``: block after block, the uniforms of one
+    A ``keep_cache`` pass takes blocks of whole games, a multiple of 4 and
+    at most ``PREDICT_BLOCK_ROWS`` item rows (4 games when 4 have more),
+    writes their item product into the cache's one (B*N, H) activation and
+    applies there the context, the ReLU and a ``dropout_mask`` at rate
+    ``dropout`` from ``rng``: block after block, the uniforms of one
     whole-batch draw.
 
-    A pass without a cache takes a block's games ``PREDICT_SUB_BLOCK_GAMES``
-    at a time and, within those, one item slot at a time: the slot's item
+    A pass without a cache takes the games ``PREDICT_SUB_BLOCK_GAMES`` at a
+    time and, within those, one item slot at a time: the slot's item
     products, context rows and ReLU go through one buffer, whose product
-    with ``W1`` is the slot's column of the outputs.  At one BLAS thread a
-    row of that ``(M, H) @ (H, 1)`` product does not depend on its batch
-    unless it is one of the last ``M % 4``.  So the sub-blocks hold
-    multiples of 4 games, and when a block has not a multiple of 4 its last
-    4 to 7 games (all, under 8) go item row by item row as in a cached pass;
-    not 1 to 3, as a lone row would be padded to a pair, which rounds it
-    another way.  Every output then has the bytes of the cached pass
-    without dropout.
+    with ``W1`` is the slot's column of the outputs.
+
+    Every product with ``W1`` is taken with its rows zero-padded to a
+    multiple of 4.  At one BLAS thread no output then depends on its block,
+    and both passes give the whole-batch pass's outputs bit for bit.
 
     With (B, N) integer ``rows`` (a pass without a cache only), ``items`` is
     an (R, D) table and game b's items are ``items[rows[b]]``: each
@@ -322,38 +336,33 @@ def pair_forward(store: ParamStore, prefix: str, items: np.ndarray, context: np.
         slot[distinct] = np.arange(len(distinct))
         rows = slot[rows]
     out = np.empty((b, n))
-    hidden = np.empty((b * n, w0.shape[1])) if keep_cache else None
-    buf = None if keep_cache else np.empty((min(b, PREDICT_SUB_BLOCK_GAMES), w0.shape[1]))
-    for g0, g1 in _blocks(b):
+    if keep_cache:
+        hidden = np.empty((b * n, w0.shape[1]))
+        step = max(4, PREDICT_BLOCK_ROWS // n // 4 * 4)
+    else:
+        hidden, buf = None, np.empty((min(b, PREDICT_SUB_BLOCK_GAMES), w0.shape[1]))
+        step = PREDICT_SUB_BLOCK_GAMES
+    for g0 in range(0, b, step):
+        g1 = min(g0 + step, b)
         ctx = _mm(context[g0:g1], w0[d:])
         ctx += store.values[f"{prefix}/b0"]
-        # the games before ``split`` go slot by slot, in sub-blocks of a
-        # multiple of 4 games; the rest, an eval pass's last 4 to 7 games
-        # when its block has not a multiple of 4, item row by item row
-        extra = (g1 - g0) % 4
-        split = g0 if keep_cache else g1 - (extra and min(g1 - g0, 4 + extra))
-        for s0 in range(g0, split, PREDICT_SUB_BLOCK_GAMES):
-            s1 = min(s0 + PREDICT_SUB_BLOCK_GAMES, split)
-            h = buf[:s1 - s0]
-            for j in range(n):
-                if rows is None:
-                    _mm(items[s0:s1, j], w0[:d], out=h)
-                else:
-                    np.take(items, rows[s0:s1, j], axis=0, mode="clip", out=h)
-                h += ctx[s0 - g0:s1 - g0]
-                np.maximum(h, 0.0, out=h)
-                _mm(h, w1, out=out[s0:s1, j:j + 1])
-        if split == g1:
-            continue
-        for start, stop in _blocks((g1 - split) * n):
-            block = slice(split * n + start, split * n + stop)
-            h = (_mm(flat[block], w0[:d], None if hidden is None else hidden[block])
-                 if rows is None else items[rows.reshape(-1)[block]])
-            _add_context(h, ctx[split - g0:], start, n)
+        if keep_cache:
+            h = _mm(flat[g0 * n:g1 * n], w0[:d], hidden[g0 * n:g1 * n])
+            h.reshape(g1 - g0, n, -1)[...] += ctx[:, None]
             np.maximum(h, 0.0, out=h)
             if dropout > 0.0:
                 h *= dropout_mask(rng, h.shape, dropout)
-            out.reshape(b * n, 1)[block] = _mm(h, w1)
+            _score_rows(h, w1, out[g0:g1].reshape(-1, 1))
+            continue
+        h = buf[:g1 - g0]
+        for j in range(n):
+            if rows is None:
+                _mm(items[g0:g1, j], w0[:d], out=h)
+            else:
+                np.take(items, rows[g0:g1, j], axis=0, mode="clip", out=h)
+            h += ctx
+            np.maximum(h, 0.0, out=h)
+            _score_rows(h, w1, out[g0:g1, j:j + 1])
     out += store.values[f"{prefix}/b1"]
     cache = PairCache(flat, context, hidden, 1.0 / (1.0 - dropout)) if keep_cache else None
     return out, cache

@@ -246,15 +246,24 @@ class TestCountRejections:
         assert not out.exists()
 
 
-def test_no_guests_in_a_sweep_grid_named_before_any_artifact(corpus_file, guesser_ckpt,
-                                                             tmp_path, capsys):
+@pytest.mark.parametrize("sweep, grid, message", [
+    ("guests", "0,5", "--grid values must be at least 1, got 0"),
+    ("guests", "3,6", "--grid 6 exceeds the 5 speakers of the test split"),
+    ("words", "2,9", "--grid 9 exceeds the 8 words of the vocabulary"),
+    ("words", "-1", "--grid values must be at least 1, got -1")])
+@pytest.mark.parametrize("checkpoint", ["trained", "missing"])
+def test_bad_sweep_grid_named_before_any_checkpoint_or_artifact(
+        corpus_file, guesser_ckpt, tmp_path, capsys, sweep, grid, message, checkpoint):
+    # with a missing checkpoint, a rejection after reading it would be a
+    # FileNotFoundError
     out = tmp_path / "out"
+    guesser = guesser_ckpt if checkpoint == "trained" else tmp_path / "missing.json"
     capsys.readouterr()
-    assert run(["eval", "--sweep", "guests", "--grid", "0,5", "--games", "50",
-                "--corpus", str(corpus_file), "--guesser", str(guesser_ckpt),
+    assert run(["eval", "--sweep", sweep, "--grid", grid, "--games", "50",
+                "--corpus", str(corpus_file), "--guesser", str(guesser),
                 "--out-dir", str(out)]) == 1
     assert json.loads(capsys.readouterr().err.strip()) == {
-        "error": "ValueError", "message": "need at least one guest per game, got 0"}
+        "error": "ValueError", "message": message}
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Policy masking, sampling, GAE identities, and PPO update mechanics."""
 
 import json
+import re
 import sys
 
 import numpy as np
@@ -71,6 +72,24 @@ class TestForward:
         with pytest.raises(ValueError, match="masked"):
             enquirer_forward(model, rng.standard_normal((4, 6)),
                              np.zeros((0, 6)), np.ones(8, dtype=bool))
+
+
+    @pytest.mark.parametrize("guests, uttered, mask, message", [
+        ((3, 5, 6), (3, 1, 6), (2, 8),
+         "mask shape (2, 8) does not fit guests shape (3, 5, 6): expected (3, 8)"),
+        ((2, 5, 6), (3, 1, 6), (2, 8),
+         "uttered shape (3, 1, 6) does not fit guests shape (2, 5, 6): expected (2, t, 6)"),
+        ((3, 5, 6), (3, 1, 6), (8,),
+         "mask shape (8,) does not fit guests shape (3, 5, 6): expected (3, 8)"),
+        ((4, 6), (1, 6), (1, 8),
+         "mask shape (1, 8) does not fit guests shape (4, 6): expected (8,)"),
+        ((6,), (1, 6), (8,),
+         "guests shape (6,) is neither (B, K, 6) nor (K, 6), for the model dimension 6"),
+        ((2, 5, 4), (2, 1, 4), (2, 8),
+         "guests shape (2, 5, 4) is neither (B, K, 6) nor (K, 6), for the model dimension 6")])
+    def test_malformed_input_is_named(self, model, guests, uttered, mask, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            enquirer_forward(model, np.zeros(guests), np.zeros(uttered), np.zeros(mask, bool))
 
 
 class TestPlayGames:

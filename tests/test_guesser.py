@@ -97,6 +97,19 @@ class TestForward:
         with pytest.raises(ValueError, match="dimension"):
             guesser_forward(tiny_model, np.zeros((3, 5)), np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("guests, uttered, message", [
+        ((4,), (2, 4), "guests shape (4,) is neither (B, K, 4) nor (K, 4), "
+                       "for the model dimension 4"),
+        ((2, 5, 4), (2, 1, 3, 4),
+         "uttered shape (2, 1, 3, 4) does not fit guests shape (2, 5, 4): expected (2, T, 4)"),
+        ((2, 5, 4), (3, 3, 4),
+         "uttered shape (3, 3, 4) does not fit guests shape (2, 5, 4): expected (2, T, 4)"),
+        ((5, 4), (1, 3, 4),
+         "uttered shape (1, 3, 4) does not fit guests shape (5, 4): expected (T, 4)")])
+    def test_malformed_input_is_named(self, tiny_model, guests, uttered, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            guesser_forward(tiny_model, np.zeros(guests), np.zeros(uttered))
+
     @pytest.mark.parametrize("k, t", [(0, 3), (5, 0), (0, 0)])
     def test_no_guest_or_no_word_rejected(self, tiny_model, k, t):
         with pytest.raises(ValueError, match="need at least one guest and one uttered word"):

@@ -222,8 +222,8 @@ class TestPairNet:
     @pytest.mark.parametrize("mode", ["eval", "cached", "dropout"])
     @pytest.mark.parametrize("games, n", [(1, 1), (3, 5), (100, 7), (2, 300)])
     def test_equals_concatenated_rows(self, games, n, mode):
-        # 700 and 600 item rows run in blocks in eval mode, and blocks
-        # start inside a game
+        # a cached pass takes 700 item rows in blocks of 36 games, and 600
+        # in one block of two games, each wider than a block
         rng = np.random.default_rng(40)
         d, hidden, rate = 6, 16, 0.5
         store = make_mlp(MlpSpec(2 * d, hidden, 1), rng)
@@ -314,11 +314,18 @@ def _gemm(a, b):
     return (np.concatenate([a, a], axis=0) @ b)[:1] if len(a) == 1 else a @ b
 
 
+def _gemm_tiled(a, b):
+    # ``a @ b`` with ``a``'s rows zero-padded to a multiple of 4, BLAS's row
+    # tile, as ``pair_forward`` takes its output product
+    return (np.concatenate([a, np.zeros((-len(a) % 4, a.shape[1]))]) @ b)[:len(a)]
+
+
 def _whole_batch_pair_pass(store, items, context, dout, dropout, seed):
-    # the cached pair pass as it ran before it went in blocks: one (B*N, H)
-    # ReLU array, one whole-batch ``dropout_mask``, ``relu * mask`` and the
-    # backward ``dh * mask * (relu > 0)``.  Accumulates into ``store.grads``
-    # and returns the (B, N) outputs and the (B, D) context gradient.
+    # the cached pair pass on the whole batch: one (B*N, H) ReLU array, one
+    # whole-batch ``dropout_mask``, ``relu * mask``, the output product with
+    # its rows padded to BLAS's row tile and the backward
+    # ``dh * mask * (relu > 0)``.  Accumulates into ``store.grads`` and
+    # returns the (B, N) outputs and the (B, D) context gradient.
     b, n, d = items.shape
     w0, b0, w1, b1 = (store.values[f"net/{name}"] for name in ("W0", "b0", "W1", "b1"))
     flat = items.reshape(b * n, d)
@@ -330,7 +337,7 @@ def _whole_batch_pair_pass(store, items, context, dout, dropout, seed):
     mask = (dropout_mask(np.random.default_rng(seed), relu.shape, dropout)
             if dropout > 0.0 else None)
     hidden = relu if mask is None else relu * mask
-    y = _gemm(hidden, w1) + b1
+    y = _gemm_tiled(hidden, w1) + b1
     dout = dout.reshape(b * n, 1)
     store.grads["net/W1"] += hidden.T @ dout
     store.grads["net/b1"] += dout.sum(axis=0)
@@ -380,9 +387,10 @@ def check_blocked_pair_pass(games, n, d, hidden, dropout, seed):
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts threads in /proc/self/task")
 def test_blocked_cached_pair_pass_equals_whole_batch(one_blas_thread):
-    # item-row counts 1, 255-257, 511, 513, 1,280 and 5,120: one block, one
-    # block of 257 to 511 rows, blocks that start inside a game, and the
-    # guesser's nets at batch 1,024 (3,072 rows at H=256, 5,120 at H=512)
+    # item-row counts 1, 255-257, 511, 513, 1,280 and 5,120: one block,
+    # blocks of whole games, games of more rows than a block, counts that
+    # are not multiples of 4, and the guesser's nets at batch 1,024 (3,072
+    # rows at H=256, 5,120 at H=512)
     one_blas_thread(f"""
         import sys
         sys.path.insert(0, {str(Path(__file__).parent)!r})
@@ -424,11 +432,10 @@ def check_eval_pair_pass(games, n, hidden, seed):
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts threads in /proc/self/task")
 def test_eval_pair_pass_equals_cached_pass(one_blas_thread):
-    # the eval pass takes games slot by slot in sub-blocks whose game counts
-    # are multiples of 4, and a block's last 4 to 7 games item row by item
-    # row: game counts on either side of the 128-game sub-blocks and of the
-    # 256-game blocks, both nets' widths, and one item per game at counts
-    # of 1 mod 4, whose last game alone would be padded to a two-row product
+    # the eval pass takes games slot by slot in 128-game sub-blocks, each
+    # slot's output product padded to a multiple of 4 rows: game counts on
+    # either side of the sub-blocks, both nets' widths, and one item per
+    # game at counts of 1 mod 4, whose last sub-block may hold one game
     one_blas_thread(f"""
         import sys
         sys.path.insert(0, {str(Path(__file__).parent)!r})
@@ -447,6 +454,50 @@ def test_eval_pair_pass_equals_cached_pass(one_blas_thread):
             check_eval_pair_pass(games, n, hidden, seed)
 
         eval_pass_equals_cached_pass()
+        """)
+
+
+def pair_passes(games, n, hidden, seed):
+    """A cached ``pair_forward`` with dropout, its ``pair_backward`` and the
+    eval pass on arrays and on rows: every output and gradient, by name."""
+    rng = np.random.default_rng(seed)
+    d = 32
+    store = make_mlp(MlpSpec(2 * d, hidden, 1), rng)
+    table = rng.standard_normal((60, d))
+    rows = rng.integers(0, len(table), size=(games, n))
+    context = rng.standard_normal((games, d))
+    y, cache = neural.pair_forward(store, "net", table[rows], context, keep_cache=True,
+                                   dropout=0.5, rng=np.random.default_rng(seed + 1))
+    got = {"cached": y, "context grad": neural.pair_backward(
+        store, "net", cache, rng.standard_normal((games, n)), context_grad=True)}
+    got.update((f"grad {name}", grad) for name, grad in store.grads.items())
+    got["array"], _ = neural.pair_forward(store, "net", table[rows], context)
+    got["rows"], _ = neural.pair_forward(store, "net", table, context, rows=rows)
+    return got
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts threads in /proc/self/task")
+def test_no_pair_pass_output_depends_on_its_block(one_blas_thread):
+    # the padded output product is what lets the passes block as they like:
+    # blocks of 4 and 12 item rows and sub-blocks of 4, 5, 7 and 12 games
+    # (so one-game sub-blocks and games wider than a block) give the bytes
+    # of the default blocking, at game counts that are not multiples of 4
+    one_blas_thread(f"""
+        import sys
+        sys.path.insert(0, {str(Path(__file__).parent)!r})
+        from isrlab import neural
+        from test_neural import pair_passes
+        defaults = neural.PREDICT_BLOCK_ROWS, neural.PREDICT_SUB_BLOCK_GAMES
+        for seed, case in enumerate([(1, 1, 512), (3, 5, 512), (7, 3, 256), (13, 1, 512),
+                                     (130, 3, 512), (257, 1, 256), (45, 20, 256)]):
+            want = pair_passes(*case, seed)
+            for blocking in ((4, 4), (12, 12), (4, 5), (12, 7)):
+                neural.PREDICT_BLOCK_ROWS, neural.PREDICT_SUB_BLOCK_GAMES = blocking
+                got = pair_passes(*case, seed)
+                neural.PREDICT_BLOCK_ROWS, neural.PREDICT_SUB_BLOCK_GAMES = defaults
+                for name, value in want.items():
+                    assert np.array_equal(got[name], value), (case, blocking, name)
         """)
 
 
