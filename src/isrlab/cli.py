@@ -125,11 +125,6 @@ def _load_guesser(path: str, corpus):
     return guesser
 
 
-def _curve_rows(curve: list[dict]) -> list[dict]:
-    """A training curve without the wall time on its last row; summaries report it."""
-    return [{k: v for k, v in row.items() if k != "wall_time_s"} for row in curve]
-
-
 def cmd_gen_corpus(ns: argparse.Namespace) -> int:
     from .corpus import generate_synthetic, save_corpus
     from .evaluation import write_summary_json
@@ -162,7 +157,7 @@ def cmd_train_guesser(ns: argparse.Namespace) -> int:
     model.save(ckpt)
     _emit(ckpt)
     curve_path = out / "guesser_curve.csv"
-    write_rows_csv(curve_path, _curve_rows(curve))
+    write_rows_csv(curve_path, curve)
     _emit(curve_path)
     summary = out / "guesser_summary.json"
     write_summary_json(summary, {
@@ -195,7 +190,7 @@ def cmd_train_enquirer(ns: argparse.Namespace) -> int:
     model.save(ckpt)
     _emit(ckpt)
     curve_path = out / "enquirer_curve.csv"
-    write_rows_csv(curve_path, _curve_rows(curve))
+    write_rows_csv(curve_path, curve)
     _emit(curve_path)
     summary = out / "enquirer_summary.json"
     write_summary_json(summary, {

@@ -28,7 +28,6 @@ whether a frozen guesser picks the target from the collected utterances.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -180,9 +179,9 @@ def enquirer_forward(model: EnquirerModel, guests: np.ndarray, uttered: np.ndarr
     """Action distribution and value for a batch of game prefixes, with
     the caches ``_backward_core`` reads.
 
-    ``guests`` is (B, K, D), ``uttered`` (B, t, D) with t >= 0 utterances
-    so far, ``mask`` (B, V) boolean marking words already requested.  A
-    single game may be passed unbatched as (K, D), (t, D), (V,).
+    ``guests`` is (B, K, D) with K >= 1, ``uttered`` (B, t, D) with t >= 0
+    utterances so far, ``mask`` (B, V) boolean marking words already
+    requested.  A single game may be passed unbatched as (K, D), (t, D), (V,).
     """
     guests = np.asarray(guests, dtype=np.float64)
     uttered = np.asarray(uttered, dtype=np.float64)
@@ -476,10 +475,11 @@ def train_enquirer(guesser: GuesserModel | None, corpus: Corpus, config: PpoConf
     the default is ``guesser_success`` of the guesser.  Episodes are rolled
     out in explore mode; whenever ``horizon`` transitions have accumulated,
     ``update_batches`` minibatches of ``update_batch_size`` transitions are
-    drawn and applied.  Returns the model and a curve of dicts (episode,
-    moving_avg_reward, entropy, value_loss, policy_loss); the moving average
-    covers the trailing 1000 episodes.  Raises RewardCollapse after
-    ``COLLAPSE_PATIENCE`` consecutive zero-reward episodes.
+    drawn and applied.  Returns the model and a curve of dicts with exactly
+    the keys episode, moving_avg_reward, entropy, value_loss and
+    policy_loss, one per round; the moving average covers the trailing 1000
+    episodes.  Raises RewardCollapse after ``COLLAPSE_PATIENCE`` consecutive
+    zero-reward episodes.
     """
     if reward_fn is None:
         if guesser is None:
@@ -494,7 +494,6 @@ def train_enquirer(guesser: GuesserModel | None, corpus: Corpus, config: PpoConf
     reward_history: list[float] = []
     zero_run = 0
     episodes_done = 0
-    start = time.perf_counter()
     while episodes_done < config.episodes:
         n_episodes = min(episodes_per_round, config.episodes - episodes_done)
         rollout, episode_rewards = _collect_rollout(
@@ -522,8 +521,6 @@ def train_enquirer(guesser: GuesserModel | None, corpus: Corpus, config: PpoConf
                       "entropy": float(np.mean([s["entropy"] for s in stats])),
                       "value_loss": float(np.mean([s["value_loss"] for s in stats])),
                       "policy_loss": float(np.mean([s["policy_loss"] for s in stats]))})
-    if curve:
-        curve[-1]["wall_time_s"] = time.perf_counter() - start
     return model, curve
 
 

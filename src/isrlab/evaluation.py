@@ -43,7 +43,8 @@ def diversity_index(tuples) -> DiversityReport:
     """Mean Jaccard overlap across all distinct pairs of word tuples.
 
     1 means every game requested the same words; uniform random 3-of-20
-    tuples land near 0.095.  Requires at least two tuples of equal size.
+    tuples land near 0.095.  Requires at least two non-empty tuples of
+    equal size, of distinct word ids that are at least 0.
     """
     as_tuples = [tuple(int(w) for w in t) for t in tuples]
     if len(as_tuples) < 2:
@@ -54,6 +55,11 @@ def diversity_index(tuples) -> DiversityReport:
     if len({len(set(t)) for t in as_tuples} | sizes) != 1:
         raise ValueError("tuples may not repeat words")
     size = sizes.pop()
+    if size == 0:
+        raise ValueError("word tuples may not be empty, got ()")
+    lowest = min(min(t) for t in as_tuples)
+    if lowest < 0:
+        raise ValueError(f"word id {lowest} is negative")
     width = max(max(t) for t in as_tuples) + 1
     members = np.zeros((len(as_tuples), width), dtype=np.float64)
     for i, t in enumerate(as_tuples):
@@ -149,8 +155,6 @@ def heuristic_baseline(guesser: GuesserModel, corpus: Corpus,
 
 @dataclass
 class SweepResult:
-    variable: str              # "word_budget" or "n_guests"
-    grid: tuple[int, ...]
     rows: list[dict]           # one per grid point per seed per policy
 
 
@@ -189,8 +193,7 @@ def word_sweep(guesser: GuesserModel, corpus: Corpus, t_grid, n_guests: int,
                 rows.append({"variable": "word_budget", "value": int(t),
                              "policy": "enquirer", "seed": int(seed),
                              "accuracy": res.success_rate, "stderr": res.stderr})
-    return SweepResult(variable="word_budget", grid=tuple(int(t) for t in t_grid),
-                       rows=rows)
+    return SweepResult(rows=rows)
 
 
 def guest_sweep(guesser: GuesserModel, corpus: Corpus, k_grid, word_budget: int,
@@ -206,8 +209,7 @@ def guest_sweep(guesser: GuesserModel, corpus: Corpus, k_grid, word_budget: int,
                                         n_games, seed)
             rows.append({"variable": "n_guests", "value": int(k), "policy": "random",
                          "seed": int(seed), "accuracy": acc, "stderr": err})
-    return SweepResult(variable="n_guests", grid=tuple(int(k) for k in k_grid),
-                       rows=rows)
+    return SweepResult(rows=rows)
 
 
 def aggregate_rows(rows: list[dict]) -> list[dict]:

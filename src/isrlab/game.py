@@ -85,11 +85,9 @@ def step(state: GameState, word: int, corpus: Corpus) -> StepOutcome:
     """
     if state.turn >= state.word_budget:
         raise ValueError("episode already used its word budget")
-    if not 0 <= word < corpus.vocab_size:
-        raise ValueError(f"word id {word} out of range [0, {corpus.vocab_size})")
+    embedding = corpus.utterance(state.target_id, word)    # checks the word id
     if word in state.requested:
         raise ValueError(f"word {word} was already requested this game")
-    embedding = corpus.utterance(state.target_id, word)
     next_state = GameState(
         guest_ids=state.guest_ids, guest_prints=state.guest_prints,
         target_index=state.target_index, word_budget=state.word_budget,

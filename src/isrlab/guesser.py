@@ -20,7 +20,6 @@ word sets, no policy involved.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 
@@ -181,8 +180,8 @@ def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray
         guests, uttered = guests[None], uttered[None]
     b, k, d = guests.shape
     t = uttered.shape[1]
-    if k < 1 or t < 1:
-        raise ValueError("need at least one guest and one uttered word")
+    if t < 1:
+        raise ValueError("need at least one uttered word")
 
     # each net's items: the gathered arrays, or a corpus table and rows into it
     (guest_items, guest_rows), (utter_items, utter_rows) = (
@@ -194,14 +193,11 @@ def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray
         model.store, "attn", utter_items, mean_guest, keep_cache=train, dropout=dropout,
         rng=rng, rows=utter_rows)
     attn_weights = neural.softmax(attn_logits)
-    if rows is None:
-        pooled = np.einsum("bt,btd->bd", attn_weights, uttered)
-    else:   # from the utterance table, a block of games at a time
-        pooled = np.empty((b, d))
-        for start in range(0, b, neural.PREDICT_BLOCK_ROWS):
-            block = slice(start, start + neural.PREDICT_BLOCK_ROWS)
-            pooled[block] = np.einsum("bt,btd->bd", attn_weights[block],
-                                      utter_items[utter_rows[block]])
+    pooled = np.empty((b, d))
+    for start in range(0, b, neural.PREDICT_BLOCK_ROWS):   # a block of games at a time
+        block = slice(start, start + neural.PREDICT_BLOCK_ROWS)
+        items = uttered[block] if rows is None else utter_items[utter_rows[block]]
+        pooled[block] = np.einsum("bt,btd->bd", attn_weights[block], items)
 
     score_logits, score_cache = neural.pair_forward(
         model.store, "score", guest_items, pooled, keep_cache=train, dropout=dropout,
@@ -313,8 +309,6 @@ class GuesserTrainConfig:
     lr: float = 3e-4
     n_games: int = 45_000
     dropout: float = 0.5
-    attn_hidden: int = 256
-    score_hidden: int = 512
     valid_games: int = 10_000
     eval_every: int = 10          # batches between validation points
     seed: int = 0
@@ -329,9 +323,9 @@ def train_guesser(corpus_train: Corpus, corpus_valid: Corpus,
                   config: GuesserTrainConfig) -> tuple[GuesserModel, list[dict]]:
     """Supervised training on freshly sampled random-word games.
 
-    Returns the model and a curve of dicts with keys epoch, games_seen,
-    train_loss, valid_accuracy.  Validation always runs on the same seeded
-    held-out games so curves are comparable across runs.
+    Returns the model and a curve of dicts with exactly the keys epoch,
+    games_seen, train_loss and valid_accuracy.  Validation always runs on
+    the same seeded held-out games so curves are comparable across runs.
     """
     if corpus_train.dimension != corpus_valid.dimension:
         raise ValueError("train and validation corpora disagree on dimension")
@@ -339,15 +333,13 @@ def train_guesser(corpus_train: Corpus, corpus_valid: Corpus,
         raise ValueError("train and validation corpora disagree on vocabulary")
     rng = np.random.default_rng(config.seed)
     model = GuesserModel.init(
-        GuesserConfig(dim=corpus_train.dimension, attn_hidden=config.attn_hidden,
-                      score_hidden=config.score_hidden, dropout=config.dropout), rng)
+        GuesserConfig(dim=corpus_train.dimension, dropout=config.dropout), rng)
 
     vocab = np.arange(corpus_train.vocab_size)
     n_batches = max(1, int(np.ceil(config.n_games / config.batch_size)))
     curve: list[dict] = []
     losses_since_eval: list[float] = []
     games_seen = 0
-    start = time.perf_counter()
 
     def record(epoch: int) -> None:
         acc, _ = evaluate_guesser(model, corpus_valid, config.n_guests,
@@ -376,7 +368,6 @@ def train_guesser(corpus_train: Corpus, corpus_valid: Corpus,
             record(len(curve) + 1)
     if not curve or curve[-1]["games_seen"] != games_seen:
         record(len(curve) + 1)
-    curve[-1]["wall_time_s"] = time.perf_counter() - start
     return model, curve
 
 

@@ -240,10 +240,14 @@ def check_game_shapes(guests: np.ndarray, dim: int, **arrays: tuple) -> None:
     """Raise a ValueError naming the argument and both shapes unless
     ``guests`` is (B, K, ``dim``), or (K, ``dim``) for one game unbatched,
     and each ``name=(array, shape)`` is (B, *shape), or ``shape`` with
-    unbatched guests; a str entry of ``shape`` names a free size."""
+    unbatched guests; a str entry of ``shape`` names a free size.  K must
+    be at least one."""
     if guests.ndim not in (2, 3) or guests.shape[-1] != dim:
         raise ValueError(f"guests shape {guests.shape} is neither (B, K, {dim}) nor "
                          f"(K, {dim}), for the model dimension {dim}")
+    if guests.shape[-2] < 1:
+        raise ValueError(f"guests shape {guests.shape} holds no guest: need at least one "
+                         "guest per game")
     for name, (array, shape) in arrays.items():
         want = (*guests.shape[:guests.ndim - 2], *shape)
         if array.ndim != len(want) or any(
@@ -256,9 +260,7 @@ def check_game_shapes(guests: np.ndarray, dim: int, **arrays: tuple) -> None:
 def _blocks(count: int):
     # (start, stop) by ``PREDICT_BLOCK_ROWS``, the last block taking the
     # remainder; one block under two blocks' worth
-    if count < 2 * PREDICT_BLOCK_ROWS:
-        return [(0, count)]
-    starts = range(0, count - PREDICT_BLOCK_ROWS + 1, PREDICT_BLOCK_ROWS)
+    starts = range(0, max(count - PREDICT_BLOCK_ROWS, 0) + 1, PREDICT_BLOCK_ROWS)
     return zip(starts, [*starts[1:], count])
 
 

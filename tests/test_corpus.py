@@ -1,6 +1,7 @@
 """Synthetic generator contract, interchange format, and split rules."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,27 @@ class TestGenerator:
             small_config(utterance_noise=-0.1)
         with pytest.raises(ValueError):
             small_config(enrollments=0)
+
+
+class TestLookups:
+    @pytest.mark.parametrize("lookup, message", [
+        (lambda c: c.utterance(99, 0), "speaker 99 is not in the corpus"),
+        (lambda c: c.voice_print(99), "speaker 99 is not in the corpus"),
+        (lambda c: c.voice_print(True), "speaker id True is not an integer"),
+        (lambda c: c.utterance(1.0, 0), "speaker id 1.0 is not an integer"),
+        (lambda c: c.utterance(0, True), "word id True is not an integer"),
+        (lambda c: c.utterance(0, 1.0), "word id 1.0 is not an integer"),
+        (lambda c: c.utterance(0, 3), "word id 3 out of range [0, 3)")])
+    def test_bad_lookup_named(self, lookup, message):
+        corpus = generate_synthetic(small_config())
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lookup(corpus)
+
+    def test_numpy_integer_ids_look_up(self):
+        corpus = generate_synthetic(small_config())
+        assert np.array_equal(corpus.utterance(np.int64(1), np.int32(2)),
+                              corpus.utterance(1, 2))
+        assert np.array_equal(corpus.voice_print(np.int32(1)), corpus.voice_print(1))
 
 
 class TestSplit:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from fractions import Fraction
 from math import comb
 
@@ -90,6 +91,15 @@ class TestDiversity:
     def test_repeated_words_rejected(self):
         with pytest.raises(ValueError, match="repeat"):
             diversity_index([(1, 1), (1, 2)])
+
+    @pytest.mark.parametrize("tuples, message", [
+        ([(-1, 2), (3, 4)], "word id -1 is negative"),
+        ([(0, 2), (3, -4)], "word id -4 is negative"),
+        ([(), ()], "word tuples may not be empty, got ()")])
+    def test_negative_word_or_empty_tuple_named(self, tuples, message):
+        # a negative id would index a column from the end, as the widest word
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            diversity_index(tuples)
 
 
 def degenerate_corpus(informative_word: int = 2, v: int = 5, s: int = 12,

@@ -91,6 +91,19 @@ class TestStep:
         with pytest.raises(ValueError, match="out of range"):
             step(state, 6, corpus)
 
+    @pytest.mark.parametrize("word", [True, 1.0, 2.5])
+    def test_word_that_is_not_an_integer_rejected(self, corpus, word):
+        # True would be recorded as word 1, with a (1, V, D) slab as its utterance
+        state = new_game(corpus, GameConfig(n_guests=4, word_budget=3),
+                         np.random.default_rng(5))
+        with pytest.raises(ValueError, match=f"^word id {word} is not an integer$"):
+            step(state, word, corpus)
+
+    def test_numpy_integer_word_accepted(self, corpus):
+        state = new_game(corpus, GameConfig(n_guests=4, word_budget=3),
+                         np.random.default_rng(5))
+        assert step(state, np.int64(2), corpus).state.uttered_matrix().shape == (1, 4)
+
     def test_stepping_a_finished_episode_rejected(self, corpus):
         state = new_game(corpus, GameConfig(n_guests=4, word_budget=1),
                          np.random.default_rng(6))

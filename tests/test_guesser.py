@@ -110,9 +110,12 @@ class TestForward:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             guesser_forward(tiny_model, np.zeros(guests), np.zeros(uttered))
 
-    @pytest.mark.parametrize("k, t", [(0, 3), (5, 0), (0, 0)])
-    def test_no_guest_or_no_word_rejected(self, tiny_model, k, t):
-        with pytest.raises(ValueError, match="need at least one guest and one uttered word"):
+    @pytest.mark.parametrize("k, t, message", [
+        (0, 3, "guests shape (2, 0, 4) holds no guest: need at least one guest per game"),
+        (5, 0, "need at least one uttered word"),
+        (0, 0, "guests shape (2, 0, 4) holds no guest: need at least one guest per game")])
+    def test_no_guest_or_no_word_rejected(self, tiny_model, k, t, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             guesser_forward(tiny_model, np.zeros((2, k, 4)), np.zeros((2, t, 4)))
 
 
@@ -451,8 +454,9 @@ class TestTraining:
         cfg = GuesserTrainConfig(n_guests=3, word_budget=2, batch_size=64,
                                  n_games=640, valid_games=200, eval_every=5, seed=1)
         _, curve = train_guesser(train, valid, cfg)
+        assert len(curve) == 2
         for row in curve:
-            assert {"epoch", "games_seen", "train_loss", "valid_accuracy"} <= set(row)
+            assert set(row) == {"epoch", "games_seen", "train_loss", "valid_accuracy"}
 
     def test_mismatched_corpora_rejected(self, small_split):
         train, _ = small_split
