@@ -10,6 +10,9 @@ the training hyperparameters default to the published reference settings;
 --reference-defaults pins them against config-file overrides.  All outputs
 are CSV/JSON/JSONL; identical flags plus --threads 1 reproduce outputs
 byte for byte (training summaries differ only in their wall_time_s field).
+gen-corpus writes beside --out; every other command writes in --out-dir.
+Each command writes all its files through ``_write`` and only then prints
+their paths, one a line, so a failed run prints none.
 
 Importing this module loads no numpy.  ``main`` reads --threads and caps the
 BLAS pool first, then builds the parser, whose defaults come from the
@@ -79,18 +82,25 @@ def _resolve(ns: argparse.Namespace) -> tuple[dict, object]:
     for key in _FIELD_NAMES:
         if key in out and out[key] < 1:
             raise ValueError(f"--{key} must be at least 1, got {out[key]}")
+    for key in ("train_fraction", "split_seed"):
+        if out.get("split") == "full" and getattr(ns, key) is not None:
+            raise ValueError(f"--{key.replace('_', '-')} needs --split train or test; "
+                             "it does nothing with --split full")
     return out, ns.library_config(**{field: out[key] for key, field in ns.fields.items()})
 
 
 def _out_dir(ns: argparse.Namespace) -> Path:
-    base = ns.out_dir or os.environ.get("ISRLAB_OUT", ".")
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(ns.out_dir or os.environ.get("ISRLAB_OUT", "."))
 
 
-def _emit(path: Path) -> None:
-    print(path)
+def _write(directory: Path, artifacts: list[tuple]) -> None:
+    """Write each ``(file name, writer, *args)`` as ``writer(directory / name,
+    *args)``, in order, in ``directory`` (made if missing); then print the paths."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, writer, *args in artifacts:
+        writer(directory / name, *args)
+    for name, *_ in artifacts:
+        print(directory / name)
 
 
 def _load_split(corpus_path: str, cfg: dict, *sides: str) -> list:
@@ -130,15 +140,12 @@ def cmd_gen_corpus(ns: argparse.Namespace) -> int:
     from .evaluation import write_summary_json
     cfg, config = _resolve(ns)
     out = Path(ns.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     corpus = generate_synthetic(config)
-    save_corpus(corpus, out)
-    _emit(out)
-    sidecar = out.with_name(out.name + ".config.json")
-    write_summary_json(sidecar, {"synth_config": cfg, "speakers": corpus.n_speakers,
-                                 "dimension": corpus.dimension,
-                                 "vocab": list(corpus.vocab)})
-    _emit(sidecar)
+    _write(out.parent, [
+        (out.name, lambda path: save_corpus(corpus, path)),
+        (out.name + ".config.json", write_summary_json, {
+            "synth_config": cfg, "speakers": corpus.n_speakers,
+            "dimension": corpus.dimension, "vocab": list(corpus.vocab)})])
     return 0
 
 
@@ -151,22 +158,15 @@ def cmd_train_guesser(ns: argparse.Namespace) -> int:
     started = time.perf_counter()
     model, curve = train_guesser(train, valid, config)
     wall = time.perf_counter() - started
-
-    out = _out_dir(ns)
-    ckpt = out / "guesser.json"
-    model.save(ckpt)
-    _emit(ckpt)
-    curve_path = out / "guesser_curve.csv"
-    write_rows_csv(curve_path, curve)
-    _emit(curve_path)
-    summary = out / "guesser_summary.json"
-    write_summary_json(summary, {
-        "command": "train-guesser", "config": cfg, "seed": cfg["seed"],
-        "final_valid_accuracy": curve[-1]["valid_accuracy"],
-        "games_seen": curve[-1]["games_seen"], "wall_time_s": wall,
-        "train_fingerprint": corpus_fingerprint(train),
-        "valid_fingerprint": corpus_fingerprint(valid)})
-    _emit(summary)
+    _write(_out_dir(ns), [
+        ("guesser.json", model.save),
+        ("guesser_curve.csv", write_rows_csv, curve),
+        ("guesser_summary.json", write_summary_json, {
+            "command": "train-guesser", "config": cfg, "seed": cfg["seed"],
+            "final_valid_accuracy": curve[-1]["valid_accuracy"],
+            "games_seen": curve[-1]["games_seen"], "wall_time_s": wall,
+            "train_fingerprint": corpus_fingerprint(train),
+            "valid_fingerprint": corpus_fingerprint(valid)})])
     return 0
 
 
@@ -184,30 +184,33 @@ def cmd_train_enquirer(ns: argparse.Namespace) -> int:
     wall = time.perf_counter() - started
     heldout = evaluate_enquirer(model, guesser, test, cfg["guests"], cfg["words"],
                                 cfg["eval_games"], seed=cfg["seed"] + 1)
-
-    out = _out_dir(ns)
-    ckpt = out / "enquirer.json"
-    model.save(ckpt)
-    _emit(ckpt)
-    curve_path = out / "enquirer_curve.csv"
-    write_rows_csv(curve_path, curve)
-    _emit(curve_path)
-    summary = out / "enquirer_summary.json"
-    write_summary_json(summary, {
-        "command": "train-enquirer", "config": cfg, "seed": cfg["seed"],
-        "first_moving_avg_reward": curve[0]["moving_avg_reward"],
-        "final_moving_avg_reward": curve[-1]["moving_avg_reward"],
-        "heldout_greedy_success": heldout.success_rate,
-        "heldout_greedy_stderr": heldout.stderr,
-        "episodes": curve[-1]["episode"], "wall_time_s": wall,
-        "train_fingerprint": corpus_fingerprint(train),
-        "test_fingerprint": corpus_fingerprint(test)})
-    _emit(summary)
+    _write(_out_dir(ns), [
+        ("enquirer.json", model.save),
+        ("enquirer_curve.csv", write_rows_csv, curve),
+        ("enquirer_summary.json", write_summary_json, {
+            "command": "train-enquirer", "config": cfg, "seed": cfg["seed"],
+            "first_moving_avg_reward": curve[0]["moving_avg_reward"],
+            "final_moving_avg_reward": curve[-1]["moving_avg_reward"],
+            "heldout_greedy_success": heldout.success_rate,
+            "heldout_greedy_stderr": heldout.stderr,
+            "episodes": curve[-1]["episode"], "wall_time_s": wall,
+            "train_fingerprint": corpus_fingerprint(train),
+            "test_fingerprint": corpus_fingerprint(test)})])
     return 0
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+def _parse_int_list(flag: str, text: str, least: int | None = None) -> list[int]:
+    """The comma-separated integers of ``--flag``; a token that is not an
+    integer, or one below ``least``, is rejected naming the flag."""
+    values = []
+    for tok in filter(str.strip, text.split(",")):
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--{flag} value {tok.strip()!r} is not an integer") from None
+        if least is not None and values[-1] < least:
+            raise ValueError(f"--{flag} values must be at least {least}, got {values[-1]}")
+    return values
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
@@ -220,15 +223,27 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
     policy = ns.policy or "random"
     mode = f"--sweep {ns.sweep}" if ns.sweep else f"--policy {policy}"
+    curates = ns.policy == "heuristic" or ns.include_heuristic
+    curating = "--policy heuristic or --include-heuristic"
     for flag, given, needed, applies in (
             ("--include-heuristic", ns.include_heuristic, "--sweep words", ns.sweep == "words"),
             ("--fixed-words", ns.fixed_words is not None, "--policy fixed", ns.policy == "fixed"),
             ("--policy", ns.policy is not None, "no --sweep", not ns.sweep),
-            ("--diversity", ns.diversity, "no --sweep", not ns.sweep)):
+            ("--diversity", ns.diversity, "no --sweep", not ns.sweep),
+            ("--grid", ns.grid is not None, "--sweep", ns.sweep),
+            ("--diversity-games", ns.diversity_games is not None, "--diversity", ns.diversity),
+            ("--curated-size", ns.curated_size is not None, curating, curates),
+            ("--eta", ns.eta is not None, curating, curates)):
         if given and not applies:
             raise ValueError(f"{flag} needs {needed}; it does nothing with {mode}")
     cfg, heuristic = _resolve(ns)
-    words = _parse_int_list(ns.fixed_words or "") if policy == "fixed" else "random"
+    seeds = _parse_int_list("seeds", cfg["seeds"], least=0)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    grid = _parse_int_list("grid", cfg["grid"], least=1)
+    if ns.sweep and not grid:
+        raise ValueError("--sweep requires --grid values")
+    words = _parse_int_list("fixed-words", ns.fixed_words or "") if policy == "fixed" else "random"
     if policy == "fixed" and len(words) < cfg["words"]:
         raise ValueError("--fixed-words needs at least --words entries")
     if ns.diversity and policy == "fixed" and len(words) != cfg["words"]:
@@ -240,22 +255,13 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     [corpus] = _load_split(ns.corpus, {k: v for k, v in cfg.items() if k != ns.sweep},
                            cfg["split"])
     if ns.sweep:
-        grid = _parse_int_list(cfg["grid"])
-        if not grid:
-            raise ValueError("--sweep requires --grid values")
         limit, what = ((corpus.vocab_size, "words of the vocabulary") if ns.sweep == "words"
                        else (corpus.n_speakers, f"speakers of the {cfg['split']} split"))
         for value in grid:
-            if value < 1:
-                raise ValueError(f"--grid values must be at least 1, got {value}")
             if value > limit:
                 raise ValueError(f"--grid {value} exceeds the {limit} {what}")
     guesser = _load_guesser(ns.guesser, corpus)
     enquirer = EnquirerModel.load(ns.enquirer) if ns.enquirer else None
-    seeds = _parse_int_list(cfg["seeds"])
-    if not seeds:
-        raise ValueError("need at least one seed")
-    written = []
 
     if ns.sweep:
         if ns.sweep == "words":
@@ -265,16 +271,11 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         else:
             result = guest_sweep(guesser, corpus, grid, cfg["words"], seeds,
                                  n_games=cfg["games"])
-        rows = result.rows
-        out = _out_dir(ns)
-        csv_path = out / f"sweep_{ns.sweep}.csv"
-        write_rows_csv(csv_path, rows)
-        written.append(csv_path)
-        summary_path = out / f"sweep_{ns.sweep}_summary.json"
-        write_summary_json(summary_path, {
-            "command": "eval", "sweep": ns.sweep, "grid": grid, "seeds": seeds,
-            "config": cfg, "aggregate": aggregate_rows(rows)}, corpus)
-        written.append(summary_path)
+        artifacts = [
+            (f"sweep_{ns.sweep}.csv", write_rows_csv, result.rows),
+            (f"sweep_{ns.sweep}_summary.json", write_summary_json, {
+                "command": "eval", "sweep": ns.sweep, "grid": grid, "seeds": seeds,
+                "config": cfg, "aggregate": aggregate_rows(result.rows)}, corpus)]
     else:
         rows = []
         curated = None
@@ -295,15 +296,11 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                 acc, err = res.success_rate, res.stderr
             rows.append({"variable": "none", "value": cfg["words"], "policy": policy,
                          "seed": seed, "accuracy": acc, "stderr": err})
-        out = _out_dir(ns)
-        csv_path = out / "eval_metrics.csv"
-        write_rows_csv(csv_path, rows)
-        written.append(csv_path)
-        summary_path = out / "eval_summary.json"
-        write_summary_json(summary_path, {
-            "command": "eval", "policy": policy, "seeds": seeds, "config": cfg,
-            "aggregate": aggregate_rows(rows)}, corpus)
-        written.append(summary_path)
+        artifacts = [
+            ("eval_metrics.csv", write_rows_csv, rows),
+            ("eval_summary.json", write_summary_json, {
+                "command": "eval", "policy": policy, "seeds": seeds, "config": cfg,
+                "aggregate": aggregate_rows(rows)}, corpus)]
 
         if ns.diversity:
             n_tuples = cfg["diversity_games"]
@@ -318,19 +315,14 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                 tuples = sample_word_subsets(np.random.default_rng(seeds[0]), n_tuples,
                                              np.asarray(pool), cfg["words"])
             report = diversity_index(list(map(tuple, tuples)))
-            tuples_path = out / "word_tuples.jsonl"
-            with open(tuples_path, "w", encoding="utf-8") as fh:
-                for t in report.word_tuples:
-                    fh.write(json.dumps({"words": list(t)}) + "\n")
-            written.append(tuples_path)
-            div_path = out / "diversity.json"
-            write_summary_json(div_path, {
-                "command": "eval", "policy": policy, "n_games": report.n_games,
-                "tuple_size": report.tuple_size, "omega": report.omega}, corpus)
-            written.append(div_path)
-
-    for path in written:
-        _emit(path)
+            artifacts += [
+                ("word_tuples.jsonl", Path.write_text, "".join(
+                    json.dumps({"words": list(t)}) + "\n" for t in report.word_tuples),
+                 "utf-8"),
+                ("diversity.json", write_summary_json, {
+                    "command": "eval", "policy": policy, "n_games": report.n_games,
+                    "tuple_size": report.tuple_size, "omega": report.omega}, corpus)]
+    _write(_out_dir(ns), artifacts)
     return 0
 
 
@@ -340,20 +332,16 @@ def cmd_baseline_heuristic(ns: argparse.Namespace) -> int:
     [corpus] = _load_split(ns.corpus, cfg, cfg["split"])
     guesser = _load_guesser(ns.guesser, corpus)
     result = heuristic_baseline(guesser, corpus, config, cfg["seed"])
-    out = _out_dir(ns)
-    scores_path = out / "heuristic_scores.csv"
-    write_rows_csv(scores_path, [
-        {"word": w, "label": corpus.vocab[w], "forced_word_accuracy": float(s),
-         "curated": int(w in result.curated)}
-        for w, s in enumerate(result.word_scores)])
-    _emit(scores_path)
-    json_path = out / "heuristic.json"
-    write_summary_json(json_path, {
-        "command": "baseline-heuristic", "config": cfg,
-        "curated": list(result.curated),
-        "curated_labels": [corpus.vocab[w] for w in result.curated],
-        "accuracy": result.accuracy, "stderr": result.stderr}, corpus)
-    _emit(json_path)
+    _write(_out_dir(ns), [
+        ("heuristic_scores.csv", write_rows_csv, [
+            {"word": w, "label": corpus.vocab[w], "forced_word_accuracy": float(s),
+             "curated": int(w in result.curated)}
+            for w, s in enumerate(result.word_scores)]),
+        ("heuristic.json", write_summary_json, {
+            "command": "baseline-heuristic", "config": cfg,
+            "curated": list(result.curated),
+            "curated_labels": [corpus.vocab[w] for w in result.curated],
+            "accuracy": result.accuracy, "stderr": result.stderr}, corpus)])
     return 0
 
 
@@ -361,9 +349,9 @@ def _add_common(parser: argparse.ArgumentParser, defaults: dict) -> None:
     parser.add_argument("--config", help="key = value file; flags take precedence")
     parser.add_argument("--threads", type=int, default=None,
                         help="BLAS/OpenMP thread cap; 1 is the reproducibility mode")
-    parser.add_argument("--out-dir", default=None,
-                        help="output directory (default: $ISRLAB_OUT or '.')")
     if "train_fraction" in defaults:
+        parser.add_argument("--out-dir", default=None,
+                            help="output directory (default: $ISRLAB_OUT or '.')")
         parser.add_argument("--train-fraction", type=float,
                             help=f"speaker share for the train split "
                                  f"(default: {defaults['train_fraction']})")

@@ -273,6 +273,8 @@ def load_corpus(path) -> Corpus:
                     raise CorpusFormatError(f"line {line_no}: field 'dimension' must be >= 1")
                 if not isinstance(vocab, list):
                     raise CorpusFormatError(f"line {line_no}: field 'vocab' is not a list")
+                if not vocab:
+                    raise CorpusFormatError(f"line {line_no}: field 'vocab' holds no word")
                 seen: set[str] = set()
                 for word in vocab:
                     if not isinstance(word, str):
@@ -319,6 +321,8 @@ def load_corpus(path) -> Corpus:
 
     if header is None:
         raise CorpusFormatError("file has no header record")
+    if not speakers:
+        raise CorpusFormatError("file has no speaker record")
     vocab = tuple(vocab)
     speaker_ids = tuple(sorted(speakers))
 

@@ -14,6 +14,13 @@ def run(argv):
     return cli.main(argv)
 
 
+def assert_printed_and_written(capsys, out, names):
+    """stdout lists ``out / name`` for each of ``names`` in order, and those
+    are the only files in ``out``."""
+    assert capsys.readouterr().out.splitlines() == [str(out / name) for name in names]
+    assert sorted(path.name for path in out.iterdir()) == sorted(names)
+
+
 @pytest.fixture(scope="module")
 def corpus_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
@@ -45,13 +52,38 @@ class TestGenCorpus:
         assert (tmp_path / "a.jsonl.config.json").read_bytes() == \
                (tmp_path / "b.jsonl.config.json").read_bytes()
 
-    def test_default_flags_echo_vocab_and_dim(self, tmp_path):
+    def test_default_flags_echo_vocab_and_dim(self, tmp_path, capsys):
         path = tmp_path / "c.jsonl"
+        capsys.readouterr()
         assert run(["gen-corpus", "--out", str(path), "--train-speakers", "3",
                     "--test-speakers", "1"]) == 0
+        assert_printed_and_written(capsys, tmp_path, ["c.jsonl", "c.jsonl.config.json"])
         header = json.loads(path.read_text().splitlines()[0])
         assert header["dimension"] == 32
         assert len(header["vocab"]) == 20
+
+    def test_out_dir_is_a_usage_error(self, tmp_path):
+        # the corpus and its sidecar are written beside --out
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-corpus", "--out", str(tmp_path / "c.jsonl"),
+                 "--out-dir", str(tmp_path / "elsewhere")])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_path_is_printed_unless_every_artifact_is_written(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        from isrlab import evaluation
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+        monkeypatch.setattr(evaluation, "write_summary_json", fail)
+        capsys.readouterr()
+        assert run(["gen-corpus", "--out", str(tmp_path / "c.jsonl"),
+                    "--train-speakers", "3", "--test-speakers", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "OSError", "message": "disk full"}
+        assert [path.name for path in tmp_path.iterdir()] == ["c.jsonl"]
 
     def test_config_file_layer_and_flag_precedence(self, tmp_path):
         conf = tmp_path / "conf.txt"
@@ -127,13 +159,14 @@ class TestSettings:
 
 
 class TestTrainGuesser:
-    def test_emits_three_artifacts(self, corpus_file, tmp_path):
+    def test_emits_three_artifacts(self, corpus_file, tmp_path, capsys):
+        capsys.readouterr()
         code = run(["train-guesser", "--corpus", str(corpus_file), "--games", "512",
                     "--batch-size", "256", "--words", "2", "--guests", "3",
                     "--eval-games", "100", "--seed", "3", "--out-dir", str(tmp_path)])
         assert code == 0
-        for name in ("guesser.json", "guesser_curve.csv", "guesser_summary.json"):
-            assert (tmp_path / name).exists(), name
+        assert_printed_and_written(
+            capsys, tmp_path, ["guesser.json", "guesser_curve.csv", "guesser_summary.json"])
 
     def test_identical_invocations_are_bit_identical(self, corpus_file, tmp_path):
         outs = []
@@ -184,15 +217,16 @@ class TestTrainEnquirer:
             run(["train-enquirer", "--corpus", str(corpus_file)])
         assert exc.value.code == 2
 
-    def test_trains_and_emits_artifacts(self, corpus_file, guesser_ckpt, tmp_path):
+    def test_trains_and_emits_artifacts(self, corpus_file, guesser_ckpt, tmp_path, capsys):
+        capsys.readouterr()
         code = run(["train-enquirer", "--corpus", str(corpus_file),
                     "--guesser", str(guesser_ckpt), "--episodes", "200",
                     "--horizon", "60", "--update-batch-size", "30",
                     "--words", "2", "--guests", "3", "--eval-games", "100",
                     "--seed", "0", "--out-dir", str(tmp_path)])
         assert code == 0
-        for name in ("enquirer.json", "enquirer_curve.csv", "enquirer_summary.json"):
-            assert (tmp_path / name).exists(), name
+        assert_printed_and_written(
+            capsys, tmp_path, ["enquirer.json", "enquirer_curve.csv", "enquirer_summary.json"])
 
     def test_dimension_mismatch_reports_error_record(self, guesser_ckpt, tmp_path,
                                                      capsys):
@@ -294,6 +328,18 @@ _FLAG_REJECTIONS = [
 ] + [
     (argv, "guests", "18", "--guests 18 exceeds the 17 speakers of the train split")
     for argv in (["train-guesser"], ["train-enquirer"], ["eval", "--split", "train"])
+] + [
+    # eval's list flags, then the split flags under --split full
+    (["eval"], "seeds", "x", "--seeds value 'x' is not an integer"),
+    (["eval"], "seeds", "0,-1", "--seeds values must be at least 0, got -1"),
+    (["eval", "--sweep", "words"], "grid", "1,y", "--grid value 'y' is not an integer"),
+    (["eval", "--policy", "fixed"], "fixed-words", "1,z,3",
+     "--fixed-words value 'z' is not an integer"),
+] + [
+    ([command, "--split", "full"], flag, value,
+     f"--{flag} needs --split train or test; it does nothing with --split full")
+    for command in ("eval", "baseline-heuristic")
+    for flag, value in (("train-fraction", "0.5"), ("split-seed", "3"))
 ]
 
 
@@ -308,13 +354,13 @@ def test_rejected_flag_is_named_before_any_checkpoint_or_artifact(
     if argv[0] == "gen-corpus":
         argv = [*argv, "--out", str(out / "c.jsonl")]
     else:
-        argv = [*argv, "--corpus", str(corpus_file)]
+        argv = [*argv, "--corpus", str(corpus_file), "--out-dir", str(out)]
     if argv[0] in ("train-enquirer", "eval", "baseline-heuristic"):
         argv += ["--guesser", missing]
     if "enquirer" in argv:      # --policy enquirer
         argv += ["--enquirer", missing]
     capsys.readouterr()
-    assert run([*argv, f"--{flag}", value, "--out-dir", str(out)]) == 1
+    assert run([*argv, f"--{flag}", value]) == 1
     assert json.loads(capsys.readouterr().err.strip()) == {
         "error": "ValueError", "message": message}
     assert not out.exists()
@@ -358,34 +404,42 @@ def test_truncated_checkpoint_is_named_before_any_artifact(
 
 
 class TestEval:
-    def test_random_policy_metrics(self, corpus_file, guesser_ckpt, tmp_path):
+    def test_random_policy_metrics(self, corpus_file, guesser_ckpt, tmp_path, capsys):
+        capsys.readouterr()
         code = run(["eval", "--corpus", str(corpus_file), "--guesser",
                     str(guesser_ckpt), "--games", "400", "--guests", "3",
                     "--words", "2", "--seeds", "0,1", "--out-dir", str(tmp_path)])
         assert code == 0
+        assert_printed_and_written(capsys, tmp_path, ["eval_metrics.csv", "eval_summary.json"])
         rows = (tmp_path / "eval_metrics.csv").read_text().splitlines()
         assert len(rows) == 1 + 2      # header plus one row per seed
         summary = json.loads((tmp_path / "eval_summary.json").read_text())
         assert summary["aggregate"][0]["n_seeds"] == 2
         assert "corpus_fingerprint" in summary
 
-    def test_word_sweep_row_count(self, corpus_file, guesser_ckpt, tmp_path):
+    def test_word_sweep_row_count(self, corpus_file, guesser_ckpt, tmp_path, capsys):
+        capsys.readouterr()
         code = run(["eval", "--corpus", str(corpus_file), "--guesser",
                     str(guesser_ckpt), "--sweep", "words", "--grid", "1,2,4",
                     "--games", "200", "--guests", "3", "--seeds", "0,1",
                     "--out-dir", str(tmp_path)])
         assert code == 0
+        assert_printed_and_written(capsys, tmp_path,
+                                   ["sweep_words.csv", "sweep_words_summary.json"])
         rows = (tmp_path / "sweep_words.csv").read_text().splitlines()
         assert len(rows) == 1 + 3 * 2   # grid points x seeds, random policy
 
     def test_diversity_of_a_fixed_policy_is_one(self, corpus_file, guesser_ckpt,
-                                                tmp_path):
+                                                tmp_path, capsys):
+        capsys.readouterr()
         code = run(["eval", "--corpus", str(corpus_file), "--guesser",
                     str(guesser_ckpt), "--policy", "fixed", "--fixed-words", "1,3",
                     "--words", "2", "--guests", "3", "--games", "100",
                     "--diversity", "--diversity-games", "50",
                     "--out-dir", str(tmp_path)])
         assert code == 0
+        assert_printed_and_written(capsys, tmp_path, [
+            "eval_metrics.csv", "eval_summary.json", "word_tuples.jsonl", "diversity.json"])
         report = json.loads((tmp_path / "diversity.json").read_text())
         assert report["omega"] == 1.0
 
@@ -435,6 +489,11 @@ class TestEval:
          "--sweep guests"),
         (["--sweep", "words", "--policy", "random"], "--policy", "--sweep words"),
         (["--sweep", "words", "--diversity"], "--diversity", "--sweep words"),
+        ([], "--grid", "--policy random"),
+        (["--sweep", "guests", "--diversity-games", "50"], "--diversity-games",
+         "--sweep guests"),
+        (["--sweep", "guests", "--curated-size", "3"], "--curated-size", "--sweep guests"),
+        (["--sweep", "words"], "--eta", "--sweep words"),
     ])
     def test_flag_its_mode_ignores_is_named(self, corpus_file, guesser_ckpt, tmp_path,
                                            capsys, extra, flag, mode):
@@ -497,12 +556,14 @@ class TestEval:
 
 
 class TestBaselineHeuristic:
-    def test_emits_scores_and_summary(self, corpus_file, guesser_ckpt, tmp_path):
+    def test_emits_scores_and_summary(self, corpus_file, guesser_ckpt, tmp_path, capsys):
+        capsys.readouterr()
         code = run(["baseline-heuristic", "--corpus", str(corpus_file),
                     "--guesser", str(guesser_ckpt), "--eta", "100",
                     "--curated-size", "3", "--guests", "3", "--words", "2",
                     "--eval-games", "200", "--seed", "0", "--out-dir", str(tmp_path)])
         assert code == 0
+        assert_printed_and_written(capsys, tmp_path, ["heuristic_scores.csv", "heuristic.json"])
         payload = json.loads((tmp_path / "heuristic.json").read_text())
         assert len(payload["curated"]) == 3
         scores = (tmp_path / "heuristic_scores.csv").read_text().splitlines()

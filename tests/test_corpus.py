@@ -271,6 +271,16 @@ class TestInterchange:
         with pytest.raises(CorpusFormatError, match=rf"^line 1: vocab word {word}"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("records, message", [
+        ([HEADER], r"^file has no speaker record$"),
+        ([{**HEADER, "vocab": []}, full_grid()[0]], r"^line 1: field 'vocab' holds no word$")],
+        ids=["header-only", "empty-vocab"])
+    def test_no_speaker_or_no_word_named(self, tmp_path, records, message):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, records)
+        with pytest.raises(CorpusFormatError, match=message):
+            load_corpus(path)
+
     def test_round_trip_is_exact(self, tmp_path):
         corpus = generate_synthetic(small_config(train_speakers=3, vocab_size=4))
         path = tmp_path / "c.jsonl"

@@ -1,4 +1,5 @@
-"""Print one sha256 per CLI artifact of a fixed command list.
+"""Print one sha256 per CLI artifact and per command's stdout, for a fixed
+command list.
 
     python tools/artifact_digests.py SRC > digests.txt
 
@@ -9,9 +10,11 @@ covers every subcommand: a corpus at seed 1, a guesser on 20,000 games,
 an enquirer on 4,000 episodes, the four eval policies, both sweeps and
 the heuristic baseline, 26 artifacts in all.  The two training summaries
 are hashed without their ``wall_time_s`` field, the one value that
-differs between repeated runs, so two trees whose outputs are the same
-byte for byte print the same lines: diff the output of two checkouts to
-check that a change keeps every artifact.
+differs between repeated runs.  Each command's stdout, the paths it
+printed, is hashed with the temporary directory replaced by ``ROOT``.  So
+two trees whose outputs are the same byte for byte print the same lines:
+diff the output of two checkouts to check that a change keeps every
+artifact and every printed path.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ TIMED_SUMMARIES = ("guesser_summary.json", "enquirer_summary.json")
 
 
 def commands(root: Path) -> list[tuple[str, list[str]]]:
-    """(output directory, CLI arguments) of each run, in order."""
+    """(output directory, CLI arguments) of each run, in order; gen-corpus
+    writes beside its --out, which is in its output directory."""
     corpus, guesser, enquirer = (str(root / p) for p in (
         "corpus/corpus.jsonl", "guesser/guesser.json", "enquirer/enquirer.json"))
     ev = ["eval", "--corpus", corpus, "--guesser", guesser]
@@ -66,12 +70,18 @@ def main(argv: list[str]) -> int:
     env = {**os.environ, "PYTHONPATH": str(Path(argv[0]).resolve())}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
+        printed = []
         for out_dir, args in commands(root):
-            subprocess.run([sys.executable, "-m", "isrlab.cli", *args, "--threads", "1",
-                            "--out-dir", str(root / out_dir)],
-                           env=env, check=True, stdout=subprocess.DEVNULL)
+            if args[0] != "gen-corpus":
+                args = [*args, "--out-dir", str(root / out_dir)]
+            stdout = subprocess.run([sys.executable, "-m", "isrlab.cli", *args,
+                                     "--threads", "1"], env=env, check=True,
+                                    stdout=subprocess.PIPE).stdout
+            printed.append((out_dir, stdout.replace(str(root).encode(), b"ROOT")))
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             print(digest(path), path.relative_to(root).as_posix())
+        for out_dir, stdout in printed:
+            print(hashlib.sha256(stdout).hexdigest(), f"stdout of {out_dir}")
     return 0
 
 
