@@ -27,7 +27,7 @@ _EXPORTS = {
                  "sample_actions", "train_enquirer"),
     "evaluation": ("DiversityReport", "HeuristicConfig", "HeuristicResult", "SweepResult",
                    "cosine_nearest_print_accuracy", "diversity_index", "guest_sweep",
-                   "heuristic_baseline", "jaccard", "word_sweep"),
+                   "heuristic_baseline", "word_sweep"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

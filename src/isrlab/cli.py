@@ -124,15 +124,20 @@ def _load_split(corpus_path: str, cfg: dict, *sides: str) -> list:
     return [named[which] for which in sides]
 
 
-def _load_guesser(path: str, corpus):
-    """The guesser checkpoint at ``path``, rejected unless it fits the corpus."""
+def _load_checkpoint(kind: str, path: str, corpus):
+    """The guesser or enquirer checkpoint at ``path``, rejected unless its
+    dimension, and an enquirer's vocabulary size, match the corpus."""
+    from .enquirer import EnquirerModel
     from .guesser import GuesserModel
-    guesser = GuesserModel.load(path)
-    if guesser.config.dim != corpus.dimension:
-        raise ValueError(
-            f"guesser checkpoint dimension {guesser.config.dim} does not match "
-            f"corpus dimension {corpus.dimension}")
-    return guesser
+    model = {"guesser": GuesserModel, "enquirer": EnquirerModel}[kind].load(path)
+    fits = [("dimension", model.config.dim, corpus.dimension)]
+    if kind == "enquirer":
+        fits.append(("vocabulary size", model.config.vocab_size, corpus.vocab_size))
+    for what, have, want in fits:
+        if have != want:
+            raise ValueError(f"{kind} checkpoint {what} {have} does not match "
+                             f"corpus {what} {want}")
+    return model
 
 
 def cmd_gen_corpus(ns: argparse.Namespace) -> int:
@@ -178,7 +183,7 @@ def cmd_train_enquirer(ns: argparse.Namespace) -> int:
     if cfg["eval_games"] < 1:               # checked before the PPO run, not after
         raise ValueError(f"eval_games must be at least 1, got {cfg['eval_games']}")
     train, test = _load_split(ns.corpus, cfg, "train", "test")
-    guesser = _load_guesser(ns.guesser, train)
+    guesser = _load_checkpoint("guesser", ns.guesser, train)
     started = time.perf_counter()
     model, curve = train_enquirer(guesser, train, config)
     wall = time.perf_counter() - started
@@ -214,12 +219,11 @@ def _parse_int_list(flag: str, text: str, least: int | None = None) -> list[int]
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    from .enquirer import EnquirerModel, evaluate_enquirer
+    from .enquirer import evaluate_enquirer
     from .evaluation import (aggregate_rows, diversity_index, heuristic_baseline,
                              word_sweep, guest_sweep, write_rows_csv,
                              write_summary_json)
-    from .guesser import evaluate_guesser, sample_word_subsets
-    import numpy as np
+    from .guesser import evaluate_guesser_words
 
     policy = ns.policy or "random"
     mode = f"--sweep {ns.sweep}" if ns.sweep else f"--policy {policy}"
@@ -230,12 +234,16 @@ def cmd_eval(ns: argparse.Namespace) -> int:
             ("--fixed-words", ns.fixed_words is not None, "--policy fixed", ns.policy == "fixed"),
             ("--policy", ns.policy is not None, "no --sweep", not ns.sweep),
             ("--diversity", ns.diversity, "no --sweep", not ns.sweep),
+            ("--enquirer", ns.enquirer is not None, "--policy enquirer or --sweep words",
+             ns.policy == "enquirer" or ns.sweep == "words"),
             ("--grid", ns.grid is not None, "--sweep", ns.sweep),
             ("--diversity-games", ns.diversity_games is not None, "--diversity", ns.diversity),
             ("--curated-size", ns.curated_size is not None, curating, curates),
             ("--eta", ns.eta is not None, curating, curates)):
         if given and not applies:
             raise ValueError(f"{flag} needs {needed}; it does nothing with {mode}")
+    if policy == "enquirer" and ns.enquirer is None:
+        raise ValueError("--policy enquirer requires --enquirer")
     cfg, heuristic = _resolve(ns)
     seeds = _parse_int_list("seeds", cfg["seeds"], least=0)
     if not seeds:
@@ -246,11 +254,11 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     words = _parse_int_list("fixed-words", ns.fixed_words or "") if policy == "fixed" else "random"
     if policy == "fixed" and len(words) < cfg["words"]:
         raise ValueError("--fixed-words needs at least --words entries")
-    if ns.diversity and policy == "fixed" and len(words) != cfg["words"]:
-        raise ValueError("--diversity with a fixed policy needs exactly "
-                         "--words entries in --fixed-words")
     if ns.diversity and cfg["diversity_games"] < 2:
         raise ValueError(f"diversity_games must be at least 2, got {cfg['diversity_games']}")
+    if ns.diversity and cfg["diversity_games"] > cfg["games"]:
+        raise ValueError(f"--diversity-games {cfg['diversity_games']} exceeds --games "
+                         f"{cfg['games']}: the tuples are the first seed's games")
     # a sweep's grid takes the place of the setting it varies
     [corpus] = _load_split(ns.corpus, {k: v for k, v in cfg.items() if k != ns.sweep},
                            cfg["split"])
@@ -260,8 +268,9 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         for value in grid:
             if value > limit:
                 raise ValueError(f"--grid {value} exceeds the {limit} {what}")
-    guesser = _load_guesser(ns.guesser, corpus)
-    enquirer = EnquirerModel.load(ns.enquirer) if ns.enquirer else None
+    guesser = _load_checkpoint("guesser", ns.guesser, corpus)
+    enquirer = (_load_checkpoint("enquirer", ns.enquirer, corpus)
+                if ns.enquirer is not None else None)
 
     if ns.sweep:
         if ns.sweep == "words":
@@ -278,22 +287,19 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                 "config": cfg, "aggregate": aggregate_rows(result.rows)}, corpus)]
     else:
         rows = []
-        curated = None
         for seed in seeds:
             if policy in ("random", "fixed"):
-                acc, err = evaluate_guesser(guesser, corpus, cfg["guests"],
-                                            cfg["words"], words, cfg["games"], seed)
+                acc, err, played = evaluate_guesser_words(
+                    guesser, corpus, cfg["guests"], cfg["words"], words, cfg["games"], seed)
             elif policy == "heuristic":
                 res = heuristic_baseline(guesser, corpus, heuristic, seed)
-                acc, err = res.accuracy, res.stderr
-                if curated is None:     # the diversity tuples draw from the first seed's list
-                    curated = res.curated
+                acc, err, played = res.accuracy, res.stderr, res.word_tuples
             else:
-                if enquirer is None:
-                    raise ValueError("--policy enquirer requires --enquirer")
                 res = evaluate_enquirer(enquirer, guesser, corpus, cfg["guests"],
                                         cfg["words"], cfg["games"], seed)
-                acc, err = res.success_rate, res.stderr
+                acc, err, played = res.success_rate, res.stderr, res.word_tuples
+            if not rows:                # the diversity tuples are the first seed's games
+                tuples = played[:cfg["diversity_games"]]
             rows.append({"variable": "none", "value": cfg["words"], "policy": policy,
                          "seed": seed, "accuracy": acc, "stderr": err})
         artifacts = [
@@ -303,18 +309,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                 "aggregate": aggregate_rows(rows)}, corpus)]
 
         if ns.diversity:
-            n_tuples = cfg["diversity_games"]
-            if policy == "enquirer":
-                res = evaluate_enquirer(enquirer, guesser, corpus, cfg["guests"],
-                                        cfg["words"], n_tuples, seeds[0])
-                tuples = res.word_tuples
-            elif policy == "fixed":
-                tuples = np.tile(np.asarray(words), (n_tuples, 1))
-            else:
-                pool = curated if policy == "heuristic" else range(corpus.vocab_size)
-                tuples = sample_word_subsets(np.random.default_rng(seeds[0]), n_tuples,
-                                             np.asarray(pool), cfg["words"])
-            report = diversity_index(list(map(tuple, tuples)))
+            report = diversity_index(tuples)
             artifacts += [
                 ("word_tuples.jsonl", Path.write_text, "".join(
                     json.dumps({"words": list(t)}) + "\n" for t in report.word_tuples),
@@ -330,7 +325,7 @@ def cmd_baseline_heuristic(ns: argparse.Namespace) -> int:
     from .evaluation import heuristic_baseline, write_rows_csv, write_summary_json
     cfg, config = _resolve(ns)
     [corpus] = _load_split(ns.corpus, cfg, cfg["split"])
-    guesser = _load_guesser(ns.guesser, corpus)
+    guesser = _load_checkpoint("guesser", ns.guesser, corpus)
     result = heuristic_baseline(guesser, corpus, config, cfg["seed"])
     _write(_out_dir(ns), [
         ("heuristic_scores.csv", write_rows_csv, [
@@ -456,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-heuristic", action="store_true",
                    help="add the heuristic policy to a words sweep")
     p.add_argument("--diversity", action="store_true",
-                   help="report the word-tuple overlap index for the policy")
+                   help="report the word-tuple overlap index of the first seed's games")
     _settings(p, HeuristicConfig, {"grid": "comma-separated sweep grid",
                                    "games": "games per evaluation",
                                    "guests": "guests per game",

@@ -17,17 +17,8 @@ import numpy as np
 from . import neural
 from .corpus import Corpus, corpus_fingerprint
 from .enquirer import evaluate_enquirer
-from .guesser import (Games, GuesserModel, evaluate_guesser, guesser_success, play_games,
-                      word_pool_policy)
-
-
-def jaccard(a, b) -> float:
-    """|A intersect B| / |A union B| for two non-empty word sets."""
-    sa, sb = set(a), set(b)
-    union = sa | sb
-    if not union:
-        raise ValueError("jaccard undefined for two empty sets")
-    return len(sa & sb) / len(union)
+from .guesser import (Games, GuesserModel, evaluate_guesser, evaluate_guesser_words,
+                      guesser_success, play_games, word_pool_policy)
 
 
 @dataclass
@@ -109,6 +100,7 @@ class HeuristicResult:
     curated: tuple[int, ...]       # top words, best first
     accuracy: float
     stderr: float
+    word_tuples: np.ndarray        # (eval_games, word_budget) words of the evaluation
 
 
 def heuristic_baseline(guesser: GuesserModel, corpus: Corpus,
@@ -118,8 +110,8 @@ def heuristic_baseline(guesser: GuesserModel, corpus: Corpus,
     Each word is scored by guesser accuracy over games where it is forced
     into an otherwise random word set, played in chunks of 4,096 from one
     seeded stream; the top ``curated_size`` words form the pool the fixed
-    policy samples from.  The reported accuracy comes from a fresh seeded
-    evaluation run.
+    policy samples from.  The reported accuracy and the words played come
+    from a fresh seeded evaluation run.
     """
     v = corpus.vocab_size
     neural.check_counts(config, "word_budget", "games_per_word", "eval_games")
@@ -146,11 +138,11 @@ def heuristic_baseline(guesser: GuesserModel, corpus: Corpus,
 
     order = np.argsort(-scores, kind="stable")     # ties to the lower word id
     curated = tuple(int(w) for w in order[:config.curated_size])
-    accuracy, stderr = evaluate_guesser(
+    accuracy, stderr, played = evaluate_guesser_words(
         guesser, corpus, config.n_guests, config.word_budget, list(curated),
         config.eval_games, seed=seed + 1)
     return HeuristicResult(word_scores=scores, curated=curated,
-                           accuracy=accuracy, stderr=stderr)
+                           accuracy=accuracy, stderr=stderr, word_tuples=played)
 
 
 @dataclass

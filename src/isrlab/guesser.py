@@ -378,6 +378,14 @@ def evaluate_guesser(model: GuesserModel, corpus: Corpus, n_guests: int,
     ``word_policy`` is "random" or a fixed pool of distinct word ids in
     [0, V) to draw from (used exactly when its length equals the budget).
     """
+    return evaluate_guesser_words(model, corpus, n_guests, n_words, word_policy, n_games,
+                                  seed)[:2]
+
+
+def evaluate_guesser_words(model: GuesserModel, corpus: Corpus, n_guests: int,
+                           n_words: int, word_policy, n_games: int,
+                           seed: int) -> tuple[float, float, np.ndarray]:
+    """``evaluate_guesser``'s rate and stderr, and the (n_games, n_words) words played."""
     if not isinstance(word_policy, (str, list, tuple, np.ndarray)):
         raise TypeError(f"unsupported word policy: {word_policy!r}")
     if isinstance(word_policy, str) and word_policy != "random":
@@ -390,10 +398,8 @@ def evaluate_guesser(model: GuesserModel, corpus: Corpus, n_guests: int,
     ids, counts = np.unique(pool, return_counts=True)
     if (counts > 1).any():
         raise ValueError(f"word id {ids[counts > 1][0]} is repeated in the word pool")
-    rate, stderr, _ = play_games(
-        corpus, n_guests, n_games, word_pool_policy(pool, n_words),
-        partial(guesser_success, model), np.random.default_rng(seed))
-    return rate, stderr
+    return play_games(corpus, n_guests, n_games, word_pool_policy(pool, n_words),
+                      partial(guesser_success, model), np.random.default_rng(seed))
 
 
 def guesser_success(model: GuesserModel, games: Games) -> np.ndarray:

@@ -21,6 +21,16 @@ def assert_printed_and_written(capsys, out, names):
     assert sorted(path.name for path in out.iterdir()) == sorted(names)
 
 
+def save_enquirer(path, dim=8, vocab_size=8):
+    """An untrained small enquirer checkpoint at ``path``; returns ``path``."""
+    import numpy as np
+    from isrlab.enquirer import EnquirerConfig, EnquirerModel
+    EnquirerModel.init(EnquirerConfig(dim=dim, vocab_size=vocab_size, lstm_hidden=4,
+                                      policy_hidden=4, value_hidden=4),
+                       np.random.default_rng(0)).save(path)
+    return path
+
+
 @pytest.fixture(scope="module")
 def corpus_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
@@ -380,12 +390,8 @@ def test_a_sweep_ignores_the_setting_its_grid_varies(corpus_file, guesser_ckpt, 
     ("baseline-heuristic", "guesser")])
 def test_truncated_checkpoint_is_named_before_any_artifact(
         corpus_file, guesser_ckpt, tmp_path, capsys, command, truncated):
-    import numpy as np
-    from isrlab.enquirer import EnquirerConfig, EnquirerModel
-    enquirer_ckpt = tmp_path / "enquirer.json"
-    EnquirerModel.init(EnquirerConfig(dim=8, vocab_size=8, lstm_hidden=4, policy_hidden=4,
-                                      value_hidden=4), np.random.default_rng(0)).save(enquirer_ckpt)
-    checkpoints = {"guesser": guesser_ckpt, "enquirer": enquirer_ckpt}
+    checkpoints = {"guesser": guesser_ckpt,
+                   "enquirer": save_enquirer(tmp_path / "enquirer.json")}
     bad = tmp_path / "truncated.json"
     bad.write_bytes(checkpoints[truncated].read_bytes()[:200])
     checkpoints[truncated] = bad
@@ -478,6 +484,84 @@ class TestEval:
         for line in lines:
             assert set(json.loads(line)["words"]) <= set(calls[0])
 
+    @pytest.mark.parametrize("policy", ["random", "fixed", "heuristic", "enquirer"])
+    def test_diversity_tuples_are_the_first_seeds_games(self, corpus_file, guesser_ckpt,
+                                                        tmp_path, monkeypatch, policy):
+        from isrlab import enquirer, evaluation, guesser
+        from isrlab.corpus import load_corpus, split_speakers
+        enquirer_path = save_enquirer(tmp_path / "enquirer.json")
+        extra = {"random": [], "fixed": ["--fixed-words", "1,3,5,6"],
+                 "heuristic": ["--eta", "200", "--curated-size", "4"],
+                 "enquirer": ["--enquirer", str(enquirer_path)]}[policy]
+        # each policy's evaluation, counted per call: none runs again for the tuples
+        module, name = {"heuristic": (evaluation, "heuristic_baseline"),
+                        "enquirer": (enquirer, "evaluate_enquirer")}.get(
+                            policy, (guesser, "evaluate_guesser_words"))
+        original, calls = getattr(module, name), []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+        out = tmp_path / "out"
+        assert run(["eval", "--corpus", str(corpus_file), "--guesser", str(guesser_ckpt),
+                    "--policy", policy, "--games", "100", "--guests", "3", "--words", "2",
+                    "--seeds", "4,1", "--diversity", "--diversity-games", "30",
+                    "--out-dir", str(out)] + extra) == 0
+        assert len(calls) == 2
+        _, test = split_speakers(load_corpus(corpus_file), 0.8, 0)
+        model = guesser.GuesserModel.load(guesser_ckpt)
+        if policy == "heuristic":
+            played = original(model, test, evaluation.HeuristicConfig(
+                games_per_word=200, curated_size=4, n_guests=3, word_budget=2,
+                eval_games=100), 4).word_tuples
+        elif policy == "enquirer":
+            played = original(enquirer.EnquirerModel.load(enquirer_path), model, test,
+                              3, 2, 100, 4).word_tuples
+        else:
+            pool = [1, 3, 5, 6] if policy == "fixed" else "random"
+            played = original(model, test, 3, 2, pool, 100, 4)[2]
+        lines = (out / "word_tuples.jsonl").read_text().splitlines()
+        assert [json.loads(line)["words"] for line in lines] == played[:30].tolist()
+        report = json.loads((out / "diversity.json").read_text())
+        assert report["omega"] == evaluation.diversity_index(played[:30]).omega
+        if policy == "fixed":   # four words in turn, two at a time
+            assert report["omega"] < 1.0
+
+    def test_enquirer_policy_without_enquirer_is_named_before_any_checkpoint(
+            self, corpus_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(["eval", "--corpus", str(corpus_file), "--guesser",
+                    str(tmp_path / "missing.json"), "--policy", "enquirer",
+                    "--out-dir", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "ValueError", "message": "--policy enquirer requires --enquirer"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", [["--policy", "enquirer"],
+                                      ["--sweep", "words", "--grid", "2"]],
+                             ids=["policy", "sweep"])
+    @pytest.mark.parametrize("config, message", [
+        ({"dim": 5}, "enquirer checkpoint dimension 5 does not match corpus dimension 8"),
+        ({"vocab_size": 9}, "enquirer checkpoint vocabulary size 9 does not match "
+                            "corpus vocabulary size 8")], ids=["dim", "vocab"])
+    def test_enquirer_that_does_not_fit_the_corpus_is_named(
+            self, corpus_file, guesser_ckpt, tmp_path, capsys, monkeypatch, mode, config,
+            message):
+        from isrlab import enquirer, evaluation
+        for module, name in ((enquirer, "evaluate_enquirer"), (evaluation, "word_sweep")):
+            monkeypatch.setattr(module, name,
+                                lambda *args, **kwargs: pytest.fail("evaluation ran"))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(["eval", "--corpus", str(corpus_file), "--guesser", str(guesser_ckpt),
+                    "--enquirer", str(save_enquirer(tmp_path / "e.json", **config)),
+                    "--games", "50", "--out-dir", str(out)] + mode) == 1
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "ValueError", "message": message}
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra, flag, mode", [
         (["--include-heuristic"], "--include-heuristic", "--policy random"),
         (["--include-heuristic", "--sweep", "guests"], "--include-heuristic",
@@ -494,6 +578,8 @@ class TestEval:
          "--sweep guests"),
         (["--sweep", "guests", "--curated-size", "3"], "--curated-size", "--sweep guests"),
         (["--sweep", "words"], "--eta", "--sweep words"),
+        (["--enquirer", "e.json"], "--enquirer", "--policy random"),
+        (["--sweep", "guests", "--enquirer", "e.json"], "--enquirer", "--sweep guests"),
     ])
     def test_flag_its_mode_ignores_is_named(self, corpus_file, guesser_ckpt, tmp_path,
                                            capsys, extra, flag, mode):
@@ -510,13 +596,12 @@ class TestEval:
 
     @pytest.mark.parametrize("extra, message", [
         (["--diversity-games", "1"], "diversity_games must be at least 2, got 1"),
-        (["--policy", "fixed", "--fixed-words", "1,3,5", "--diversity-games", "50"],
-         "--diversity with a fixed policy needs exactly --words entries in --fixed-words")],
-        ids=["diversity-games", "fixed-words"])
+        ([], "--diversity-games 142 exceeds --games 50: the tuples are the first seed's games")],
+        ids=["diversity-games", "games"])
     def test_diversity_setting_rejected_before_any_evaluation(
             self, corpus_file, guesser_ckpt, tmp_path, capsys, monkeypatch, extra, message):
         from isrlab import guesser
-        monkeypatch.setattr(guesser, "evaluate_guesser",
+        monkeypatch.setattr(guesser, "evaluate_guesser_words",
                             lambda *args, **kwargs: pytest.fail("evaluation ran"))
         capsys.readouterr()
         code = run(["eval", "--corpus", str(corpus_file), "--guesser", str(guesser_ckpt),

@@ -14,35 +14,38 @@ from hypothesis import strategies as st
 from isrlab.corpus import Corpus, SynthConfig, generate_synthetic
 from isrlab.evaluation import (HeuristicConfig, aggregate_rows,
                                cosine_nearest_print_accuracy, diversity_index,
-                               guest_sweep, heuristic_baseline, jaccard, word_sweep,
+                               guest_sweep, heuristic_baseline, word_sweep,
                                write_rows_csv, write_summary_json)
 from isrlab.guesser import (GuesserTrainConfig, evaluate_guesser,
                             sample_word_subsets, train_guesser)
 
 
-class TestJaccard:
-    def test_identical_sets(self):
-        assert jaccard({1, 2, 3}, {1, 2, 3}) == 1.0
+def equal_size_word_sets(max_size=6, max_word=15):
+    """Two sets of distinct word ids of one size."""
+    return st.integers(1, max_size).flatmap(lambda n: st.tuples(
+        *[st.sets(st.integers(0, max_word), min_size=n, max_size=n)] * 2))
 
-    def test_disjoint_sets(self):
-        assert jaccard({1, 2, 3}, {4, 5, 6}) == 0.0
+
+class TestPairOverlap:
+    """The overlap of one pair of tuples: |A intersect B| / |A union B|."""
+
+    def test_identical_tuples(self):
+        assert diversity_index([(1, 2, 3), (3, 1, 2)]).omega == 1.0
+
+    def test_disjoint_tuples(self):
+        assert diversity_index([(1, 2, 3), (4, 5, 6)]).omega == 0.0
 
     def test_two_of_four(self):
-        assert jaccard({1, 2, 3}, {1, 2, 4}) == 0.5
+        assert diversity_index([(1, 2, 3), (1, 2, 4)]).omega == 0.5
 
-    def test_empty_union_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            jaccard(set(), set())
-
-    @given(st.sets(st.integers(0, 15), min_size=1, max_size=6),
-           st.sets(st.integers(0, 15), min_size=1, max_size=6))
+    @given(equal_size_word_sets())
     @settings(max_examples=200, deadline=None)
-    def test_symmetric_and_bounded(self, a, b):
-        j = jaccard(a, b)
-        assert j == jaccard(b, a)
-        assert 0.0 <= j <= 1.0
-        if len(a) == len(b):
-            assert (j == 1.0) == (a == b)
+    def test_symmetric_and_the_set_overlap(self, pair):
+        a, b = pair
+        omega = diversity_index([tuple(a), tuple(b)]).omega
+        assert omega == diversity_index([tuple(b), tuple(a)]).omega
+        assert omega == len(a & b) / len(a | b)
+        assert (omega == 1.0) == (a == b)
 
 
 def exact_random_subset_overlap(v: int, t: int) -> float:

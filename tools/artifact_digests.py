@@ -7,10 +7,10 @@ command list.
 ``python -m isrlab.cli`` with ``PYTHONPATH=SRC`` and ``--threads 1``, one
 at a time, in a temporary directory that is removed afterwards.  The list
 covers every subcommand: a corpus at seed 1, a guesser on 20,000 games,
-an enquirer on 4,000 episodes, the four eval policies, both sweeps and
-the heuristic baseline, 26 artifacts in all.  The two training summaries
-are hashed without their ``wall_time_s`` field, the one value that
-differs between repeated runs.  Each command's stdout, the paths it
+an enquirer on 4,000 episodes, the four eval policies, each with the
+diversity index, both sweeps and the heuristic baseline, 30 artifacts in
+all.  The two training summaries are hashed without their ``wall_time_s``
+field, the one value that differs between repeated runs.  Each command's stdout, the paths it
 printed, is hashed with the temporary directory replaced by ``ROOT``.  So
 two trees whose outputs are the same byte for byte print the same lines:
 diff the output of two checkouts to check that a change keeps every
@@ -41,9 +41,9 @@ def commands(root: Path) -> list[tuple[str, list[str]]]:
         ("guesser", ["train-guesser", "--corpus", corpus, "--games", "20000"]),
         ("enquirer", ["train-enquirer", "--corpus", corpus, "--guesser", guesser,
                       "--episodes", "4000"]),
-        ("eval_random", [*ev, "--policy", "random", "--seeds", "0,1"]),
+        ("eval_random", [*ev, "--policy", "random", "--seeds", "0,1", "--diversity"]),
         ("eval_fixed", [*ev, "--policy", "fixed", "--fixed-words", "0,3,5", "--diversity"]),
-        ("eval_heuristic", [*ev, "--policy", "heuristic"]),
+        ("eval_heuristic", [*ev, "--policy", "heuristic", "--diversity"]),
         ("eval_enquirer", [*ev, "--enquirer", enquirer, "--policy", "enquirer",
                            "--diversity"]),
         ("sweep_words", [*ev, "--enquirer", enquirer, "--sweep", "words",
