@@ -32,7 +32,7 @@ print("curated words:", [test.vocab[w] for w in heuristic.curated])
 random_acc, _ = evaluate_guesser(guesser, test, 5, 3, "random", 5000, seed=5)
 enq = evaluate_enquirer(enquirer, guesser, test, 5, 3, 5000, seed=5)
 print(f"\nrandom    {random_acc:.3f}")
-print(f"heuristic {heuristic.accuracy:.3f}")
+print(f"heuristic {heuristic.played.success_rate:.3f}")
 print(f"enquirer  {enq.success_rate:.3f}")
 
 # %% Diversity: does the policy adapt its words to the guests?

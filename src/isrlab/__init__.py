@@ -20,8 +20,9 @@ _EXPORTS = {
                "synthetic_split"),
     "game": ("GameConfig", "GameState", "StepOutcome", "new_game", "step",
              "terminal_reward", "write_episode_trace"),
-    "guesser": ("GuesserConfig", "GuesserModel", "GuesserTrainConfig", "TrainingDiverged",
-                "evaluate_guesser", "guesser_forward", "guesser_loss", "train_guesser"),
+    "guesser": ("GuesserConfig", "GuesserModel", "GuesserTrainConfig", "Played",
+                "TrainingDiverged", "evaluate_guesser", "guesser_forward", "guesser_loss",
+                "train_guesser"),
     "enquirer": ("EnquirerConfig", "EnquirerModel", "PpoConfig", "RewardCollapse",
                  "compute_gae", "enquirer_forward", "evaluate_enquirer", "ppo_update",
                  "sample_actions", "train_enquirer"),

@@ -289,19 +289,17 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         rows = []
         for seed in seeds:
             if policy in ("random", "fixed"):
-                acc, err, played = evaluate_guesser_words(
+                played = evaluate_guesser_words(
                     guesser, corpus, cfg["guests"], cfg["words"], words, cfg["games"], seed)
             elif policy == "heuristic":
-                res = heuristic_baseline(guesser, corpus, heuristic, seed)
-                acc, err, played = res.accuracy, res.stderr, res.word_tuples
+                played = heuristic_baseline(guesser, corpus, heuristic, seed).played
             else:
-                res = evaluate_enquirer(enquirer, guesser, corpus, cfg["guests"],
-                                        cfg["words"], cfg["games"], seed)
-                acc, err, played = res.success_rate, res.stderr, res.word_tuples
+                played = evaluate_enquirer(enquirer, guesser, corpus, cfg["guests"],
+                                           cfg["words"], cfg["games"], seed)
             if not rows:                # the diversity tuples are the first seed's games
-                tuples = played[:cfg["diversity_games"]]
-            rows.append({"variable": "none", "value": cfg["words"], "policy": policy,
-                         "seed": seed, "accuracy": acc, "stderr": err})
+                tuples = played.word_tuples[:cfg["diversity_games"]]
+            rows.append({"variable": "none", "value": cfg["words"], "policy": policy, "seed": seed,
+                         "accuracy": played.success_rate, "stderr": played.stderr})
         artifacts = [
             ("eval_metrics.csv", write_rows_csv, rows),
             ("eval_summary.json", write_summary_json, {
@@ -333,10 +331,10 @@ def cmd_baseline_heuristic(ns: argparse.Namespace) -> int:
              "curated": int(w in result.curated)}
             for w, s in enumerate(result.word_scores)]),
         ("heuristic.json", write_summary_json, {
-            "command": "baseline-heuristic", "config": cfg,
-            "curated": list(result.curated),
+            "command": "baseline-heuristic", "config": cfg, "curated": list(result.curated),
             "curated_labels": [corpus.vocab[w] for w in result.curated],
-            "accuracy": result.accuracy, "stderr": result.stderr}, corpus)])
+            "accuracy": result.played.success_rate, "stderr": result.played.stderr},
+         corpus)])
     return 0
 
 

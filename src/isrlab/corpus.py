@@ -289,15 +289,17 @@ def load_corpus(path) -> Corpus:
             if kind not in ("utterance", "enrollment", "voiceprint"):
                 raise CorpusFormatError(f"line {line_no}: unknown record type {kind!r}")
             embedding = _field(rec, "embedding", line_no)
+            if not neural.is_number_list(embedding):
+                raise CorpusFormatError(
+                    f"line {line_no}: field 'embedding' is not a list of numbers")
+            if len(embedding) != dimension:
+                raise CorpusFormatError(f"line {line_no}: embedding of length {len(embedding)}"
+                                        f" does not match header dimension {dimension}")
             try:
                 vec = np.asarray(embedding, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise CorpusFormatError(
-                    f"line {line_no}: field 'embedding' is not a list of numbers") from exc
-            if vec.shape != (dimension,):
-                raise CorpusFormatError(
-                    f"line {line_no}: embedding of length {vec.shape[0] if vec.ndim == 1 else vec.shape}"
-                    f" does not match header dimension {dimension}")
+            except OverflowError:
+                raise CorpusFormatError(f"line {line_no}: field 'embedding' holds an integer "
+                                        "beyond the float range") from None
             # v.v is finite unless an entry is nan or inf or the sum
             # overflows, which the exact test then clears; per record it is
             # several times cheaper than isfinite

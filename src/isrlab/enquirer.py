@@ -35,8 +35,8 @@ import numpy as np
 
 from . import neural
 from .corpus import Corpus
-from .guesser import (Games, GuesserModel, guesser_success, mean_guest_prints, play_games,
-                      sample_game_batch)
+from .guesser import (Games, GuesserModel, Played, guesser_success, mean_guest_prints,
+                      play_games, sample_game_batch)
 from .neural import BiLstmSpec, MlpSpec, ParamStore
 
 
@@ -524,26 +524,13 @@ def train_enquirer(guesser: GuesserModel | None, corpus: Corpus, config: PpoConf
     return model, curve
 
 
-@dataclass
-class EnquirerEvalResult:
-    success_rate: float
-    stderr: float
-    word_tuples: np.ndarray   # (n_games, T) requested word ids in order
-
-
 def evaluate_enquirer(enquirer: EnquirerModel, guesser: GuesserModel, corpus: Corpus,
-                      n_guests: int, word_budget: int, n_games: int,
-                      seed: int) -> EnquirerEvalResult:
-    """Greedy no-replacement rollouts scored by the guesser.
-
-    Also returns the per-game requested word tuples, which feed the
-    diversity index.
-    """
+                      n_guests: int, word_budget: int, n_games: int, seed: int) -> Played:
+    """Greedy no-replacement rollouts scored by the guesser: the ``Played``
+    record of the seeded games, whose words feed the diversity index."""
     def greedy(guest_rows, targets, rng):
         return _play_games(enquirer, corpus, guest_rows, targets, word_budget, "greedy",
                            rng)[0]
 
-    rate, stderr, tuples = play_games(corpus, n_guests, n_games, greedy,
-                                      partial(guesser_success, guesser),
-                                      np.random.default_rng(seed))
-    return EnquirerEvalResult(success_rate=rate, stderr=stderr, word_tuples=tuples)
+    return play_games(corpus, n_guests, n_games, greedy, partial(guesser_success, guesser),
+                      np.random.default_rng(seed))

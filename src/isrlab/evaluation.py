@@ -17,7 +17,7 @@ import numpy as np
 from . import neural
 from .corpus import Corpus, corpus_fingerprint
 from .enquirer import evaluate_enquirer
-from .guesser import (Games, GuesserModel, evaluate_guesser, evaluate_guesser_words,
+from .guesser import (Games, GuesserModel, Played, evaluate_guesser, evaluate_guesser_words,
                       guesser_success, play_games, word_pool_policy)
 
 
@@ -79,10 +79,10 @@ def cosine_nearest_print_accuracy(corpus: Corpus, n_guests: int, n_words: int,
     Serves as the independent yardstick the trained guesser is compared
     against; it never sees the training corpus.
     """
-    rate, stderr, _ = play_games(
+    played = play_games(
         corpus, n_guests, n_games, word_pool_policy(np.arange(corpus.vocab_size), n_words),
         nearest_print_success, np.random.default_rng(seed))
-    return rate, stderr
+    return played.success_rate, played.stderr
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,7 @@ class HeuristicConfig:
 class HeuristicResult:
     word_scores: np.ndarray        # (V,) forced-word guesser accuracy
     curated: tuple[int, ...]       # top words, best first
-    accuracy: float
-    stderr: float
-    word_tuples: np.ndarray        # (eval_games, word_budget) words of the evaluation
+    played: Played                 # the evaluation of the curated list
 
 
 def heuristic_baseline(guesser: GuesserModel, corpus: Corpus,
@@ -110,8 +108,8 @@ def heuristic_baseline(guesser: GuesserModel, corpus: Corpus,
     Each word is scored by guesser accuracy over games where it is forced
     into an otherwise random word set, played in chunks of 4,096 from one
     seeded stream; the top ``curated_size`` words form the pool the fixed
-    policy samples from.  The reported accuracy and the words played come
-    from a fresh seeded evaluation run.
+    policy samples from.  ``played`` is a fresh seeded evaluation of that
+    policy: its games, successes, accuracy and words.
     """
     v = corpus.vocab_size
     neural.check_counts(config, "word_budget", "games_per_word", "eval_games")
@@ -134,15 +132,13 @@ def heuristic_baseline(guesser: GuesserModel, corpus: Corpus,
     rng = np.random.default_rng(seed)
     score = partial(guesser_success, guesser)
     scores = np.array([play_games(corpus, config.n_guests, config.games_per_word,
-                                  forcing(word), score, rng)[0] for word in range(v)])
+                                  forcing(word), score, rng).success_rate for word in range(v)])
 
     order = np.argsort(-scores, kind="stable")     # ties to the lower word id
     curated = tuple(int(w) for w in order[:config.curated_size])
-    accuracy, stderr, played = evaluate_guesser_words(
+    return HeuristicResult(word_scores=scores, curated=curated, played=evaluate_guesser_words(
         guesser, corpus, config.n_guests, config.word_budget, list(curated),
-        config.eval_games, seed=seed + 1)
-    return HeuristicResult(word_scores=scores, curated=curated,
-                           accuracy=accuracy, stderr=stderr, word_tuples=played)
+        config.eval_games, seed=seed + 1))
 
 
 @dataclass
@@ -162,29 +158,25 @@ def word_sweep(guesser: GuesserModel, corpus: Corpus, t_grid, n_guests: int,
     rows = []
     for t in t_grid:
         for seed in seeds:
-            acc, err = evaluate_guesser(guesser, corpus, n_guests, t, "random",
-                                        n_games, seed)
-            rows.append({"variable": "word_budget", "value": int(t), "policy": "random",
-                         "seed": int(seed), "accuracy": acc, "stderr": err})
+            readings = {"random": evaluate_guesser(guesser, corpus, n_guests, t, "random",
+                                                   n_games, seed)}
             if heuristic is not None:
                 size = max(heuristic.curated_size, t)
                 if size == corpus.vocab_size:     # curating would keep every word
-                    acc, err = evaluate_guesser(guesser, corpus, n_guests, t, "random",
-                                                n_games, seed + 1)
+                    readings["heuristic"] = evaluate_guesser(
+                        guesser, corpus, n_guests, t, "random", n_games, seed + 1)
                 else:
-                    res = heuristic_baseline(guesser, corpus, replace(
+                    played = heuristic_baseline(guesser, corpus, replace(
                         heuristic, curated_size=size, n_guests=n_guests, word_budget=t,
-                        eval_games=n_games), seed)
-                    acc, err = res.accuracy, res.stderr
-                rows.append({"variable": "word_budget", "value": int(t),
-                             "policy": "heuristic", "seed": int(seed),
-                             "accuracy": acc, "stderr": err})
+                        eval_games=n_games), seed).played
+                    readings["heuristic"] = played.success_rate, played.stderr
             if enquirer is not None:
-                res = evaluate_enquirer(enquirer, guesser, corpus, n_guests, t,
-                                        n_games, seed)
-                rows.append({"variable": "word_budget", "value": int(t),
-                             "policy": "enquirer", "seed": int(seed),
-                             "accuracy": res.success_rate, "stderr": res.stderr})
+                played = evaluate_enquirer(enquirer, guesser, corpus, n_guests, t, n_games,
+                                           seed)
+                readings["enquirer"] = played.success_rate, played.stderr
+            rows += [{"variable": "word_budget", "value": int(t), "policy": policy,
+                      "seed": int(seed), "accuracy": acc, "stderr": err}
+                     for policy, (acc, err) in readings.items()]
     return SweepResult(rows=rows)
 
 

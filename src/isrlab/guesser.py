@@ -273,27 +273,49 @@ def sample_word_subsets(rng: np.random.Generator, n_games: int, pool: np.ndarray
     return pool[picks]
 
 
+@dataclass(frozen=True)
+class Played:
+    """Seeded games as played, in order: the dealt ``games`` and each
+    game's 0/1 ``success``, from which the success rate, its binomial
+    stderr and the (n_games, T) words played are read."""
+
+    games: Games
+    success: np.ndarray       # (n_games,)
+
+    @property
+    def success_rate(self) -> float:
+        return int(self.success.sum()) / len(self.success)
+
+    @property
+    def stderr(self) -> float:
+        return float(np.sqrt(self.success_rate * (1.0 - self.success_rate) / len(self.success)))
+
+    @property
+    def word_tuples(self) -> np.ndarray:
+        return self.games.words
+
+
 def play_games(corpus: Corpus, n_guests: int, n_games: int, policy, scorer,
-               rng: np.random.Generator) -> tuple[float, float, np.ndarray]:
+               rng: np.random.Generator) -> Played:
     """Deal, play and score ``n_games`` seeded games, ``CHUNK_GAMES`` at a
     time (another size would deal other games).
 
     Per chunk the games are dealt from ``rng``, then ``policy(guest_rows,
     targets, rng)`` returns each game's (b, T) word ids and ``scorer(games)``
-    the 0/1 successes of those ``Games``.  Returns the success rate, its
-    binomial stderr and the (n_games, T) words played.
+    the 0/1 successes of those ``Games``.  Returns the ``Played`` record of
+    every game; it holds the dealt rows, targets and words but nothing the
+    scorer gathered from the corpus.
     """
     if n_games < 1:
         raise ValueError(f"need at least one game to score, got {n_games}")
-    hits, played = 0, []
+    dealt, success = [], []
     for start in range(0, n_games, CHUNK_GAMES):
         guest_rows, targets = sample_game_batch(
             corpus, min(CHUNK_GAMES, n_games - start), n_guests, rng)
         games = Games(corpus, guest_rows, targets, policy(guest_rows, targets, rng))
-        hits += int(scorer(games).sum())
-        played.append(games.words)
-    rate = hits / n_games
-    return rate, float(np.sqrt(rate * (1.0 - rate) / n_games)), np.concatenate(played)
+        success.append(scorer(games))
+        dealt.append((guest_rows, targets, games.words))
+    return Played(Games(corpus, *map(np.concatenate, zip(*dealt))), np.concatenate(success))
 
 
 def word_pool_policy(pool: np.ndarray, n_words: int):
@@ -378,14 +400,14 @@ def evaluate_guesser(model: GuesserModel, corpus: Corpus, n_guests: int,
     ``word_policy`` is "random" or a fixed pool of distinct word ids in
     [0, V) to draw from (used exactly when its length equals the budget).
     """
-    return evaluate_guesser_words(model, corpus, n_guests, n_words, word_policy, n_games,
-                                  seed)[:2]
+    played = evaluate_guesser_words(model, corpus, n_guests, n_words, word_policy, n_games,
+                                    seed)
+    return played.success_rate, played.stderr
 
 
 def evaluate_guesser_words(model: GuesserModel, corpus: Corpus, n_guests: int,
-                           n_words: int, word_policy, n_games: int,
-                           seed: int) -> tuple[float, float, np.ndarray]:
-    """``evaluate_guesser``'s rate and stderr, and the (n_games, n_words) words played."""
+                           n_words: int, word_policy, n_games: int, seed: int) -> Played:
+    """The ``Played`` record of ``evaluate_guesser``'s games."""
     if not isinstance(word_policy, (str, list, tuple, np.ndarray)):
         raise TypeError(f"unsupported word policy: {word_policy!r}")
     if isinstance(word_policy, str) and word_policy != "random":

@@ -717,9 +717,18 @@ def save_params(path, store: ParamStore, kind: str, arch: dict) -> None:
         fh.write("}}")
 
 
+_JSON_NUMBERS = frozenset((int, float))
+
+
 class CheckpointFormatError(ValueError):
     """A checkpoint file that is not a saved model: names the file and what
     is wrong with it."""
+
+
+def is_number_list(values) -> bool:
+    """Whether parsed JSON is an array of numbers: json reads a number as an
+    int or a float, and true, false, null and a string as bool, None and str."""
+    return isinstance(values, list) and _JSON_NUMBERS.issuperset(map(type, values))
 
 
 def _is_count(value, least: int = 0) -> bool:
@@ -734,11 +743,12 @@ def load_params(path) -> tuple[ParamStore, str, dict]:
     def to_array(obj):
         # each parameter's values become an array as soon as they are
         # parsed, so one parameter's floats at most are Python objects;
-        # values that are not numbers stay as parsed, rejected below
-        if "shape" in obj and "values" in obj:
+        # values that are not numbers, or an integer beyond the float range,
+        # stay as parsed, rejected below
+        if "shape" in obj and "values" in obj and is_number_list(obj["values"]):
             try:
                 obj["values"] = np.asarray(obj["values"], dtype=np.float64)
-            except (TypeError, ValueError):
+            except OverflowError:
                 pass
         return obj
 

@@ -137,7 +137,7 @@ def test_criterion_6_heuristic_ordering(corpora, trained_guesser, trained_enquir
     heur = np.array([heuristic_baseline(
         guesser, test, HeuristicConfig(games_per_word=2000, curated_size=6,
                                        n_guests=5, word_budget=3,
-                                       eval_games=10_000), s).accuracy
+                                       eval_games=10_000), s).played.success_rate
         for s in seeds])
     enq = np.array([evaluate_enquirer(enquirer, guesser, test, 5, 3, 10_000,
                                       s).success_rate for s in seeds])

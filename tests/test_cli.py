@@ -514,13 +514,13 @@ class TestEval:
         if policy == "heuristic":
             played = original(model, test, evaluation.HeuristicConfig(
                 games_per_word=200, curated_size=4, n_guests=3, word_budget=2,
-                eval_games=100), 4).word_tuples
+                eval_games=100), 4).played.word_tuples
         elif policy == "enquirer":
             played = original(enquirer.EnquirerModel.load(enquirer_path), model, test,
                               3, 2, 100, 4).word_tuples
         else:
             pool = [1, 3, 5, 6] if policy == "fixed" else "random"
-            played = original(model, test, 3, 2, pool, 100, 4)[2]
+            played = original(model, test, 3, 2, pool, 100, 4).word_tuples
         lines = (out / "word_tuples.jsonl").read_text().splitlines()
         assert [json.loads(line)["words"] for line in lines] == played[:30].tolist()
         report = json.loads((out / "diversity.json").read_text())

@@ -355,6 +355,24 @@ def test_malformed_record_named_by_line_and_field(tmp_path, case):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("embedding, problem", [
+    (["1.5", "2", "0"], "is not a list of numbers"),
+    ([True, False, True], "is not a list of numbers"),
+    ([1, None, 0], "is not a list of numbers"),
+    ([1.0, 0.0, False], "is not a list of numbers"),
+    ([10 ** 400, 0, 1], "holds an integer beyond the float range")],
+    ids=["strings", "booleans", "null", "one-boolean", "huge-integer"])
+def test_embedding_of_json_values_that_are_not_numbers_named(tmp_path, embedding, problem):
+    # np.asarray(embedding, dtype=float) would read "1.5" and true as
+    # numbers and null as nan, and raise OverflowError at 10 ** 400
+    records = [HEADER] + full_grid()
+    records[2] = {**UTTERANCE, "embedding": embedding}
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, records)
+    with pytest.raises(CorpusFormatError, match=f"^line 3: field 'embedding' {problem}$"):
+        load_corpus(path)
+
+
 def test_invalid_utf8_named_by_line(tmp_path):
     lines = [json.dumps(r).encode("utf-8") for r in [HEADER] + full_grid()]
     lines[2] = lines[2].replace(b'"utterance"', b'"utter\xffance"')

@@ -175,7 +175,7 @@ class TestHeuristic:
                                                  n_guests=4, word_budget=2,
                                                  eval_games=4000), seed=2)
         random_acc, _ = evaluate_guesser(guesser, corpus, 4, 2, "random", 4000, seed=3)
-        assert abs(res.accuracy - random_acc) < 0.01 + 2 * res.stderr
+        assert abs(res.played.success_rate - random_acc) < 0.01 + 2 * res.played.stderr
 
     def test_scores_reproducible_under_seed(self, degenerate_setup):
         corpus, guesser = degenerate_setup
@@ -184,7 +184,8 @@ class TestHeuristic:
         a = heuristic_baseline(guesser, corpus, cfg, seed=5)
         b = heuristic_baseline(guesser, corpus, cfg, seed=5)
         assert np.array_equal(a.word_scores, b.word_scores)
-        assert a.curated == b.curated and a.accuracy == b.accuracy
+        assert a.curated == b.curated
+        assert a.played.success_rate == b.played.success_rate
 
     def test_invalid_curation_size_rejected(self, degenerate_setup):
         corpus, guesser = degenerate_setup
@@ -248,7 +249,8 @@ class TestSweeps:
                 eval_games=300), seed)
             [row] = [r for r in result.rows if r["policy"] == "heuristic"
                      and r["value"] == 5 and r["seed"] == seed]
-            assert (row["accuracy"], row["stderr"]) == (curated.accuracy, curated.stderr)
+            assert (row["accuracy"], row["stderr"]) == (curated.played.success_rate,
+                                                        curated.played.stderr)
 
     def test_guest_sweep_shape_and_single_guest(self, degenerate_setup):
         corpus, guesser = degenerate_setup
@@ -268,6 +270,8 @@ class TestSweeps:
         assert len(agg) == 1
         assert agg[0]["mean_accuracy"] == pytest.approx(0.6)
         assert agg[0]["std_accuracy"] == pytest.approx(0.1, abs=1e-12)
+        # the sample std over the seeds (ddof=1), over the root of their count
+        assert agg[0]["stderr_accuracy"] == pytest.approx(0.1 / np.sqrt(3), abs=1e-12)
 
 
 class TestSerialization:

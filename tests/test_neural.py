@@ -1051,6 +1051,17 @@ class TestAdam:
         norm = np.sqrt(store.grads["a"][0] ** 2 + store.grads["b"][0] ** 2)
         assert norm == pytest.approx(1.0, abs=1e-12)
 
+    def test_clipping_a_norm_under_twice_the_bound(self):
+        # a joint norm of 1.5 against a bound of 1 is clipped, not left alone
+        store = ParamStore()
+        store.add("a", np.array([0.0]))
+        store.add("b", np.array([0.0]))
+        store.grads["a"][...] = 0.9
+        store.grads["b"][...] = 1.2      # joint norm 1.5
+        assert neural.clip_grads_global_norm(store, 1.0) == pytest.approx(1.5, abs=1e-12)
+        assert store.grads["a"][0] == pytest.approx(0.6, abs=1e-12)
+        assert store.grads["b"][0] == pytest.approx(0.8, abs=1e-12)
+
     def test_clipping_leaves_small_gradients_alone(self):
         store = ParamStore()
         store.add("a", np.array([0.1]))
@@ -1139,6 +1150,19 @@ class TestCheckpoints:
         path.write_text(json.dumps(payload))
         with pytest.raises(neural.CheckpointFormatError,
                            match=f"{re.escape(str(path))}: parameter 'w' has no '{key}'$"):
+            load_params(path)
+
+    @pytest.mark.parametrize("values", [["0.5", 1.0], [True, 1.0], [1.0, None], [10 ** 400, 1.0]],
+                             ids=["string", "boolean", "null", "huge-integer"])
+    def test_values_that_are_not_numbers_are_named(self, tmp_path, values):
+        # np.asarray(values, dtype=float) would read "0.5" and true as
+        # numbers and null as nan, and raise OverflowError at 10 ** 400
+        path, payload = self.saved(tmp_path)
+        payload["params"]["w"]["values"] = values
+        path.write_text(json.dumps(payload))
+        with pytest.raises(neural.CheckpointFormatError,
+                           match=f"{re.escape(str(path))}: parameter 'w' does not hold the 2 "
+                                 r"numbers of its shape \(2,\)$"):
             load_params(path)
 
     def test_top_level_value_not_an_object_is_named(self, tmp_path):

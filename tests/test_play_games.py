@@ -19,9 +19,9 @@ from isrlab.enquirer import (EnquirerConfig, EnquirerModel, _play_games,
 from isrlab.evaluation import (HeuristicConfig, cosine_nearest_print_accuracy,
                                heuristic_baseline)
 from isrlab.game import GameConfig, new_game
-from isrlab.guesser import (GuesserConfig, GuesserModel, evaluate_guesser,
-                            guesser_forward, play_games, sample_game_batch,
-                            sample_word_subsets)
+from isrlab.guesser import (CHUNK_GAMES, Games, GuesserConfig, GuesserModel,
+                            evaluate_guesser, guesser_forward, play_games,
+                            sample_game_batch, sample_word_subsets, word_pool_policy)
 
 
 def gather(corpus, guest_rows, targets, words):
@@ -164,12 +164,41 @@ class TestPlayGames:
             seen.append(len(targets))
             return sample_word_subsets(rng, len(targets), np.arange(6), 2)
 
-        rate, stderr, words = play_games(
+        played = play_games(
             corpus, 3, 8200, policy, lambda games: np.ones(len(games.targets)),
             np.random.default_rng(0))
         assert seen == [4096, 4096, 8]
-        assert words.shape == (8200, 2)
-        assert (rate, stderr) == (1.0, 0.0)
+        assert played.word_tuples.shape == (8200, 2)
+        assert (played.success_rate, played.stderr) == (1.0, 0.0)
+
+    def test_record_joins_each_chunks_deal_and_scores(self, world):
+        # across a chunk boundary the record holds every chunk's deal, words
+        # and successes in order, and reads the rate and stderr of the hits
+        # counted chunk by chunk; the scorer's gathers are not kept
+        corpus, _, _ = world
+        n_games = CHUNK_GAMES + 3
+        policy = word_pool_policy(np.arange(corpus.vocab_size), 2)
+
+        def scorer(games):
+            return ((games.mean_guest[:, 0] > 0) == (games.words[:, 0] % 2 == 0)).astype(float)
+        played = play_games(corpus, 4, n_games, policy, scorer, np.random.default_rng(9))
+
+        rng, chunks = np.random.default_rng(9), []
+        for b in (CHUNK_GAMES, 3):
+            guest_rows, targets = sample_game_batch(corpus, b, 4, rng)
+            words = policy(guest_rows, targets, rng)
+            chunks.append((guest_rows, targets, words,
+                           scorer(Games(corpus, guest_rows, targets, words))))
+        games = played.games
+        for got, parts in zip((games.guest_rows, games.targets, games.words, played.success),
+                              zip(*chunks)):
+            assert np.array_equal(got, np.concatenate(parts))
+        assert games.corpus is corpus and played.word_tuples is games.words
+        assert not {"guests", "uttered", "mean_guest"} & vars(games).keys()
+        rate = sum(int(success.sum()) for *_, success in chunks) / n_games
+        assert 0 < rate < 1
+        assert played.success_rate == rate
+        assert played.stderr == float(np.sqrt(rate * (1.0 - rate) / n_games))
 
     def test_oversized_guest_count_named(self, world):
         corpus, _, _ = world
