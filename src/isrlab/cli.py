@@ -490,7 +490,7 @@ def _cap_threads(argv) -> None:
         return                  # absent, or malformed and reported by the full parser
     if threads >= 1:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
             os.environ[var] = str(threads)
 
 

@@ -102,7 +102,7 @@ class Corpus:
         return len(self.vocab)
 
     def _speaker_row(self, speaker_id: int) -> int:
-        _check_integer(speaker_id, "speaker id")
+        check_integer(speaker_id, "speaker id")
         if speaker_id not in self._row:
             raise ValueError(f"speaker {speaker_id} is not in the corpus")
         return self._row[speaker_id]
@@ -112,13 +112,13 @@ class Corpus:
 
     def utterance(self, speaker_id: int, word_id: int) -> np.ndarray:
         row = self._speaker_row(speaker_id)
-        _check_integer(word_id, "word id")
+        check_integer(word_id, "word id")
         if not 0 <= word_id < self.vocab_size:
             raise ValueError(f"word id {word_id} out of range [0, {self.vocab_size})")
         return self.utterances[row, word_id]
 
 
-def _check_integer(value, name: str) -> None:
+def check_integer(value, name: str) -> None:
     # a bool is an int to Python, but as an id it is a slip
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} {value!r} is not an integer")

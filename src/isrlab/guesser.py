@@ -26,7 +26,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import neural
-from .corpus import Corpus
+from .corpus import Corpus, check_integer
 from .neural import MlpSpec, ParamStore
 
 
@@ -348,6 +348,11 @@ def train_guesser(corpus_train: Corpus, corpus_valid: Corpus,
     Returns the model and a curve of dicts with exactly the keys epoch,
     games_seen, train_loss and valid_accuracy.  Validation always runs on
     the same seeded held-out games so curves are comparable across runs.
+
+    One batch is alive at a time: its games, their gathered guests and
+    utterances and the two nets' activations are released before the next
+    batch is dealt or the validation games are played.  ``pair_backward``
+    works in the activations, so a step holds no other batch-sized array.
     """
     if corpus_train.dimension != corpus_valid.dimension:
         raise ValueError("train and validation corpora disagree on dimension")
@@ -372,13 +377,17 @@ def train_guesser(corpus_train: Corpus, corpus_valid: Corpus,
                       "valid_accuracy": acc})
         losses_since_eval.clear()
 
-    for batch_idx in range(n_batches):
-        b = min(config.batch_size, config.n_games - games_seen)
+    def step(b: int) -> float:
+        # one batch's deal, forward and backward, whose arrays die on return
         guest_rows, targets = sample_game_batch(corpus_train, b, config.n_guests, rng)
         games = Games(corpus_train, guest_rows, targets,
                       sample_word_subsets(rng, b, vocab, config.word_budget))
         acts = guesser_forward(model, games.guests, games.uttered, train=True, rng=rng)
-        loss = guesser_loss(model, acts, targets)
+        return guesser_loss(model, acts, targets)
+
+    for batch_idx in range(n_batches):
+        b = min(config.batch_size, config.n_games - games_seen)
+        loss = step(b)
         if not np.isfinite(loss):
             raise TrainingDiverged(
                 f"non-finite loss {loss} at batch {batch_idx} "
@@ -397,8 +406,8 @@ def evaluate_guesser(model: GuesserModel, corpus: Corpus, n_guests: int,
                      n_words: int, word_policy, n_games: int, seed: int) -> tuple[float, float]:
     """Mean terminal success and binomial stderr over seeded games.
 
-    ``word_policy`` is "random" or a fixed pool of distinct word ids in
-    [0, V) to draw from (used exactly when its length equals the budget).
+    ``word_policy`` is "random" or a fixed pool of distinct integer word ids
+    in [0, V) to draw from (used exactly when its length equals the budget).
     """
     played = evaluate_guesser_words(model, corpus, n_guests, n_words, word_policy, n_games,
                                     seed)
@@ -413,7 +422,14 @@ def evaluate_guesser_words(model: GuesserModel, corpus: Corpus, n_guests: int,
     if isinstance(word_policy, str) and word_policy != "random":
         raise ValueError(f"unknown word policy {word_policy!r}")
     v = corpus.vocab_size
-    pool = np.arange(v) if isinstance(word_policy, str) else np.asarray(word_policy, dtype=int)
+    if isinstance(word_policy, str):
+        pool = np.arange(v)
+    else:
+        # np.asarray(..., dtype=int) would read True as 1, "7" as 7 and truncate 1.7 to 1
+        is_array = isinstance(word_policy, np.ndarray)
+        for entry in np.atleast_1d(word_policy).tolist() if is_array else word_policy:
+            check_integer(entry, "word id")
+        pool = np.asarray(word_policy, dtype=int)
     outside = pool[(pool < 0) | (pool >= v)]
     if outside.size:
         raise ValueError(f"word id {outside[0]} in the word pool is outside [0, {v})")

@@ -264,6 +264,12 @@ def _blocks(count: int):
     return zip(starts, [*starts[1:], count])
 
 
+def _cached_block_games(n: int) -> int:
+    # games per block of a cached pass and of its backward sums: a multiple
+    # of 4 of them and at most ``PREDICT_BLOCK_ROWS`` item rows, or 4 games
+    return max(4, PREDICT_BLOCK_ROWS // n // 4 * 4)
+
+
 def _score_rows(h: np.ndarray, w1: np.ndarray, out: np.ndarray) -> None:
     # ``h @ w1`` into ``out``, ``h`` zero-padded to a multiple of 4 rows.  At
     # one BLAS thread a row of this (M, H) @ (H, 1) product depends on its
@@ -278,7 +284,10 @@ def _score_rows(h: np.ndarray, w1: np.ndarray, out: np.ndarray) -> None:
 @dataclass(eq=False, slots=True)
 class PairCache:
     """A cached ``pair_forward``'s inputs, its (B*N, H) activation after
-    dropout and the dropout scale; ``pair_backward`` takes the activation."""
+    dropout and the dropout scale.  ``pair_backward`` takes the activation
+    and works in it: it holds the hidden gradient and then, in each game's
+    first row, the game's sum of it, so the backward pass holds no other
+    (B*N, H) or (B, H) array."""
 
     items: np.ndarray
     context: np.ndarray
@@ -340,7 +349,7 @@ def pair_forward(store: ParamStore, prefix: str, items: np.ndarray, context: np.
     out = np.empty((b, n))
     if keep_cache:
         hidden = np.empty((b * n, w0.shape[1]))
-        step = max(4, PREDICT_BLOCK_ROWS // n // 4 * 4)
+        step = _cached_block_games(n)
     else:
         hidden, buf = None, np.empty((min(b, PREDICT_SUB_BLOCK_GAMES), w0.shape[1]))
         step = PREDICT_SUB_BLOCK_GAMES
@@ -378,7 +387,12 @@ def pair_backward(store: ParamStore, prefix: str, cache: PairCache, dout: np.nda
     block by block over the activation the cache gives up, is the masked
     ``dh * mask * (relu > 0)`` bit for bit while ``dh * scale`` is finite:
     the activation is positive exactly where the mask kept a positive ReLU
-    output, and elsewhere both give a zero with the sign of ``dh``."""
+    output, and elsewhere both give a zero with the sign of ``dh``.
+
+    Once ``W0[:D]``'s gradient has read every row of it, each game's sum of
+    its N rows, the gradient ``W0[D:]``, ``b0`` and the context see, is
+    written into the game's first row, games in the forward's blocks through
+    one small buffer; those sums are then read as a strided (B, H) view."""
     if cache.hidden is None:
         raise ValueError("pair backward cache already consumed")
     items, context, hidden, scale = cache.items, cache.context, cache.hidden, cache.scale
@@ -396,7 +410,15 @@ def pair_backward(store: ParamStore, prefix: str, cache: PairCache, dout: np.nda
         dh *= scale
         dh *= kept
     store.grads[f"{prefix}/W0"][:d] += items.T @ hidden   # ``hidden`` now holds dh
-    dctx = hidden.reshape(b, n, -1).sum(axis=1)        # W0[D:] and b0 see game sums
+    # W0[D:] and b0 see game sums: each game's goes to its first row
+    games = hidden.reshape(b, n, -1)
+    step = _cached_block_games(n)
+    buf = np.empty((min(b, step), hidden.shape[1]))
+    for g0 in range(0, b, step):
+        block = games[g0:g0 + step]
+        np.add.reduce(block, axis=1, out=buf[:len(block)])
+        block[:, 0] = buf[:len(block)]
+    dctx = games[:, 0]
     store.grads[f"{prefix}/W0"][d:] += context.T @ dctx
     store.grads[f"{prefix}/b0"] += dctx.sum(axis=0)
     return dctx @ store.values[f"{prefix}/W0"][d:].T if context_grad else None

@@ -6,6 +6,9 @@ criteria; their training time is carried into the runtime budgets of the
 criteria that include training.
 """
 
+import subprocess
+import sys
+import textwrap
 import time
 from fractions import Fraction
 from math import comb
@@ -366,36 +369,46 @@ def test_criterion_9_ppo_bandit_sanity(corpora):
 
 
 def test_criterion_10_reproducibility(tmp_path):
+    # each run is a fresh interpreter with the thread variables cleared:
+    # only --threads 1 caps BLAS, and only if it does so before numpy loads
     started = time.perf_counter()
-    corpus = tmp_path / "c.jsonl"
-    assert cli.main(["gen-corpus", "--out", str(corpus), "--train-speakers", "16",
-                     "--test-speakers", "6", "--vocab-size", "8", "--dim", "8",
-                     "--seed", "1"]) == 0
+    commands = [
+        ["gen-corpus", "--out", "{out}/c.jsonl", "--train-speakers", "16",
+         "--test-speakers", "6", "--vocab-size", "8", "--dim", "8", "--seed", "1"],
+        ["train-guesser", "--corpus", "{out}/c.jsonl", "--games", "2000",
+         "--batch-size", "256", "--words", "2", "--guests", "4", "--eval-games", "300",
+         "--seed", "3", "--out-dir", "{out}"],
+        ["train-enquirer", "--corpus", "{out}/c.jsonl", "--guesser", "{out}/guesser.json",
+         "--episodes", "300", "--horizon", "60", "--update-batch-size", "30",
+         "--words", "2", "--guests", "3", "--eval-games", "200", "--seed", "0",
+         "--out-dir", "{out}"],
+        ["eval", "--corpus", "{out}/c.jsonl", "--guesser", "{out}/guesser.json",
+         "--enquirer", "{out}/enquirer.json", "--policy", "enquirer", "--games", "500",
+         "--guests", "3", "--words", "2", "--seeds", "0,1", "--out-dir", "{out}"],
+    ]
+    script = textwrap.dedent(f"""
+        import os, sys
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+            os.environ.pop(var, None)
+        from isrlab import cli
+        for argv in {commands!r}:
+            argv = [arg.format(out=sys.argv[1]) for arg in argv]
+            assert cli.main([*argv, "--threads", "1"]) == 0, argv
+        print(len(os.listdir("/proc/self/task")) if sys.platform.startswith("linux") else 1)
+        """)
 
-    def train_and_eval(tag: str):
+    def run(tag: str):
         out = tmp_path / tag
-        assert cli.main(["train-guesser", "--corpus", str(corpus), "--games",
-                         "2000", "--batch-size", "256", "--words", "2",
-                         "--guests", "4", "--eval-games", "300", "--seed", "3",
-                         "--threads", "1", "--out-dir", str(out)]) == 0
-        assert cli.main(["train-enquirer", "--corpus", str(corpus), "--guesser",
-                         str(out / "guesser.json"), "--episodes", "300",
-                         "--horizon", "60", "--update-batch-size", "30",
-                         "--words", "2", "--guests", "3", "--eval-games", "200",
-                         "--seed", "0", "--threads", "1",
-                         "--out-dir", str(out)]) == 0
-        assert cli.main(["eval", "--corpus", str(corpus), "--guesser",
-                         str(out / "guesser.json"), "--enquirer",
-                         str(out / "enquirer.json"), "--policy", "enquirer",
-                         "--games", "500", "--guests", "3", "--words", "2",
-                         "--seeds", "0,1", "--threads", "1",
-                         "--out-dir", str(out)]) == 0
-        return out
+        out.mkdir()
+        proc = subprocess.run([sys.executable, "-c", script, str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return out, proc.stdout.splitlines()[-1]
 
-    a = train_and_eval("run_a")
-    b = train_and_eval("run_b")
+    (a, threads_a), (b, threads_b) = run("run_a"), run("run_b")
     identical = []
-    for name in ("guesser.json", "guesser_curve.csv", "enquirer.json",
+    for name in ("c.jsonl", "guesser.json", "guesser_curve.csv", "enquirer.json",
                  "enquirer_curve.csv", "eval_metrics.csv", "eval_summary.json"):
         identical.append((a / name).read_bytes() == (b / name).read_bytes())
     import json as _json
@@ -407,7 +420,8 @@ def test_criterion_10_reproducibility(tmp_path):
         pb.pop("wall_time_s", None)
         summaries_match &= pa == pb
     elapsed = time.perf_counter() - started
-    ok = all(identical) and summaries_match
-    report(10, ok, f"byte-identical checkpoints and metrics across repeated "
-                   f"seeded runs with --threads 1 (summaries compared without "
-                   f"wall_time_s, {elapsed:.0f}s)")
+    ok = all(identical) and summaries_match and threads_a == threads_b == "1"
+    report(10, ok, f"byte-identical corpora, checkpoints and metrics across two seeded "
+                   f"runs with --threads 1, each in its own process ({threads_a} and "
+                   f"{threads_b} threads; summaries compared without wall_time_s, "
+                   f"{elapsed:.0f}s)")

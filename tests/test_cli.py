@@ -737,6 +737,27 @@ class TestLazyPackage:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "1"
 
+    def test_threads_flag_sets_every_thread_variable(self, tmp_path):
+        # OpenBLAS, OpenMP, MKL, numexpr and Apple's Accelerate each read
+        # their own variable
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+        script = textwrap.dedent(f"""
+            import os, sys
+            names = {names!r}
+            for var in names:
+                os.environ.pop(var, None)
+            from isrlab import cli
+            code = cli.main(["gen-corpus", "--threads", "1", "--out", sys.argv[1],
+                             "--train-speakers", "8", "--test-speakers", "2"])
+            assert code == 0
+            print(*(os.environ.get(var) for var in names))
+            """)
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "c.jsonl")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].split() == ["1"] * len(names)
+
     def test_every_exported_name_resolves(self):
         import isrlab
         for name in isrlab.__all__:

@@ -4,7 +4,8 @@ import json
 import re
 import sys
 import tracemalloc
-from dataclasses import replace
+import weakref
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -458,6 +459,34 @@ class TestTraining:
         for row in curve:
             assert set(row) == {"epoch", "games_seen", "train_loss", "valid_accuracy"}
 
+    def test_each_step_is_released_before_the_next_forward(self, small_split, monkeypatch):
+        # the inputs and every array of the activations a forward returns,
+        # the nets' caches included, are gone when the next forward starts:
+        # the next batch's or a validation game's
+        train, valid = small_split
+        original = guesser_module.guesser_forward
+        held, alive_at_call = [], []
+
+        def arrays(obj):
+            for field in fields(obj):
+                value = getattr(obj, field.name)
+                if isinstance(value, np.ndarray):
+                    yield value
+                elif is_dataclass(value):
+                    yield from arrays(value)
+
+        def tracking(model, guests, uttered, **kwargs):
+            alive_at_call.append(sum(ref() is not None for ref in held))
+            acts = original(model, guests, uttered, **kwargs)
+            held[:] = map(weakref.ref, [guests, uttered, *arrays(acts)])
+            return acts
+        monkeypatch.setattr(guesser_module, "guesser_forward", tracking)
+        train_guesser(train, valid, GuesserTrainConfig(n_guests=3, word_budget=2,
+                                                       batch_size=64, n_games=640,
+                                                       valid_games=200, eval_every=5))
+        assert len(alive_at_call) == 10 + 2
+        assert alive_at_call == [0] * len(alive_at_call)
+
     def test_mismatched_corpora_rejected(self, small_split):
         train, _ = small_split
         other = generate_synthetic(SynthConfig(dimension=4, vocab_size=8,
@@ -496,6 +525,13 @@ class TestEvaluate:
         ([1, -1, 2], "word id -1 in the word pool is outside [0, 8)"),
         ([1, 1, 1], "word id 1 is repeated in the word pool"),
         ([1, 2, 99], "word id 99 in the word pool is outside [0, 8)"),
+        ([0.5, 1.7, 2.2, 3.9], "word id 0.5 is not an integer"),
+        ([True, False, 2, 3], "word id True is not an integer"),
+        (["1", "2", "3"], "word id '1' is not an integer"),
+        (np.array([1.9, 2.9, 3.9]), "word id 1.9 is not an integer"),
+        ([1, 2.0, 3], "word id 2.0 is not an integer"),
+        (np.array([True, False, True]), "word id True is not an integer"),
+        ([1, None, 3], "word id None is not an integer"),
     ])
     def test_fixed_pool_names_a_bad_word_id(self, small_split, pool, message):
         _, test = small_split

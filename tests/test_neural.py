@@ -300,6 +300,25 @@ class TestPairNet:
             tracemalloc.stop()
         assert peak < 1.5 * activation
 
+    def test_backward_sums_each_game_in_its_activation(self):
+        # at the score net's training shapes, each game's context-gradient
+        # sum is written into its own first row of the activation: what the
+        # backward pass allocates stays under one (B, H) array
+        rng = np.random.default_rng(47)
+        store = make_mlp(MlpSpec(64, 512, 1), rng)
+        items = rng.standard_normal((1024, 5, 32))
+        context = rng.standard_normal((1024, 32))
+        dout = rng.standard_normal((1024, 5))
+        _, cache = neural.pair_forward(store, "net", items, context, keep_cache=True,
+                                       dropout=0.5, rng=np.random.default_rng(48))
+        tracemalloc.start()
+        try:
+            neural.pair_backward(store, "net", cache, dout, context_grad=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 512 * items.itemsize
+
     @pytest.mark.parametrize("keep_cache, rng", [(False, np.random.default_rng(0)),
                                                  (True, None)])
     def test_dropout_needs_a_cached_pass_and_an_rng(self, keep_cache, rng):
