@@ -127,16 +127,11 @@ def _load_split(corpus_path: str, cfg: dict, *sides: str) -> list:
 def _load_checkpoint(kind: str, path: str, corpus):
     """The guesser or enquirer checkpoint at ``path``, rejected unless its
     dimension, and an enquirer's vocabulary size, match the corpus."""
+    from .corpus import check_fit
     from .enquirer import EnquirerModel
     from .guesser import GuesserModel
     model = {"guesser": GuesserModel, "enquirer": EnquirerModel}[kind].load(path)
-    fits = [("dimension", model.config.dim, corpus.dimension)]
-    if kind == "enquirer":
-        fits.append(("vocabulary size", model.config.vocab_size, corpus.vocab_size))
-    for what, have, want in fits:
-        if have != want:
-            raise ValueError(f"{kind} checkpoint {what} {have} does not match "
-                             f"corpus {what} {want}")
+    check_fit(f"{kind} checkpoint", model.config, corpus)
     return model
 
 

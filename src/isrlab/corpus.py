@@ -124,6 +124,18 @@ def check_integer(value, name: str) -> None:
         raise ValueError(f"{name} {value!r} is not an integer")
 
 
+def check_fit(kind: str, config, corpus: Corpus) -> None:
+    """Raise a ValueError naming both sizes unless the model of ``config``,
+    named ``kind``, fits ``corpus``: its ``dim`` is the corpus dimension
+    and its ``vocab_size``, if it has one, the corpus vocabulary size."""
+    fits = [("dimension", config.dim, corpus.dimension)]
+    if hasattr(config, "vocab_size"):
+        fits.append(("vocabulary size", config.vocab_size, corpus.vocab_size))
+    for what, have, want in fits:
+        if have != want:
+            raise ValueError(f"{kind} {what} {have} does not match corpus {what} {want}")
+
+
 def generate_synthetic(config: SynthConfig) -> Corpus:
     """Build a corpus where word informativeness varies per speaker.
 

@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from . import neural
-from .corpus import Corpus
+from .corpus import Corpus, check_fit
 from .guesser import (Games, GuesserModel, Played, guesser_success, mean_guest_prints,
                       play_games, sample_game_batch)
 from .neural import BiLstmSpec, MlpSpec, ParamStore
@@ -309,8 +309,10 @@ class PpoConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0 or not 0.0 <= self.gae_lambda <= 1.0:
             raise ValueError("gamma and gae_lambda must be in [0, 1]")
-        if self.clip <= 0.0:
-            raise ValueError("clip must be positive")
+        for name in ("lr", "grad_clip", "clip"):
+            neural.check_positive(name, getattr(self, name))
+        for name in ("value_coef", "entropy_coef"):
+            neural.check_positive(name, getattr(self, name), zero=True)
         neural.check_counts(self, "episodes", "horizon", "update_batches",
                             "update_batch_size", "word_budget", "n_guests")
 
@@ -527,7 +529,10 @@ def train_enquirer(guesser: GuesserModel | None, corpus: Corpus, config: PpoConf
 def evaluate_enquirer(enquirer: EnquirerModel, guesser: GuesserModel, corpus: Corpus,
                       n_guests: int, word_budget: int, n_games: int, seed: int) -> Played:
     """Greedy no-replacement rollouts scored by the guesser: the ``Played``
-    record of the seeded games, whose words feed the diversity index."""
+    record of the seeded games, whose words feed the diversity index.  An
+    enquirer that does not fit the corpus is rejected naming both sizes."""
+    check_fit("enquirer", enquirer.config, corpus)
+
     def greedy(guest_rows, targets, rng):
         return _play_games(enquirer, corpus, guest_rows, targets, word_budget, "greedy",
                            rng)[0]

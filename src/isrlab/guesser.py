@@ -8,11 +8,11 @@ per-guest probabilities.  Scoring is per guest, so the whole thing is
 permutation-equivariant in the guest list by construction.  Both nets are
 ``neural.pair_forward`` nets: each game's context half of the first layer
 is taken once, not once per word or guest, and every pass runs in blocks
-of games.  A training pass takes a block's item rows in blocks and keeps
-one activation per net; an eval pass takes its games 128 at a time, one
-guest or word slot at a time, and keeps none.  An eval pass over dealt
-games (``Games``) takes the item half from the corpus rows, once per
-distinct guest print or utterance.
+of games.  A pass on gathered arrays (``guesser_forward``) takes a block's
+item rows at a time and keeps one activation per net for ``guesser_loss``.
+Scoring dealt games (``guesser_success``) takes the item half from the
+corpus tables, once per distinct guest print or utterance, then the games
+128 at a time, one guest or word slot at a time, and keeps no activation.
 
 Training is plain supervised cross-entropy on games with uniformly random
 word sets, no policy involved.
@@ -26,7 +26,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import neural
-from .corpus import Corpus, check_integer
+from .corpus import Corpus, check_fit, check_integer
 from .neural import MlpSpec, ParamStore
 
 
@@ -80,7 +80,8 @@ class GuesserActivations:
 
     ``attn_weights`` rows sum to 1 and ``pooled`` is their convex
     combination of the uttered embeddings; ``probs`` rows sum to 1 over
-    the K guests.  Only a training pass keeps the two nets' caches.
+    the K guests.  The two nets' caches are what ``guesser_loss`` runs
+    back through; the attention cache's items are the utterances.
     """
 
     mean_guest: np.ndarray    # (B, D)
@@ -89,8 +90,6 @@ class GuesserActivations:
     pooled: np.ndarray        # (B, D)
     score_logits: np.ndarray  # (B, K)
     probs: np.ndarray         # (B, K)
-    _guests: np.ndarray = None
-    _uttered: np.ndarray = None
     _attn_cache: object = None
     _score_cache: object = None
 
@@ -113,7 +112,7 @@ class Games:
     gathered ``guests`` (B, K, D) and ``uttered`` (B, T, D) and the
     ``mean_guest`` (B, D) are taken from the corpus on first use.  Scoring
     gathers neither ``guests`` nor ``uttered``: training and the cosine
-    yardstick read them."""
+    yardstick read them.  The three arrays must agree on B."""
 
     corpus: Corpus
     guest_rows: np.ndarray    # (B, K)
@@ -121,6 +120,10 @@ class Games:
     words: np.ndarray         # (B, T)
 
     def __post_init__(self):
+        shapes = (self.guest_rows.shape, self.targets.shape, self.words.shape)
+        if [len(shape) for shape in shapes] != [2, 1, 2] or len({s[0] for s in shapes}) > 1:
+            raise ValueError(f"games of shapes {shapes[0]}, {shapes[1]} and {shapes[2]} are "
+                             "not (B, K), (B,) and (B, T) for one B")
         if self.words.shape[1] < 1:
             raise ValueError(f"need at least one word per game, got {self.words.shape[1]}")
         neural.check_indices("guest row", self.guest_rows, self.corpus.n_speakers)
@@ -143,34 +146,18 @@ class Games:
     def uttered(self) -> np.ndarray:
         return self.corpus.utterances[self.target_rows[:, None], self.words]
 
-    def tables(self, b: int, k: int, t: int):
-        """The (table, rows) pairs of the guests and the utterances, each
-        (R, D) table with (B, K) or (B, T) rows into it."""
-        corpus = self.corpus
-        shapes = (self.guest_rows.shape, self.targets.shape, self.words.shape)
-        if shapes != ((b, k), (b,), (b, t)):
-            raise ValueError(
-                f"games of shapes {self.guest_rows.shape}, {self.targets.shape} and "
-                f"{self.words.shape} do not match {b} games of {k} guests and {t} words")
-        cells = self.target_rows[:, None] * corpus.vocab_size + self.words
-        return ((corpus.voice_prints, self.guest_rows),
-                (corpus.utterances.reshape(-1, corpus.dimension), cells))
-
 
 def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray,
-                    train: bool = False, rng: np.random.Generator | None = None, *,
-                    rows: Games | None = None) -> GuesserActivations:
+                    train: bool = False, rng: np.random.Generator | None = None
+                    ) -> GuesserActivations:
     """Score guests given uttered embeddings.
 
     ``guests`` is (B, K, D) and ``uttered`` (B, T, D); a single game may be
     passed as (K, D) and (T, D) and comes back with a batch axis of one.
-    Requires K >= 1 and T >= 1.  An eval pass given as ``rows`` the ``Games``
-    the arrays were gathered from takes the nets' item products from the
-    corpus rows, each distinct row once, the mean guest from
-    ``rows.mean_guest`` and the pooled utterances from the utterance table
-    by blocks of games, with the same outputs at one BLAS thread; it reads
-    only the shapes of ``guests`` and ``uttered`` and keeps neither, so
-    ``guesser_loss`` rejects its activations.
+    Requires K >= 1 and T >= 1.  The activations keep both nets' caches for
+    ``guesser_loss``, as a training pass does; dropout applies only with
+    ``train``.  Dealt games are scored without these arrays or caches by
+    ``guesser_success``, as ``evaluate_guesser`` does.
     """
     guests = np.asarray(guests, dtype=np.float64)
     uttered = np.asarray(uttered, dtype=np.float64)
@@ -178,35 +165,33 @@ def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray
                              uttered=(uttered, ("T", model.config.dim)))
     if guests.ndim == 2:
         guests, uttered = guests[None], uttered[None]
-    b, k, d = guests.shape
-    t = uttered.shape[1]
-    if t < 1:
+    if uttered.shape[1] < 1:
         raise ValueError("need at least one uttered word")
+    return _forward(model, (guests, None), (uttered, None), guests.mean(axis=1), train, rng)
 
-    # each net's items: the gathered arrays, or a corpus table and rows into it
-    (guest_items, guest_rows), (utter_items, utter_rows) = (
-        ((guests, None), (uttered, None)) if rows is None else rows.tables(b, k, t))
 
-    mean_guest = guests.mean(axis=1) if rows is None else rows.mean_guest   # (B, D)
+def _forward(model: GuesserModel, guests: tuple, uttered: tuple, mean_guest: np.ndarray,
+             train: bool = False, rng: np.random.Generator | None = None
+             ) -> GuesserActivations:
+    # ``guests`` and ``uttered`` are each net's (items, rows) for
+    # ``neural.pair_forward``: (B, N, D) arrays and None, a cached pass, or
+    # an (R, D) table and (B, N) rows into it, an eval pass
+    (guest_items, guest_rows), (utter_items, utter_rows) = guests, uttered
     dropout = model.config.dropout if train else 0.0
     attn_logits, attn_cache = neural.pair_forward(
-        model.store, "attn", utter_items, mean_guest, keep_cache=train, dropout=dropout,
-        rng=rng, rows=utter_rows)
+        model.store, "attn", utter_items, mean_guest, dropout=dropout, rng=rng, rows=utter_rows)
     attn_weights = neural.softmax(attn_logits)
-    pooled = np.empty((b, d))
-    for start in range(0, b, neural.PREDICT_BLOCK_ROWS):   # a block of games at a time
+    pooled = np.empty(mean_guest.shape)
+    for start in range(0, len(pooled), neural.PREDICT_BLOCK_ROWS):   # a block of games at a time
         block = slice(start, start + neural.PREDICT_BLOCK_ROWS)
-        items = uttered[block] if rows is None else utter_items[utter_rows[block]]
+        items = utter_items[block] if utter_rows is None else utter_items[utter_rows[block]]
         pooled[block] = np.einsum("bt,btd->bd", attn_weights[block], items)
 
     score_logits, score_cache = neural.pair_forward(
-        model.store, "score", guest_items, pooled, keep_cache=train, dropout=dropout,
-        rng=rng, rows=guest_rows)
-    probs = neural.softmax(score_logits)
+        model.store, "score", guest_items, pooled, dropout=dropout, rng=rng, rows=guest_rows)
     return GuesserActivations(
         mean_guest=mean_guest, attn_logits=attn_logits, attn_weights=attn_weights,
-        pooled=pooled, score_logits=score_logits, probs=probs,
-        _guests=guests if rows is None else None, _uttered=uttered if rows is None else None,
+        pooled=pooled, score_logits=score_logits, probs=neural.softmax(score_logits),
         _attn_cache=attn_cache, _score_cache=score_cache)
 
 
@@ -214,30 +199,19 @@ def guesser_loss(model: GuesserModel, acts: GuesserActivations, targets) -> floa
     """Mean cross-entropy at the target guests; accumulates parameter grads.
 
     The backward pass runs through the score net, the attention pooling
-    and the attention net.  Eval-mode activations carry no caches, so each
-    net is run once more on the same inputs, explicitly without dropout,
-    to rebuild them.  A pass given ``rows`` keeps no inputs, so its
-    activations are rejected.
+    and the attention net, on the caches ``guesser_forward`` kept.
     """
-    if acts._uttered is None:
-        raise ValueError("guesser_loss needs the activations of a pass on arrays: a pass "
-                         "given rows keeps no inputs to backpropagate through")
     targets = np.atleast_1d(np.asarray(targets))
-    b = acts.probs.shape[0]
-    attn_cache, score_cache = acts._attn_cache, acts._score_cache
-    if score_cache is None:
-        _, attn_cache = neural.pair_forward(model.store, "attn", acts._uttered,
-                                            acts.mean_guest, keep_cache=True, dropout=0.0)
-        _, score_cache = neural.pair_forward(model.store, "score", acts._guests,
-                                             acts.pooled, keep_cache=True, dropout=0.0)
+    b, t = acts.attn_weights.shape
     losses, dlogits = neural.softmax_cross_entropy(acts.score_logits, targets)
     dlogits /= b
 
-    dpooled = neural.pair_backward(model.store, "score", score_cache, dlogits,
+    dpooled = neural.pair_backward(model.store, "score", acts._score_cache, dlogits,
                                    context_grad=True)                   # (B, D)
-    dalpha = np.einsum("bd,btd->bt", dpooled, acts._uttered)
+    uttered = acts._attn_cache.items.reshape(b, t, -1)
+    dalpha = np.einsum("bd,btd->bt", dpooled, uttered)
     de = acts.attn_weights * (dalpha - (acts.attn_weights * dalpha).sum(axis=1, keepdims=True))
-    neural.pair_backward(model.store, "attn", attn_cache, de)
+    neural.pair_backward(model.store, "attn", acts._attn_cache, de)
     return float(losses.mean())
 
 
@@ -338,6 +312,7 @@ class GuesserTrainConfig:
     def __post_init__(self):
         neural.check_counts(self, "n_guests", "word_budget", "batch_size", "n_games",
                             "valid_games", "eval_every")
+        neural.check_positive("lr", self.lr)
         neural.check_dropout(self.dropout)
 
 
@@ -442,10 +417,14 @@ def evaluate_guesser_words(model: GuesserModel, corpus: Corpus, n_guests: int,
 
 def guesser_success(model: GuesserModel, games: Games) -> np.ndarray:
     """Batched 0/1 indicator of argmax matching the target (eval mode),
-    scored from the corpus rows the games were dealt from."""
-    # the rows form reads only the arrays' shapes: zero-copy stand-ins take
-    # the place of the (B, K, D) and (B, T, D) gathers
-    guests, uttered = (np.broadcast_to(0.0, (*rows.shape, games.corpus.dimension))
-                       for rows in (games.guest_rows, games.words))
-    probs = guesser_forward(model, guests, uttered, rows=games).probs
+    scored from the corpus tables the games were dealt from: each net's
+    item products are taken once per distinct guest print or utterance,
+    and neither the (B, K, D) guests nor the (B, T, D) utterances are
+    gathered."""
+    corpus = games.corpus
+    check_fit("guesser", model.config, corpus)
+    cells = games.target_rows[:, None] * corpus.vocab_size + games.words
+    probs = _forward(model, (corpus.voice_prints, games.guest_rows),
+                     (corpus.utterances.reshape(-1, corpus.dimension), cells),
+                     games.mean_guest).probs
     return (np.argmax(probs, axis=1) == games.targets).astype(np.float64)

@@ -32,7 +32,7 @@ CHECKPOINT_FORMAT_VERSION = 1
 # Of 128, 256 and 512 item rows, 512 ran 204,800 eval rows slowest.
 PREDICT_BLOCK_ROWS = 256
 
-# Games per sub-block of a ``pair_forward`` without a cache, whose (128, H)
+# Games per sub-block of a ``pair_forward`` on a table, whose (128, H)
 # buffer takes one item slot of them at a time: 64 ran about as fast, and
 # 256 ran 9-15% slower, its buffer (1 MB at H=512) no longer in cache.
 PREDICT_SUB_BLOCK_GAMES = 128
@@ -117,7 +117,9 @@ class ParamStore:
 
 
 def clip_grads_global_norm(store: ParamStore, max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``."""
+    """Scale all gradients so their joint L2 norm is at most ``max_norm``,
+    which must be finite and positive."""
+    check_positive("max_norm", max_norm)
     norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in store.grads.values())))
     if norm > max_norm:
         scale = max_norm / norm
@@ -236,6 +238,14 @@ def check_counts(config, *names: str) -> None:
             raise ValueError(f"{name} must be at least 1, got {getattr(config, name)}")
 
 
+def check_positive(name: str, value: float, zero: bool = False) -> None:
+    """Raise a ValueError naming ``name`` and ``value`` unless ``value`` is
+    finite and positive, or with ``zero`` finite and at least 0."""
+    if not (math.isfinite(value) and (value > 0.0 or zero and value == 0.0)):
+        raise ValueError(f"{name} must be finite and {'at least 0' if zero else 'positive'}, "
+                         f"got {value}")
+
+
 def check_game_shapes(guests: np.ndarray, dim: int, **arrays: tuple) -> None:
     """Raise a ValueError naming the argument and both shapes unless
     ``guests`` is (B, K, ``dim``), or (K, ``dim``) for one game unbatched,
@@ -296,45 +306,42 @@ class PairCache:
 
 
 def pair_forward(store: ParamStore, prefix: str, items: np.ndarray, context: np.ndarray,
-                 keep_cache: bool = False, dropout: float = 0.0,
-                 rng: np.random.Generator | None = None,
+                 dropout: float = 0.0, rng: np.random.Generator | None = None,
                  rows: np.ndarray | None = None) -> tuple[np.ndarray, PairCache | None]:
     """(B, N) outputs of a one-hidden-layer, one-output net on the rows
     ``[item, context]`` of (B, N, D) ``items`` and (B, D) ``context``, never
-    built: ``context @ W0[D:] + b0`` is taken once per game.
+    built: ``context @ W0[D:] + b0`` is taken once per game.  The form of
+    ``items`` picks the pass.
 
-    A ``keep_cache`` pass takes blocks of whole games, a multiple of 4 and
-    at most ``PREDICT_BLOCK_ROWS`` item rows (4 games when 4 have more),
-    writes their item product into the cache's one (B*N, H) activation and
-    applies there the context, the ReLU and a ``dropout_mask`` at rate
-    ``dropout`` from ``rng``: block after block, the uniforms of one
-    whole-batch draw.
+    On (B, N, D) ``items`` the pass keeps a cache for ``pair_backward``.  It
+    takes blocks of whole games, a multiple of 4 and at most
+    ``PREDICT_BLOCK_ROWS`` item rows (4 games when 4 have more), writes
+    their item product into the cache's one (B*N, H) activation and applies
+    there the context, the ReLU and a ``dropout_mask`` at rate ``dropout``
+    from ``rng``: block after block, the uniforms of one whole-batch draw.
 
-    A pass without a cache takes the games ``PREDICT_SUB_BLOCK_GAMES`` at a
-    time and, within those, one item slot at a time: the slot's item
-    products, context rows and ReLU go through one buffer, whose product
-    with ``W1`` is the slot's column of the outputs.
+    On an (R, D) table ``items`` with (B, N) integer ``rows``, game b's
+    items being ``items[rows[b]]``, the pass is an eval pass without a
+    cache or dropout.  Each distinct row the games use is multiplied by
+    ``W0[:D]`` once; the games go ``PREDICT_SUB_BLOCK_GAMES`` at a time and,
+    within those, one item slot at a time: the slot's gathered products,
+    context rows and ReLU go through one buffer, whose product with ``W1``
+    is the slot's column of the outputs.
 
     Every product with ``W1`` is taken with its rows zero-padded to a
     multiple of 4.  At one BLAS thread no output then depends on its block,
-    and both passes give the whole-batch pass's outputs bit for bit.
-
-    With (B, N) integer ``rows`` (a pass without a cache only), ``items`` is
-    an (R, D) table and game b's items are ``items[rows[b]]``: each
-    distinct row the games use is multiplied by ``W0[:D]`` once and the
-    blocks gather their products from that projection.  At one BLAS thread
-    a row's product does not depend on its batch, so the outputs are those
-    of the pass on ``items[rows]``.
+    nor a row's item product on its batch, so both passes give the
+    whole-batch cached pass's outputs on ``items[rows]`` bit for bit.
     """
-    if dropout > 0.0 and (not keep_cache or rng is None):
+    if dropout > 0.0 and (rows is not None or rng is None):
         raise ValueError("dropout needs a cached pass and an rng")
     w0, w1 = store.values[f"{prefix}/W0"], store.values[f"{prefix}/W1"]
     if rows is None:
         b, n, d = items.shape
         flat = items.reshape(b * n, d)
+        hidden = np.empty((b * n, w0.shape[1]))
+        step = _cached_block_games(n)
     else:
-        if keep_cache:
-            raise ValueError("item rows are for an eval pass, which keeps no cache")
         b, n = rows.shape
         d = items.shape[1]
         check_indices("item row", rows, len(items))
@@ -346,18 +353,14 @@ def pair_forward(store: ParamStore, prefix: str, items: np.ndarray, context: np.
         items = _mm(items[distinct], w0[:d])
         slot[distinct] = np.arange(len(distinct))
         rows = slot[rows]
-    out = np.empty((b, n))
-    if keep_cache:
-        hidden = np.empty((b * n, w0.shape[1]))
-        step = _cached_block_games(n)
-    else:
-        hidden, buf = None, np.empty((min(b, PREDICT_SUB_BLOCK_GAMES), w0.shape[1]))
+        buf = np.empty((min(b, PREDICT_SUB_BLOCK_GAMES), w0.shape[1]))
         step = PREDICT_SUB_BLOCK_GAMES
+    out = np.empty((b, n))
     for g0 in range(0, b, step):
         g1 = min(g0 + step, b)
         ctx = _mm(context[g0:g1], w0[d:])
         ctx += store.values[f"{prefix}/b0"]
-        if keep_cache:
+        if rows is None:
             h = _mm(flat[g0 * n:g1 * n], w0[:d], hidden[g0 * n:g1 * n])
             h.reshape(g1 - g0, n, -1)[...] += ctx[:, None]
             np.maximum(h, 0.0, out=h)
@@ -367,15 +370,12 @@ def pair_forward(store: ParamStore, prefix: str, items: np.ndarray, context: np.
             continue
         h = buf[:g1 - g0]
         for j in range(n):
-            if rows is None:
-                _mm(items[g0:g1, j], w0[:d], out=h)
-            else:
-                np.take(items, rows[g0:g1, j], axis=0, mode="clip", out=h)
+            np.take(items, rows[g0:g1, j], axis=0, mode="clip", out=h)
             h += ctx
             np.maximum(h, 0.0, out=h)
             _score_rows(h, w1, out[g0:g1, j:j + 1])
     out += store.values[f"{prefix}/b1"]
-    cache = PairCache(flat, context, hidden, 1.0 / (1.0 - dropout)) if keep_cache else None
+    cache = PairCache(flat, context, hidden, 1.0 / (1.0 - dropout)) if rows is None else None
     return out, cache
 
 

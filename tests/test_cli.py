@@ -346,6 +346,11 @@ _FLAG_REJECTIONS = [
     (["eval", "--policy", "fixed"], "fixed-words", "1,z,3",
      "--fixed-words value 'z' is not an integer"),
 ] + [
+    # training settings outside their range
+    (["train-guesser"], "lr", "-0.001", "lr must be finite and positive, got -0.001"),
+    (["train-enquirer"], "grad-clip", "-1", "grad_clip must be finite and positive, got -1.0"),
+    (["train-enquirer"], "clip", "nan", "clip must be finite and positive, got nan"),
+] + [
     ([command, "--split", "full"], flag, value,
      f"--{flag} needs --split train or test; it does nothing with --split full")
     for command in ("eval", "baseline-heuristic")

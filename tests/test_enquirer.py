@@ -173,6 +173,16 @@ class TestSampling:
         draws = sample_actions(probs, "explore", rng)
         assert set(np.unique(draws)) <= {1, 3}
 
+    def test_explore_skips_masked_words_at_a_draw_of_zero(self):
+        # a uniform draw of exactly 0 lands on the first word of positive
+        # probability, never on a masked word before it
+        class ZeroDraws:
+            def random(self, size):
+                return np.zeros(size)
+
+        probs = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+        assert sample_actions(probs, "explore", ZeroDraws()).tolist() == [1, 2]
+
     def test_degenerate_distribution_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             sample_actions(np.zeros(4), "explore", np.random.default_rng(0))
@@ -346,6 +356,23 @@ def test_ppo_count_below_one_is_named(field):
         PpoConfig(**{field: 0})
 
 
+@pytest.mark.parametrize("field, value, least", [
+    ("lr", float("nan"), "positive"), ("lr", 0.0, "positive"),
+    ("grad_clip", -1.0, "positive"), ("grad_clip", float("inf"), "positive"),
+    ("clip", float("nan"), "positive"), ("clip", 0.0, "positive"),
+    ("entropy_coef", float("nan"), "at least 0"), ("entropy_coef", -0.01, "at least 0"),
+    ("value_coef", -1.0, "at least 0"), ("value_coef", float("inf"), "at least 0")])
+def test_ppo_setting_outside_its_range_is_named(field, value, least):
+    # a NaN clip once zeroed every policy gradient without an error
+    with pytest.raises(ValueError, match=f"^{field} must be finite and {least}, got {value}$"):
+        PpoConfig(**{field: value})
+
+
+def test_ppo_coefficients_may_be_zero():
+    config = PpoConfig(entropy_coef=0.0, value_coef=0.0)
+    assert (config.entropy_coef, config.value_coef) == (0.0, 0.0)
+
+
 def test_default_reward_trains_as_the_array_form_guesser(one_blas_thread):
     # the default reward scores the played games from their corpus rows;
     # at one BLAS thread that is the array form bit for bit, so PPO is too.
@@ -407,6 +434,25 @@ class TestTraining:
             train_enquirer(None, corpus, config, reward_fn=one_reward)
         assert rounds == [5000, 1]
 
+    def test_moving_average_covers_the_trailing_thousand_episodes(self, corpus):
+        # known rewards over 1,500 episodes in rounds of 300: each row's
+        # average is that of the last min(1,000, seen) rewards
+        config = PpoConfig(episodes=1500, horizon=600, update_batches=1,
+                           update_batch_size=8, word_budget=2, n_guests=3, seed=8)
+        rewards = (np.arange(1500) * 7919 % 11) / 10.0
+
+        def known(games):
+            start = known.seen
+            known.seen += len(games.words)
+            return rewards[start:known.seen]
+        known.seen = 0
+        _, curve = train_enquirer(None, corpus, config, reward_fn=known)
+        assert [row["episode"] for row in curve] == [300, 600, 900, 1200, 1500]
+        for row in curve:
+            seen = row["episode"]
+            assert row["moving_avg_reward"] == pytest.approx(
+                rewards[max(0, seen - 1000):seen].mean(), rel=1e-12), seen
+
     def test_curve_rows_have_documented_fields(self, corpus):
         config = PpoConfig(episodes=120, horizon=60, update_batch_size=30,
                            word_budget=3, n_guests=3, seed=7)
@@ -438,6 +484,17 @@ class TestEvaluate:
         b = evaluate_enquirer(enquirer, guesser, corpus, 3, 2, 500, seed=1)
         assert a.success_rate == b.success_rate
         assert np.array_equal(a.word_tuples, b.word_tuples)
+
+    @pytest.mark.parametrize("config, message", [
+        ({"dim": 4, "vocab_size": 8}, "enquirer dimension 4 does not match corpus dimension 6"),
+        ({"dim": 6, "vocab_size": 5},
+         "enquirer vocabulary size 5 does not match corpus vocabulary size 8")])
+    def test_enquirer_that_does_not_fit_the_corpus_is_named(self, trained_pair, config,
+                                                            message):
+        _, guesser, corpus = trained_pair
+        enquirer = EnquirerModel.init(EnquirerConfig(**config), np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate_enquirer(enquirer, guesser, corpus, 3, 2, 10, seed=0)
 
     def test_word_tuples_have_no_repeats(self, trained_pair):
         enquirer, guesser, corpus = trained_pair

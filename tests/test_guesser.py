@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import weakref
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,13 +85,12 @@ class TestForward:
         model = GuesserModel.init(GuesserConfig(dim=4, attn_hidden=5, score_hidden=6,
                                                 dropout=0.5), np.random.default_rng(11))
         rng = np.random.default_rng(12)
-        acts = guesser_forward(model, rng.standard_normal((8, 5, 4)),
-                               rng.standard_normal((8, 3, 4)), train=True,
-                               rng=np.random.default_rng(13))
+        guests, uttered = rng.standard_normal((8, 5, 4)), rng.standard_normal((8, 3, 4))
+        acts = guesser_forward(model, guests, uttered, train=True, rng=np.random.default_rng(13))
         masks = np.random.default_rng(13)
-        for net, items, context, shape in (("attn", acts._uttered, acts.mean_guest, (24, 5)),
-                                           ("score", acts._guests, acts.pooled, (40, 6))):
-            _, plain = neural.pair_forward(model.store, net, items, context, keep_cache=True)
+        for net, items, context, shape in (("attn", uttered, acts.mean_guest, (24, 5)),
+                                           ("score", guests, acts.pooled, (40, 6))):
+            _, plain = neural.pair_forward(model.store, net, items, context)
             assert np.array_equal(getattr(acts, f"_{net}_cache").hidden,
                                   plain.hidden * dropout_mask(masks, shape, 0.5)), net
 
@@ -121,12 +121,23 @@ class TestForward:
 
 
 def _dealt(corpus, games, k, t, seed):
-    """``games`` seeded games' gathered arrays and the ``Games`` behind them."""
+    """``games`` seeded ``Games``."""
     rng = np.random.default_rng(seed)
     guest_rows, targets = sample_game_batch(corpus, games, k, rng)
-    words = sample_word_subsets(rng, games, np.arange(corpus.vocab_size), t)
-    rows = Games(corpus, guest_rows, targets, words)
-    return rows.guests, rows.uttered, rows
+    return Games(corpus, guest_rows, targets,
+                 sample_word_subsets(rng, games, np.arange(corpus.vocab_size), t))
+
+
+def table_pass(model, games):
+    """The activations ``guesser_success`` scores ``games`` from: those of
+    the private forward on the corpus tables."""
+    passes, forward = [], guesser_module._forward
+    guesser_module._forward = lambda *args: passes.append(forward(*args)) or passes[-1]
+    try:
+        guesser_success(model, games)
+    finally:
+        guesser_module._forward = forward
+    return passes[0]
 
 
 @pytest.mark.parametrize("field", ["n_guests", "word_budget", "batch_size", "n_games",
@@ -134,6 +145,13 @@ def _dealt(corpus, games, k, t, seed):
 def test_training_count_below_one_is_named(field):
     with pytest.raises(ValueError, match=f"^{field} must be at least 1, got -1$"):
         GuesserTrainConfig(**{field: -1})
+
+
+@pytest.mark.parametrize("lr", [-0.001, 0.0, float("nan"), float("inf")])
+def test_learning_rate_outside_its_range_is_named(lr):
+    # a negative rate once trained by gradient ascent
+    with pytest.raises(ValueError, match=f"^lr must be finite and positive, got {lr}$"):
+        GuesserTrainConfig(lr=lr)
 
 
 @pytest.mark.parametrize("config", [GuesserConfig, GuesserTrainConfig])
@@ -150,11 +168,11 @@ class TestCorpusRows:
         return generate_synthetic(SynthConfig(dimension=4, vocab_size=6, train_speakers=9,
                                               test_speakers=0, seed=3))
 
-    def test_rows_form_is_the_array_form(self, tiny_model, corpus):
+    def test_table_pass_is_the_array_pass(self, tiny_model, corpus):
         # in-process, so at any BLAS thread count: equal up to rounding
-        guests, uttered, rows = _dealt(corpus, 700, 4, 3, seed=1)
-        want = guesser_forward(tiny_model, guests, uttered)
-        got = guesser_forward(tiny_model, guests, uttered, rows=rows)
+        games = _dealt(corpus, 700, 4, 3, seed=1)
+        want = guesser_forward(tiny_model, games.guests, games.uttered)
+        got = table_pass(tiny_model, games)
         for name in ("attn_logits", "attn_weights", "pooled", "score_logits", "probs"):
             assert np.allclose(getattr(got, name), getattr(want, name),
                                rtol=1e-12, atol=1e-12), name
@@ -167,22 +185,29 @@ class TestCorpusRows:
         ("targets", -1, "target column -1 is outside"),
         ("words", 6, "word id 6 is outside"),
         ("words", -2, "word id -2 is outside")])
-    def test_out_of_range_row_named(self, tiny_model, corpus, field, value, message):
-        guests, uttered, rows = _dealt(corpus, 5, 4, 3, seed=2)
-        bad = getattr(rows, field).copy()
+    def test_out_of_range_row_named(self, corpus, field, value, message):
+        games = _dealt(corpus, 5, 4, 3, seed=2)
+        bad = getattr(games, field).copy()
         bad.flat[-1] = value
         with pytest.raises(ValueError, match=message):
-            guesser_forward(tiny_model, guests, uttered, rows=replace(rows, **{field: bad}))
+            replace(games, **{field: bad})
 
-    def test_rows_of_other_games_rejected(self, tiny_model, corpus):
-        guests, uttered, rows = _dealt(corpus, 5, 4, 3, seed=3)
-        with pytest.raises(ValueError, match="do not match 5 games of 4 guests and 2 words"):
-            guesser_forward(tiny_model, guests, uttered[:, :2], rows=rows)
+    @pytest.mark.parametrize("guest_rows, targets, words", [
+        ((5, 3), (5,), (1, 2)), ((5, 3), (4,), (5, 2)), ((4, 3), (5,), (5, 2)),
+        ((5, 3), (5,), (5,)), ((5, 3), (5, 1), (5, 2)), ((15,), (5,), (5, 2))])
+    def test_arrays_that_disagree_on_b_rejected(self, corpus, guest_rows, targets, words):
+        # one game's words beside five games' guests once broadcast to all five
+        message = (f"games of shapes {guest_rows}, {targets} and {words} are not "
+                   "(B, K), (B,) and (B, T) for one B")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Games(corpus, *(np.zeros(shape, dtype=np.int64)
+                            for shape in (guest_rows, targets, words)))
 
-    def test_rows_are_for_eval_passes(self, tiny_model, corpus):
-        guests, uttered, rows = _dealt(corpus, 5, 4, 3, seed=4)
-        with pytest.raises(ValueError, match="eval pass"):
-            guesser_forward(tiny_model, guests, uttered, train=True, rows=rows)
+    def test_model_of_another_dimension_rejected(self, corpus):
+        model = GuesserModel.init(GuesserConfig(dim=8), np.random.default_rng(0))
+        with pytest.raises(ValueError,
+                           match="^guesser dimension 8 does not match corpus dimension 4$"):
+            guesser_success(model, _dealt(corpus, 10, 3, 2, seed=4))
 
     def test_games_without_words_rejected(self, corpus):
         guest_rows, targets = sample_game_batch(corpus, 4, 3, np.random.default_rng(5))
@@ -227,12 +252,12 @@ class TestScoringHoldsNoGuestGather:
     def test_evaluate_guesser_at_fifty_guests(self, world, monkeypatch):
         corpus, model = world
         scored = []
-        original = guesser_module.guesser_forward
+        original = guesser_module.guesser_success
 
-        def recording(*args, **kwargs):
-            scored.append(kwargs["rows"])
-            return original(*args, **kwargs)
-        monkeypatch.setattr(guesser_module, "guesser_forward", recording)
+        def recording(model, games):
+            scored.append(games)
+            return original(model, games)
+        monkeypatch.setattr(guesser_module, "guesser_success", recording)
         evaluate_guesser(model, corpus, 50, 3, "random", 4097, seed=2)
         assert [len(games.targets) for games in scored] == [4096, 1]
         assert all("guests" not in games.__dict__ and "uttered" not in games.__dict__
@@ -242,16 +267,19 @@ class TestScoringHoldsNoGuestGather:
 class TestBlockedEval:
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="counts threads in /proc/self/task")
-    def test_rows_form_equals_array_form(self, one_blas_thread):
+    def test_table_pass_equals_array_pass(self, one_blas_thread):
         # each distinct corpus row's product, gathered, is the product of
         # its gathered copy: the game counts put either net's item rows on
         # either side of two 256-row blocks, and the games on either side
         # of a block of 256 games
-        one_blas_thread("""
+        one_blas_thread(f"""
+            import sys
+            sys.path.insert(0, {str(Path(__file__).parent)!r})""" + """
             from isrlab.corpus import SynthConfig, generate_synthetic
             from isrlab.guesser import (Games, GuesserConfig, GuesserModel,
                                         guesser_forward,
                                         sample_game_batch, sample_word_subsets)
+            from test_guesser import table_pass
             corpus = generate_synthetic(SynthConfig(train_speakers=60, test_speakers=0,
                                                     seed=5))
             model = GuesserModel.init(GuesserConfig(dim=32), np.random.default_rng(6))
@@ -264,10 +292,9 @@ class TestBlockedEval:
                     for games in sorted(counts):
                         guest_rows, targets = sample_game_batch(corpus, games, k, rng)
                         words = sample_word_subsets(rng, games, np.arange(20), t)
-                        rows = Games(corpus, guest_rows, targets, words)
-                        guests, uttered = rows.guests, rows.uttered
-                        want = guesser_forward(model, guests, uttered)
-                        got = guesser_forward(model, guests, uttered, rows=rows)
+                        dealt = Games(corpus, guest_rows, targets, words)
+                        want = guesser_forward(model, dealt.guests, dealt.uttered)
+                        got = table_pass(model, dealt)
                         for name in ("attn_logits", "attn_weights", "pooled",
                                      "score_logits", "probs"):
                             assert np.array_equal(getattr(got, name), getattr(want, name)), \
@@ -275,9 +302,10 @@ class TestBlockedEval:
             """)
 
     def test_eval_pass_equals_whole_batch_pass(self, one_blas_thread):
-        # without dropout a training pass keeps its caches and an eval pass
-        # keeps none; both run in blocks of 256 item rows once a net has 512
-        # or more (the whole-batch reference is in tests/test_neural.py).
+        # without dropout a training pass and an eval pass on arrays give the
+        # same outputs and gradients; both run in blocks of 256 item rows once
+        # a net has 512 or more (the whole-batch reference is in
+        # tests/test_neural.py).
         # The cases put K and T at 1, K up to 513, and either net's item
         # rows on either side of a block boundary
         one_blas_thread("""
@@ -306,34 +334,18 @@ class TestBlockedEval:
                     assert np.array_equal(grads[0][name], grads[1][name]), (games, name)
             """)
 
-    def test_loss_rejects_rows_form_activations(self):
-        # a rows-form pass keeps none of the caller's arrays (scorers pass
-        # zero stand-ins), so there is nothing to rebuild the nets' caches from
-        corpus = generate_synthetic(SynthConfig(dimension=6, vocab_size=5, train_speakers=10,
-                                                test_speakers=0, enrollments=2, seed=3))
-        model = GuesserModel.init(GuesserConfig(dim=6), np.random.default_rng(4))
-        rng = np.random.default_rng(5)
-        guest_rows, targets = sample_game_batch(corpus, 8, 3, rng)
-        rows = Games(corpus, guest_rows, targets, sample_word_subsets(rng, 8, np.arange(5), 2))
-        acts = guesser_forward(model, rows.guests, rows.uttered, rows=rows)
-        assert acts._guests is None and acts._uttered is None
-        with pytest.raises(ValueError, match="pass given rows keeps no inputs"):
-            guesser_loss(model, acts, targets)
-        assert not any(g.any() for g in model.store.grads.values())
-
     @pytest.mark.parametrize("k, share", [(50, 0.25), (5, 0.75)])
-    def test_eval_peak_memory_is_blocks_not_the_paired_rows(self, k, share):
-        # an eval pass holds a block of hidden activations and a block of
-        # games' context rows, never the (B*K, 2D) rows [guest, pooled]; at
-        # K=5 the 4,096 games' 512-wide context rows would outweigh them
-        rng = np.random.default_rng(9)
-        model = GuesserModel.init(GuesserConfig(dim=32), rng)
-        guests = rng.standard_normal((4096, k, 32))
-        uttered = rng.standard_normal((4096, 3, 32))
-        paired_rows = 4096 * k * 64 * guests.itemsize
+    def test_scoring_peak_memory_is_blocks_not_the_paired_rows(self, k, share):
+        # scoring holds a block of hidden activations and a block of games'
+        # context rows, never the (B*K, 2D) rows [guest, pooled]; at K=5
+        # the 4,096 games' 512-wide context rows would outweigh them
+        corpus = generate_synthetic(SynthConfig(train_speakers=60, test_speakers=0, seed=9))
+        model = GuesserModel.init(GuesserConfig(dim=32), np.random.default_rng(9))
+        games = _dealt(corpus, 4096, k, 3, seed=10)
+        paired_rows = 4096 * k * 64 * corpus.voice_prints.itemsize
         tracemalloc.start()
         try:
-            guesser_forward(model, guests, uttered)
+            guesser_success(model, games)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -348,9 +360,9 @@ class TestLoss:
         loss = guesser_loss(tiny_model, acts, np.array([2]))
         assert loss == pytest.approx(np.log(5.0), abs=1e-12)
 
-    def test_eval_rebuild_is_dropout_free(self, monkeypatch):
-        # eval-mode activations carry no caches; the rebuild draws no mask
-        # and gives the gradients of a dropout-0 copy's training pass
+    def test_eval_pass_is_dropout_free(self, monkeypatch):
+        # an eval pass on arrays draws no mask, and its loss gives the
+        # gradients of a dropout-0 copy's training pass
         rng = np.random.default_rng(10)
         model = GuesserModel.init(GuesserConfig(dim=4, attn_hidden=5, score_hidden=6,
                                                 dropout=0.5), rng)
@@ -361,13 +373,12 @@ class TestLoss:
         uttered = rng.standard_normal((20, 3, 4))
         targets = rng.integers(0, 5, size=20)
         guesser_loss(plain, guesser_forward(plain, guests, uttered, train=True), targets)
-        acts = guesser_forward(model, guests, uttered)
 
         def no_draws(*args):
-            raise AssertionError("the rebuild drew a dropout mask")
+            raise AssertionError("the eval pass drew a dropout mask")
 
         monkeypatch.setattr(neural, "dropout_mask", no_draws)
-        guesser_loss(model, acts, targets)
+        guesser_loss(model, guesser_forward(model, guests, uttered), targets)
         for name, grad in plain.store.grads.items():
             assert np.array_equal(model.store.grads[name], grad), name
 
@@ -462,9 +473,10 @@ class TestTraining:
     def test_each_step_is_released_before_the_next_forward(self, small_split, monkeypatch):
         # the inputs and every array of the activations a forward returns,
         # the nets' caches included, are gone when the next forward starts:
-        # the next batch's or a validation game's
+        # the next batch's or a validation game's.  Both run the private
+        # forward; a validation pass reads the corpus tables, which stay
         train, valid = small_split
-        original = guesser_module.guesser_forward
+        original = guesser_module._forward
         held, alive_at_call = [], []
 
         def arrays(obj):
@@ -475,12 +487,13 @@ class TestTraining:
                 elif is_dataclass(value):
                     yield from arrays(value)
 
-        def tracking(model, guests, uttered, **kwargs):
+        def tracking(model, guests, uttered, *args):
             alive_at_call.append(sum(ref() is not None for ref in held))
-            acts = original(model, guests, uttered, **kwargs)
-            held[:] = map(weakref.ref, [guests, uttered, *arrays(acts)])
+            acts = original(model, guests, uttered, *args)
+            inputs = [guests[0], uttered[0]] if guests[1] is None else []
+            held[:] = map(weakref.ref, [*inputs, *arrays(acts)])
             return acts
-        monkeypatch.setattr(guesser_module, "guesser_forward", tracking)
+        monkeypatch.setattr(guesser_module, "_forward", tracking)
         train_guesser(train, valid, GuesserTrainConfig(n_guests=3, word_budget=2,
                                                        batch_size=64, n_games=640,
                                                        valid_games=200, eval_every=5))

@@ -233,8 +233,12 @@ class TestPairNet:
         context = rng.standard_normal((games, d))
         dout = rng.standard_normal((games, n))
         dropout = rate if mode == "dropout" else 0.0
-        y, cache = neural.pair_forward(store, "net", items, context, keep_cache=mode != "eval",
-                                       dropout=dropout, rng=np.random.default_rng(41))
+        if mode == "eval":      # the table form: a table of the items, each row used once
+            y, cache = neural.pair_forward(store, "net", items.reshape(games * n, d), context,
+                                           rows=np.arange(games * n).reshape(games, n))
+        else:
+            y, cache = neural.pair_forward(store, "net", items, context, dropout=dropout,
+                                           rng=np.random.default_rng(41))
         mask = (dropout_mask(np.random.default_rng(41), (games * n, hidden), rate)
                 if mode == "dropout" else None)
         want_y, want_grads, want_context = _concatenated_pair_net(store, items, context,
@@ -247,7 +251,7 @@ class TestPairNet:
         if mask is not None:
             # the cached activation is the dropout-free pass's ReLU output
             # times the mask ``dropout_mask`` draws from the same seed
-            _, plain = neural.pair_forward(store, "net", items, context, keep_cache=True)
+            _, plain = neural.pair_forward(store, "net", items, context)
             assert np.array_equal(cache.hidden, plain.hidden * mask)
         d_context = neural.pair_backward(store, "net", cache, dout, context_grad=True)
         assert _normwise_error(d_context, want_context) < 1e-10
@@ -267,11 +271,11 @@ class TestPairNet:
         dout = rng.standard_normal((3, 4))
 
         def loss():
-            y, _ = neural.pair_forward(store, "net", items, context, keep_cache=True,
+            y, _ = neural.pair_forward(store, "net", items, context,
                                        dropout=dropout, rng=np.random.default_rng(44))
             return float((y * dout).sum())
 
-        _, cache = neural.pair_forward(store, "net", items, context, keep_cache=True,
+        _, cache = neural.pair_forward(store, "net", items, context,
                                        dropout=dropout, rng=np.random.default_rng(44))
         d_context = neural.pair_backward(store, "net", cache, dout, context_grad=True)
         for name, p in store.values.items():
@@ -292,7 +296,7 @@ class TestPairNet:
         activation = 20_480 * 512 * items.itemsize
         tracemalloc.start()
         try:
-            _, cache = neural.pair_forward(store, "net", items, context, keep_cache=True,
+            _, cache = neural.pair_forward(store, "net", items, context,
                                            dropout=0.5, rng=np.random.default_rng(46))
             neural.pair_backward(store, "net", cache, dout, context_grad=True)
             _, peak = tracemalloc.get_traced_memory()
@@ -309,7 +313,7 @@ class TestPairNet:
         items = rng.standard_normal((1024, 5, 32))
         context = rng.standard_normal((1024, 32))
         dout = rng.standard_normal((1024, 5))
-        _, cache = neural.pair_forward(store, "net", items, context, keep_cache=True,
+        _, cache = neural.pair_forward(store, "net", items, context,
                                        dropout=0.5, rng=np.random.default_rng(48))
         tracemalloc.start()
         try:
@@ -319,13 +323,16 @@ class TestPairNet:
             tracemalloc.stop()
         assert peak < 1024 * 512 * items.itemsize
 
-    @pytest.mark.parametrize("keep_cache, rng", [(False, np.random.default_rng(0)),
-                                                 (True, None)])
-    def test_dropout_needs_a_cached_pass_and_an_rng(self, keep_cache, rng):
+    @pytest.mark.parametrize("form, rng", [("rows", np.random.default_rng(0)),
+                                           ("array", None)])
+    def test_dropout_needs_a_cached_pass_and_an_rng(self, form, rng):
+        # a pass on table rows keeps no cache; one on arrays needs the rng
         store = make_mlp(MlpSpec(4, 3, 1), np.random.default_rng(42))
+        items, rows = ((np.zeros((6, 2)), np.arange(6).reshape(2, 3)) if form == "rows"
+                       else (np.zeros((2, 3, 2)), None))
         with pytest.raises(ValueError, match="dropout needs"):
-            neural.pair_forward(store, "net", np.zeros((2, 3, 2)), np.zeros((2, 2)),
-                                keep_cache=keep_cache, dropout=0.5, rng=rng)
+            neural.pair_forward(store, "net", items, np.zeros((2, 2)), dropout=0.5, rng=rng,
+                                rows=rows)
 
 
 def _gemm(a, b):
@@ -393,7 +400,7 @@ def check_blocked_pair_pass(games, n, d, hidden, dropout, seed):
         reference.add(name, value)
     want_y, want_context = _whole_batch_pair_pass(reference, items, context, dout,
                                                   dropout, seed + 1)
-    y, cache = neural.pair_forward(store, "net", items, context, keep_cache=True,
+    y, cache = neural.pair_forward(store, "net", items, context,
                                    dropout=dropout, rng=np.random.default_rng(seed + 1))
     got_context = neural.pair_backward(store, "net", cache, dout, context_grad=True)
     case = (games, n, d, hidden, dropout)
@@ -426,8 +433,8 @@ def test_blocked_cached_pair_pass_equals_whole_batch(one_blas_thread):
 
 
 def check_eval_pair_pass(games, n, hidden, seed):
-    """A ``pair_forward`` without a cache, on the (B, N, D) items or on
-    (B, N) rows into a table of them, gives the outputs of the cached pass
+    """A ``pair_forward`` on (B, N) rows into a table of items, the eval
+    pass, gives the outputs of the cached pass on the gathered items
     without dropout bit for bit.  A quarter of the hidden units have
     exactly zero pre-activations."""
     rng = np.random.default_rng(seed)
@@ -441,11 +448,10 @@ def check_eval_pair_pass(games, n, hidden, seed):
     table = rng.standard_normal((60, d))
     rows = rng.integers(0, len(table), size=(games, n))
     context = rng.standard_normal((games, d))
-    want, _ = neural.pair_forward(store, "net", table[rows], context, keep_cache=True)
-    for form, items, item_rows in (("array", table[rows], None), ("rows", table, rows)):
-        got, cache = neural.pair_forward(store, "net", items, context, rows=item_rows)
-        assert cache is None and got.flags.c_contiguous, (games, n, hidden, form)
-        assert np.array_equal(got, want), (games, n, hidden, form)
+    want, _ = neural.pair_forward(store, "net", table[rows], context)
+    got, cache = neural.pair_forward(store, "net", table, context, rows=rows)
+    assert cache is None and got.flags.c_contiguous, (games, n, hidden)
+    assert np.array_equal(got, want), (games, n, hidden)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -478,19 +484,18 @@ def test_eval_pair_pass_equals_cached_pass(one_blas_thread):
 
 def pair_passes(games, n, hidden, seed):
     """A cached ``pair_forward`` with dropout, its ``pair_backward`` and the
-    eval pass on arrays and on rows: every output and gradient, by name."""
+    eval pass on table rows: every output and gradient, by name."""
     rng = np.random.default_rng(seed)
     d = 32
     store = make_mlp(MlpSpec(2 * d, hidden, 1), rng)
     table = rng.standard_normal((60, d))
     rows = rng.integers(0, len(table), size=(games, n))
     context = rng.standard_normal((games, d))
-    y, cache = neural.pair_forward(store, "net", table[rows], context, keep_cache=True,
+    y, cache = neural.pair_forward(store, "net", table[rows], context,
                                    dropout=0.5, rng=np.random.default_rng(seed + 1))
     got = {"cached": y, "context grad": neural.pair_backward(
         store, "net", cache, rng.standard_normal((games, n)), context_grad=True)}
     got.update((f"grad {name}", grad) for name, grad in store.grads.items())
-    got["array"], _ = neural.pair_forward(store, "net", table[rows], context)
     got["rows"], _ = neural.pair_forward(store, "net", table, context, rows=rows)
     return got
 
@@ -1087,6 +1092,17 @@ class TestAdam:
         store.grads["a"][...] = 0.1
         neural.clip_grads_global_norm(store, 1.0)
         assert store.grads["a"][0] == 0.1
+
+    @pytest.mark.parametrize("max_norm", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_clipping_bound_must_be_finite_and_positive(self, max_norm):
+        # a bound of -1 once turned gradients [3, 4] into [-0.6, -0.8]
+        store = ParamStore()
+        store.add("a", np.array([0.0, 0.0]))
+        store.grads["a"][...] = [3.0, 4.0]
+        with pytest.raises(ValueError,
+                           match=f"^max_norm must be finite and positive, got {max_norm}$"):
+            neural.clip_grads_global_norm(store, max_norm)
+        assert store.grads["a"].tolist() == [3.0, 4.0]
 
 
 class TestCheckpoints:

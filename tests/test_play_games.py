@@ -252,13 +252,14 @@ class TestOneDealer:
 
 def test_heuristic_scores_at_most_one_chunk_per_guesser_call(world, monkeypatch):
     corpus, guesser, _ = world
+    # every scoring call runs the guesser's private forward once
     batches = []
-    original = guesser_module.guesser_forward
+    original = guesser_module._forward
 
-    def recording(model, guests, uttered, *args, **kwargs):
-        batches.append(len(guests))
-        return original(model, guests, uttered, *args, **kwargs)
-    monkeypatch.setattr(guesser_module, "guesser_forward", recording)
+    def recording(model, guests, uttered, mean_guest, *args):
+        batches.append(len(mean_guest))
+        return original(model, guests, uttered, mean_guest, *args)
+    monkeypatch.setattr(guesser_module, "_forward", recording)
     config = HeuristicConfig(games_per_word=10_000, curated_size=3, n_guests=4,
                              word_budget=2, eval_games=100)
     heuristic_baseline(guesser, corpus, config, seed=0)
