@@ -387,8 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="corpus output path (.jsonl)")
     _settings(p, SynthConfig, {"dim": "embedding dimension",
                                "vocab_size": "vocabulary size",
-                               "train_speakers": "speakers intended for training",
-                               "test_speakers": "held-out speakers",
+                               "train_speakers": "corpus size: speakers beside --test-speakers "
+                                                 "(other commands split by --train-fraction)",
+                               "test_speakers": "corpus size: speakers beside --train-speakers "
+                                                "(other commands split by --train-fraction)",
                                "enrollments": "enrollment vectors per voice print",
                                "sharpness": "word informativeness sharpness",
                                "utterance_noise": "utterance noise scale",

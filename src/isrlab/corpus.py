@@ -48,16 +48,13 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        neural.check_counts(self, "dimension", "train_speakers", "enrollments")
+        for name in ("test_speakers", "utterance_noise", "enrollment_noise"):
+            neural.check_positive(name, getattr(self, name), zero=True)
         if self.vocab_size < 2:
-            raise ValueError("vocabulary needs at least 2 words")
-        if self.train_speakers < 1 or self.test_speakers < 0:
-            raise ValueError("speaker counts must be positive")
-        if self.enrollments < 1:
-            raise ValueError("need at least one enrollment vector")
-        if self.utterance_noise < 0 or self.enrollment_noise < 0:
-            raise ValueError("noise scales must be >= 0")
+            raise ValueError(f"vocab_size must be at least 2, got {self.vocab_size}")
+        if math.isnan(self.sharpness):  # every word would be exactly half informative
+            raise ValueError(f"sharpness must be a number, got {self.sharpness}")
 
     @property
     def total_speakers(self) -> int:

@@ -307,8 +307,9 @@ class PpoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0 or not 0.0 <= self.gae_lambda <= 1.0:
-            raise ValueError("gamma and gae_lambda must be in [0, 1]")
+        for name in ("gamma", "gae_lambda"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         for name in ("lr", "grad_clip", "clip"):
             neural.check_positive(name, getattr(self, name))
         for name in ("value_coef", "entropy_coef"):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -87,11 +87,16 @@ def cosine_nearest_print_accuracy(corpus: Corpus, n_guests: int, n_words: int,
 
 @dataclass(frozen=True)
 class HeuristicConfig:
+    """Curation settings, each a count of at least 1."""
+
     games_per_word: int = 20_000   # games scored per candidate word
     curated_size: int = 6
     n_guests: int = 5
     word_budget: int = 3
     eval_games: int = 10_000
+
+    def __post_init__(self):
+        neural.check_counts(self, *(field.name for field in fields(self)))
 
 
 @dataclass
@@ -107,12 +112,11 @@ def heuristic_baseline(guesser: GuesserModel, corpus: Corpus,
 
     Each word is scored by guesser accuracy over games where it is forced
     into an otherwise random word set, played in chunks of 4,096 from one
-    seeded stream; the top ``curated_size`` words form the pool the fixed
-    policy samples from.  ``played`` is a fresh seeded evaluation of that
-    policy: its games, successes, accuracy and words.
+    seeded stream; the top ``curated_size`` words, from ``word_budget`` to
+    V, form the pool the fixed policy samples from.  ``played`` is a fresh
+    seeded evaluation of that policy: its games, successes, accuracy and words.
     """
     v = corpus.vocab_size
-    neural.check_counts(config, "word_budget", "games_per_word", "eval_games")
     if not config.word_budget <= config.curated_size <= v:
         raise ValueError(
             f"need word_budget <= curated_size <= {v}, got {config.curated_size}")

@@ -14,22 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import neural
 from .corpus import Corpus
 from .guesser import sample_game_batch
 
 
 @dataclass(frozen=True)
 class GameConfig:
+    """K guests and T words per game, each at least 1 (``new_game`` fits them)."""
+
     n_guests: int
     word_budget: int
 
-    def validate(self, corpus: Corpus) -> None:
-        if not 2 <= self.n_guests <= corpus.n_speakers:
-            raise ValueError(
-                f"need 2 <= guests <= {corpus.n_speakers} speakers, got {self.n_guests}")
-        if not 1 <= self.word_budget <= corpus.vocab_size:
-            raise ValueError(
-                f"need 1 <= word budget <= {corpus.vocab_size}, got {self.word_budget}")
+    def __post_init__(self):
+        neural.check_counts(self, "n_guests", "word_budget")
 
 
 @dataclass(frozen=True)
@@ -66,8 +64,10 @@ class StepOutcome:
 
 
 def new_game(corpus: Corpus, config: GameConfig, rng: np.random.Generator) -> GameState:
-    """Deal one game: K distinct uniform guests and a uniform target among them."""
-    config.validate(corpus)
+    """Deal one game of at most V words: K distinct uniform guests and a uniform target."""
+    if config.word_budget > corpus.vocab_size:
+        raise ValueError(
+            f"word budget {config.word_budget} exceeds the {corpus.vocab_size} words")
     guest_rows, targets = sample_game_batch(corpus, 1, config.n_guests, rng)
     rows, target = guest_rows[0], int(targets[0])
     prints = corpus.voice_prints[rows].copy()

@@ -39,13 +39,11 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class GuesserConfig:
+    """The nets' shape, all a checkpoint records (dropout is a training setting)."""
+
     dim: int
     attn_hidden: int = 256
     score_hidden: int = 512
-    dropout: float = 0.5
-
-    def __post_init__(self):
-        neural.check_dropout(self.dropout)
 
     def arch(self) -> dict:
         return {"model": "guesser", **asdict(self)}
@@ -148,16 +146,16 @@ class Games:
 
 
 def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray,
-                    train: bool = False, rng: np.random.Generator | None = None
+                    dropout: float = 0.0, rng: np.random.Generator | None = None
                     ) -> GuesserActivations:
     """Score guests given uttered embeddings.
 
     ``guests`` is (B, K, D) and ``uttered`` (B, T, D); a single game may be
     passed as (K, D) and (T, D) and comes back with a batch axis of one.
     Requires K >= 1 and T >= 1.  The activations keep both nets' caches for
-    ``guesser_loss``, as a training pass does; dropout applies only with
-    ``train``.  Dealt games are scored without these arrays or caches by
-    ``guesser_success``, as ``evaluate_guesser`` does.
+    ``guesser_loss``; a training pass passes its ``dropout`` rate, in [0, 1),
+    and an ``rng`` for the masks.  Dealt games are scored without these
+    arrays or caches by ``guesser_success``, as ``evaluate_guesser`` does.
     """
     guests = np.asarray(guests, dtype=np.float64)
     uttered = np.asarray(uttered, dtype=np.float64)
@@ -167,17 +165,16 @@ def guesser_forward(model: GuesserModel, guests: np.ndarray, uttered: np.ndarray
         guests, uttered = guests[None], uttered[None]
     if uttered.shape[1] < 1:
         raise ValueError("need at least one uttered word")
-    return _forward(model, (guests, None), (uttered, None), guests.mean(axis=1), train, rng)
+    return _forward(model, (guests, None), (uttered, None), guests.mean(axis=1), dropout, rng)
 
 
 def _forward(model: GuesserModel, guests: tuple, uttered: tuple, mean_guest: np.ndarray,
-             train: bool = False, rng: np.random.Generator | None = None
+             dropout: float = 0.0, rng: np.random.Generator | None = None
              ) -> GuesserActivations:
     # ``guests`` and ``uttered`` are each net's (items, rows) for
     # ``neural.pair_forward``: (B, N, D) arrays and None, a cached pass, or
     # an (R, D) table and (B, N) rows into it, an eval pass
     (guest_items, guest_rows), (utter_items, utter_rows) = guests, uttered
-    dropout = model.config.dropout if train else 0.0
     attn_logits, attn_cache = neural.pair_forward(
         model.store, "attn", utter_items, mean_guest, dropout=dropout, rng=rng, rows=utter_rows)
     attn_weights = neural.softmax(attn_logits)
@@ -334,8 +331,7 @@ def train_guesser(corpus_train: Corpus, corpus_valid: Corpus,
     if corpus_train.vocab != corpus_valid.vocab:
         raise ValueError("train and validation corpora disagree on vocabulary")
     rng = np.random.default_rng(config.seed)
-    model = GuesserModel.init(
-        GuesserConfig(dim=corpus_train.dimension, dropout=config.dropout), rng)
+    model = GuesserModel.init(GuesserConfig(dim=corpus_train.dimension), rng)
 
     vocab = np.arange(corpus_train.vocab_size)
     n_batches = max(1, int(np.ceil(config.n_games / config.batch_size)))
@@ -357,7 +353,7 @@ def train_guesser(corpus_train: Corpus, corpus_valid: Corpus,
         guest_rows, targets = sample_game_batch(corpus_train, b, config.n_guests, rng)
         games = Games(corpus_train, guest_rows, targets,
                       sample_word_subsets(rng, b, vocab, config.word_budget))
-        acts = guesser_forward(model, games.guests, games.uttered, train=True, rng=rng)
+        acts = guesser_forward(model, games.guests, games.uttered, config.dropout, rng)
         return guesser_loss(model, acts, targets)
 
     for batch_idx in range(n_batches):

@@ -20,8 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -332,7 +331,9 @@ def pair_forward(store: ParamStore, prefix: str, items: np.ndarray, context: np.
     multiple of 4.  At one BLAS thread no output then depends on its block,
     nor a row's item product on its batch, so both passes give the
     whole-batch cached pass's outputs on ``items[rows]`` bit for bit.
+    A ``dropout`` outside [0, 1), NaN included, is rejected naming it.
     """
+    check_dropout(dropout)
     if dropout > 0.0 and (rows is not None or rng is None):
         raise ValueError("dropout needs a cached pass and an rng")
     w0, w1 = store.values[f"{prefix}/W0"], store.values[f"{prefix}/W1"]
@@ -818,27 +819,22 @@ def load_params(path) -> tuple[ParamStore, str, dict]:
 def load_model(path, kind: str, config_type, init) -> tuple[object, ParamStore]:
     """The config and parameters of the ``kind`` checkpoint at ``path``: the
     ``config_type`` of its ``arch`` fields, each an integer of at least 1
-    or a number as its field's type says (true and false are neither) and
-    within the config's own range, and parameters matching
-    ``init(config)``'s by name and shape."""
+    (true and false are not), and parameters matching ``init(config)``'s by
+    name and shape.  Other arch keys, such as the dropout rate that older
+    guesser checkpoints recorded, are not read."""
     store, found, arch = load_params(path)
     if found != kind:
         raise ValueError(f"checkpoint holds a {found!r} model, not "
                          f"{'an' if kind[0] in 'aeiou' else 'a'} {kind}")
-    fields = {}
-    for name, want in typing.get_type_hints(config_type).items():
+    values = {}
+    for name in (field.name for field in fields(config_type)):
         if name not in arch:
             raise CheckpointFormatError(f"checkpoint {path}: arch has no field {name!r}")
-        fields[name] = value = arch[name]
-        if not (_is_count(value, 1) if want is int else
-                isinstance(value, (int, float)) and not isinstance(value, bool)):
-            raise CheckpointFormatError(
-                f"checkpoint {path}: arch field {name!r} is not "
-                f"{'an integer of at least 1' if want is int else 'a number'}: {value!r}")
-    try:
-        config = config_type(**fields)
-    except ValueError as err:   # a field outside the config's own range
-        raise CheckpointFormatError(f"checkpoint {path}: {err}") from None
+        values[name] = arch[name]
+        if not _is_count(arch[name], 1):
+            raise CheckpointFormatError(f"checkpoint {path}: arch field {name!r} is not an "
+                                        f"integer of at least 1: {arch[name]!r}")
+    config = config_type(**values)
     check_params(store, init(config))
     return config, store
 

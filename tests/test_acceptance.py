@@ -262,8 +262,7 @@ def test_criterion_8_gradient_suite():
 
         # attention pooling and per-guest softmax scoring, end to end
         def make_guesser(rng):
-            gm = GuesserModel.init(GuesserConfig(dim=3, attn_hidden=4,
-                                                 score_hidden=5, dropout=0.0), rng)
+            gm = GuesserModel.init(GuesserConfig(dim=3, attn_hidden=4, score_hidden=5), rng)
             guests = rng.standard_normal((2, 2, 3))
             uttered = rng.standard_normal((2, 2, 3))
             acts = guesser_forward(gm, guests, uttered)

@@ -346,6 +346,19 @@ _FLAG_REJECTIONS = [
     (["eval", "--policy", "fixed"], "fixed-words", "1,z,3",
      "--fixed-words value 'z' is not an integer"),
 ] + [
+    # corpus settings outside their range: NaN sharpness once wrote a world
+    # in which no word was informative, and the noise scales were rejected
+    # only after generating, naming no setting
+    (["gen-corpus"], "sharpness", "nan", "sharpness must be a number, got nan"),
+    (["gen-corpus"], "utterance-noise", "nan",
+     "utterance_noise must be finite and at least 0, got nan"),
+    (["gen-corpus"], "enrollment-noise", "inf",
+     "enrollment_noise must be finite and at least 0, got inf"),
+] + [
+    # a curated list of no words, once rejected only after the guesser was read
+    (argv, "curated-size", "0", "curated_size must be at least 1, got 0")
+    for argv in (["eval", "--policy", "heuristic"], ["baseline-heuristic"])
+] + [
     # training settings outside their range
     (["train-guesser"], "lr", "-0.001", "lr must be finite and positive, got -0.001"),
     (["train-enquirer"], "grad-clip", "-1", "grad_clip must be finite and positive, got -1.0"),

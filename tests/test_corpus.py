@@ -100,6 +100,25 @@ class TestGenerator:
         with pytest.raises(ValueError):
             small_config(enrollments=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("dimension", 0, "dimension must be at least 1, got 0"),
+        ("train_speakers", 0, "train_speakers must be at least 1, got 0"),
+        ("enrollments", -1, "enrollments must be at least 1, got -1"),
+        ("test_speakers", -1, "test_speakers must be finite and at least 0, got -1"),
+        ("utterance_noise", float("nan"), "utterance_noise must be finite and at least 0, got nan"),
+        ("enrollment_noise", float("inf"),
+         "enrollment_noise must be finite and at least 0, got inf"),
+        ("vocab_size", 1, "vocab_size must be at least 2, got 1"),
+        # a NaN sharpness once made every word exactly half informative
+        ("sharpness", float("nan"), "sharpness must be a number, got nan")])
+    def test_setting_outside_its_range_is_named(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize("sharpness", [np.inf, -np.inf, 0.0])
+    def test_any_sharpness_but_nan_is_allowed(self, sharpness):
+        assert small_config(sharpness=sharpness).sharpness == sharpness
+
 
 class TestLookups:
     @pytest.mark.parametrize("lookup, message", [

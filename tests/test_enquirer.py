@@ -368,6 +368,15 @@ def test_ppo_setting_outside_its_range_is_named(field, value, least):
         PpoConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [("gamma", 1.5), ("gamma", -0.1),
+                                          ("gamma", float("nan")), ("gae_lambda", 1.5),
+                                          ("gae_lambda", float("nan"))])
+def test_ppo_discount_outside_unit_interval_is_named(field, value):
+    # both once raised one message naming neither the field nor the value
+    with pytest.raises(ValueError, match=rf"^{field} must be in \[0, 1\], got {value}$"):
+        PpoConfig(**{field: value})
+
+
 def test_ppo_coefficients_may_be_zero():
     config = PpoConfig(entropy_coef=0.0, value_coef=0.0)
     assert (config.entropy_coef, config.value_coef) == (0.0, 0.0)

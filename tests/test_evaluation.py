@@ -196,19 +196,21 @@ class TestHeuristic:
 
     @pytest.mark.parametrize("field", ["games_per_word", "eval_games"])
     @pytest.mark.parametrize("value", [0, -3])
-    def test_game_count_below_one_is_named(self, degenerate_setup, field, value):
-        corpus, guesser = degenerate_setup
-        config = HeuristicConfig(curated_size=3, n_guests=4, word_budget=2, **{field: value})
+    def test_game_count_below_one_is_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be at least 1, got {value}$"):
-            heuristic_baseline(guesser, corpus, config, seed=0)
+            HeuristicConfig(curated_size=3, n_guests=4, word_budget=2, **{field: value})
 
     @pytest.mark.parametrize("value", [0, -1])
-    def test_word_budget_below_one_is_named(self, degenerate_setup, value):
+    def test_word_budget_below_one_is_named(self, value):
         # -1 once played all but one of the other words beside each forced word
-        corpus, guesser = degenerate_setup
-        config = HeuristicConfig(curated_size=3, n_guests=4, word_budget=value)
         with pytest.raises(ValueError, match=f"^word_budget must be at least 1, got {value}$"):
-            heuristic_baseline(guesser, corpus, config, seed=0)
+            HeuristicConfig(curated_size=3, n_guests=4, word_budget=value)
+
+    @pytest.mark.parametrize("field", ["curated_size", "n_guests"])
+    def test_list_or_guest_count_below_one_is_named_when_built(self, field):
+        # a settings error, named before any guesser or corpus is read
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1, got 0$"):
+            HeuristicConfig(**{field: 0})
 
     def test_oversized_guest_count_rejected(self, degenerate_setup):
         corpus, guesser = degenerate_setup

@@ -46,14 +46,25 @@ class TestNewGame:
             assert abs(count - n * 0.1) < 4 * sigma, (sid, count)
 
     def test_too_many_guests_rejected(self, corpus):
-        with pytest.raises(ValueError, match="guests"):
+        with pytest.raises(ValueError, match="^11 guests exceed the 10 corpus speakers$"):
             new_game(corpus, GameConfig(n_guests=11, word_budget=3),
                      np.random.default_rng(0))
 
     def test_word_budget_validated(self, corpus):
-        with pytest.raises(ValueError, match="word budget"):
+        with pytest.raises(ValueError, match="^word budget 7 exceeds the 6 words$"):
             new_game(corpus, GameConfig(n_guests=3, word_budget=7),
                      np.random.default_rng(0))
+
+    def test_one_guest_deals_a_one_guest_game(self, corpus):
+        # the dealer's rule: every evaluator scores one-guest games
+        state = new_game(corpus, GameConfig(n_guests=1, word_budget=6),
+                         np.random.default_rng(0))
+        assert len(state.guest_ids) == 1 and state.target_index == 0
+
+    @pytest.mark.parametrize("field", ["n_guests", "word_budget"])
+    def test_count_below_one_is_named_when_built(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1, got 0$"):
+            GameConfig(**{"n_guests": 3, "word_budget": 2, field: 0})
 
 
 class TestStep:

@@ -25,8 +25,8 @@ from isrlab.neural import ParamStore, dropout_mask
 
 @pytest.fixture()
 def tiny_model():
-    return GuesserModel.init(GuesserConfig(dim=4, attn_hidden=5, score_hidden=6,
-                                           dropout=0.0), np.random.default_rng(0))
+    return GuesserModel.init(GuesserConfig(dim=4, attn_hidden=5, score_hidden=6),
+                             np.random.default_rng(0))
 
 
 class TestForward:
@@ -82,11 +82,12 @@ class TestForward:
     def test_training_masks_are_drawn_attention_net_first(self):
         # each net's cached activation is its dropout-free ReLU output times
         # a (B*N, H) mask from the one rng, drawn in the order the nets run
-        model = GuesserModel.init(GuesserConfig(dim=4, attn_hidden=5, score_hidden=6,
-                                                dropout=0.5), np.random.default_rng(11))
+        model = GuesserModel.init(GuesserConfig(dim=4, attn_hidden=5, score_hidden=6),
+                                  np.random.default_rng(11))
         rng = np.random.default_rng(12)
         guests, uttered = rng.standard_normal((8, 5, 4)), rng.standard_normal((8, 3, 4))
-        acts = guesser_forward(model, guests, uttered, train=True, rng=np.random.default_rng(13))
+        acts = guesser_forward(model, guests, uttered, dropout=0.5,
+                               rng=np.random.default_rng(13))
         masks = np.random.default_rng(13)
         for net, items, context, shape in (("attn", uttered, acts.mean_guest, (24, 5)),
                                            ("score", guests, acts.pooled, (40, 6))):
@@ -154,12 +155,21 @@ def test_learning_rate_outside_its_range_is_named(lr):
         GuesserTrainConfig(lr=lr)
 
 
-@pytest.mark.parametrize("config", [GuesserConfig, GuesserTrainConfig])
-@pytest.mark.parametrize("rate", [1.0, -0.5])
-def test_dropout_outside_unit_interval_is_named(config, rate):
-    kwargs = {"dim": 4} if config is GuesserConfig else {}
+def _forward_at(rate):
+    rng = np.random.default_rng(0)
+    model = GuesserModel.init(GuesserConfig(dim=4, attn_hidden=5, score_hidden=6), rng)
+    guesser_forward(model, rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 2, 4)),
+                    dropout=rate, rng=rng)
+
+
+@pytest.mark.parametrize("run", [_forward_at, lambda rate: GuesserTrainConfig(dropout=rate)],
+                         ids=["forward", "train-config"])
+@pytest.mark.parametrize("rate", [1.0, -0.5, float("nan")])
+def test_dropout_outside_unit_interval_is_named(run, rate):
+    # a forward pass at -0.5 once scaled every gradient by 2/3, and at NaN
+    # made them NaN
     with pytest.raises(ValueError, match=rf"^dropout must be in \[0, 1\), got {rate}$"):
-        config(**kwargs, dropout=rate)
+        run(rate)
 
 
 class TestCorpusRows:
@@ -302,9 +312,9 @@ class TestBlockedEval:
             """)
 
     def test_eval_pass_equals_whole_batch_pass(self, one_blas_thread):
-        # without dropout a training pass and an eval pass on arrays give the
-        # same outputs and gradients; both run in blocks of 256 item rows once
-        # a net has 512 or more (the whole-batch reference is in
+        # a training pass at rate 0, given an rng, and an eval pass on arrays
+        # give the same outputs and gradients; both run in blocks of 256 item
+        # rows once a net has 512 or more (the whole-batch reference is in
         # tests/test_neural.py).
         # The cases put K and T at 1, K up to 513, and either net's item
         # rows on either side of a block boundary
@@ -312,7 +322,7 @@ class TestBlockedEval:
             from isrlab.guesser import (GuesserConfig, GuesserModel,
                                         guesser_forward, guesser_loss)
             rng = np.random.default_rng(0)
-            model = GuesserModel.init(GuesserConfig(dim=32, dropout=0.0), rng)
+            model = GuesserModel.init(GuesserConfig(dim=32), rng)
             for games, k, t in [(1, 5, 3), (2, 5, 3), (7, 5, 3), (300, 5, 3),
                                 (513, 5, 3), (5000, 5, 3), (300, 50, 20),
                                 (600, 1, 1), (85, 3, 3), (86, 3, 1), (171, 3, 3),
@@ -323,8 +333,8 @@ class TestBlockedEval:
                 uttered = rng.standard_normal((games, t, 32))
                 targets = rng.integers(0, k, size=games)
                 probs, grads = [], []
-                for train in (True, False):
-                    acts = guesser_forward(model, guests, uttered, train=train)
+                for kwargs in ({"dropout": 0.0, "rng": np.random.default_rng(1)}, {}):
+                    acts = guesser_forward(model, guests, uttered, **kwargs)
                     probs.append(acts.probs)
                     guesser_loss(model, acts, targets)
                     grads.append({n: g.copy() for n, g in model.store.grads.items()})
@@ -362,17 +372,17 @@ class TestLoss:
 
     def test_eval_pass_is_dropout_free(self, monkeypatch):
         # an eval pass on arrays draws no mask, and its loss gives the
-        # gradients of a dropout-0 copy's training pass
+        # gradients of a copy's training pass at rate 0
         rng = np.random.default_rng(10)
-        model = GuesserModel.init(GuesserConfig(dim=4, attn_hidden=5, score_hidden=6,
-                                                dropout=0.5), rng)
-        plain = GuesserModel(replace(model.config, dropout=0.0), ParamStore())
+        model = GuesserModel.init(GuesserConfig(dim=4, attn_hidden=5, score_hidden=6), rng)
+        plain = GuesserModel(model.config, ParamStore())
         for name, value in model.store.values.items():
             plain.store.add(name, value)
         guests = rng.standard_normal((20, 5, 4))
         uttered = rng.standard_normal((20, 3, 4))
         targets = rng.integers(0, 5, size=20)
-        guesser_loss(plain, guesser_forward(plain, guests, uttered, train=True), targets)
+        guesser_loss(plain, guesser_forward(plain, guests, uttered, dropout=0.0, rng=rng),
+                     targets)
 
         def no_draws(*args):
             raise AssertionError("the eval pass drew a dropout mask")
@@ -592,17 +602,21 @@ class TestCheckpoint:
             GuesserModel.load(path)
         assert repr(name) in str(exc.value)
 
-    def test_dropout_outside_unit_interval_rejected_at_load(self, tiny_model, tmp_path):
+    def test_checkpoint_recording_a_dropout_rate_loads(self, tiny_model, tmp_path):
+        # checkpoints once recorded the training rate in their arch; it is
+        # not read, and the parameters come back bit for bit
         path = tmp_path / "guesser.json"
         tiny_model.save(path)
         payload = json.loads(path.read_text())
-        payload["arch"]["dropout"] = 1.5
+        payload["arch"]["dropout"] = 0.3
         payload["arch_hash"] = neural.arch_hash(payload["arch"])
         path.write_text(json.dumps(payload))
-        with pytest.raises(neural.CheckpointFormatError,
-                           match=rf"^checkpoint {re.escape(str(path))}: "
-                                 r"dropout must be in \[0, 1\), got 1.5$"):
-            GuesserModel.load(path)
+        loaded = GuesserModel.load(path)
+        assert loaded.config == GuesserConfig(dim=4, attn_hidden=5, score_hidden=6)
+        assert [field.name for field in fields(loaded.config)] == [
+            "dim", "attn_hidden", "score_hidden"]
+        for name, value in tiny_model.store.values.items():
+            assert np.array_equal(loaded.store.values[name], value), name
 
     # one defect per case, the arch hash redone after the edit; each is
     # named with the file and the field or parameter
@@ -615,8 +629,6 @@ class TestCheckpoint:
                            "arch field 'dim' is not an integer of at least 1: 2.5"),
         "boolean-dim": (lambda p: p["arch"].update(dim=True),
                         "arch field 'dim' is not an integer of at least 1: True"),
-        "string-dropout": (lambda p: p["arch"].update(dropout="0"),
-                           "arch field 'dropout' is not a number: '0'"),
         "arch-list": (lambda p: p.update(arch=list(p["arch"].values())),
                       "'arch' is a JSON list, not an object"),
         "params-list": (lambda p: p.update(params=list(p["params"].values())),

@@ -334,6 +334,18 @@ class TestPairNet:
             neural.pair_forward(store, "net", items, np.zeros((2, 2)), dropout=0.5, rng=rng,
                                 rows=rows)
 
+    @pytest.mark.parametrize("rate", [1.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("form", ["rows", "array"])
+    def test_dropout_outside_unit_interval_is_named(self, form, rate):
+        # a cached pass at -0.5 once kept every unit but scaled the backward
+        # pass's gradients by 1 / 1.5, and one at NaN made them NaN
+        store = make_mlp(MlpSpec(4, 3, 1), np.random.default_rng(42))
+        items, rows = ((np.zeros((6, 2)), np.arange(6).reshape(2, 3)) if form == "rows"
+                       else (np.zeros((2, 3, 2)), None))
+        with pytest.raises(ValueError, match=rf"^dropout must be in \[0, 1\), got {rate}$"):
+            neural.pair_forward(store, "net", items, np.zeros((2, 2)), dropout=rate,
+                                rng=np.random.default_rng(0), rows=rows)
+
 
 def _gemm(a, b):
     # ``a @ b``, a single row padded to two so that it goes to gemm

@@ -104,6 +104,20 @@ MUTANTS = [
      "the cosine yardstick picks the least similar print"),
     ("corpus.py", "        if have != want:\n", "        if have > want:\n",
      "a model smaller than the corpus passes the fit check"),
+    ("neural.py", "    check_dropout(dropout)\n    if dropout > 0.0", "    if dropout > 0.0",
+     "pair_forward takes a dropout rate outside [0, 1)"),
+    ("game.py", '        neural.check_counts(self, "n_guests", "word_budget")\n',
+     "        pass\n", "a game config of no guests or no words is built"),
+    ("game.py", "    if config.word_budget > corpus.vocab_size:\n", "    if False:\n",
+     "new_game deals a game whose budget exceeds the vocabulary"),
+    ("evaluation.py",
+     "        neural.check_counts(self, *(field.name for field in fields(self)))\n",
+     "        pass\n", "a heuristic config with a count below one is built"),
+    ("corpus.py", "        if math.isnan(self.sharpness):", "        if False:",
+     "a synthetic world of NaN sharpness is generated"),
+    ("enquirer.py", "            if not 0.0 <= getattr(self, name) <= 1.0:\n",
+     "            if not 0.0 <= getattr(self, name) <= 2.0:\n",
+     "PpoConfig takes a gamma above 1"),
 ]
 
 
