@@ -27,8 +27,8 @@ _EXPORTS = {
                  "compute_gae", "enquirer_forward", "evaluate_enquirer", "ppo_update",
                  "sample_actions", "train_enquirer"),
     "evaluation": ("DiversityReport", "HeuristicConfig", "HeuristicResult", "SweepResult",
-                   "cosine_nearest_print_accuracy", "diversity_index", "guest_sweep",
-                   "heuristic_baseline", "word_sweep"),
+                   "cosine_nearest_print_accuracy", "diversity_index", "evaluate_policy",
+                   "guest_sweep", "heuristic_baseline", "metrics_row", "word_sweep"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -103,10 +103,11 @@ def _write(directory: Path, artifacts: list[tuple]) -> None:
         print(directory / name)
 
 
-def _load_split(corpus_path: str, cfg: dict, *sides: str) -> list:
+def _load_split(corpus_path: str, cfg: dict, *sides: str, swept: str | None = None) -> list:
     """Parse the corpus once and return each named side: train, test or full.
     A setting in ``cfg`` the side cannot hold, a --words above the vocabulary
-    or a --guests above its speakers, is rejected naming the flag."""
+    or a --guests above its speakers, is rejected naming the flag: --grid for
+    the ``swept`` setting."""
     from .corpus import load_corpus, split_speakers
     for which in sides:
         if which not in ("train", "test", "full"):
@@ -120,7 +121,8 @@ def _load_split(corpus_path: str, cfg: dict, *sides: str) -> list:
         for key, limit, what in (("words", corpus.vocab_size, "words of the vocabulary"),
                                  ("guests", corpus.n_speakers, f"speakers of the {which} split")):
             if key in cfg and cfg[key] > limit:
-                raise ValueError(f"--{key} {cfg[key]} exceeds the {limit} {what}")
+                flag = "grid" if key == swept else key
+                raise ValueError(f"--{flag} {cfg[key]} exceeds the {limit} {what}")
     return [named[which] for which in sides]
 
 
@@ -201,7 +203,8 @@ def cmd_train_enquirer(ns: argparse.Namespace) -> int:
 
 def _parse_int_list(flag: str, text: str, least: int | None = None) -> list[int]:
     """The comma-separated integers of ``--flag``; a token that is not an
-    integer, or one below ``least``, is rejected naming the flag."""
+    integer, one below ``least`` or a repeat (a seed or grid point counted
+    twice) is rejected naming the flag."""
     values = []
     for tok in filter(str.strip, text.split(",")):
         try:
@@ -210,15 +213,14 @@ def _parse_int_list(flag: str, text: str, least: int | None = None) -> list[int]
             raise ValueError(f"--{flag} value {tok.strip()!r} is not an integer") from None
         if least is not None and values[-1] < least:
             raise ValueError(f"--{flag} values must be at least {least}, got {values[-1]}")
+        if values[-1] in values[:-1]:
+            raise ValueError(f"--{flag} value {values[-1]} is repeated")
     return values
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    from .enquirer import evaluate_enquirer
-    from .evaluation import (aggregate_rows, diversity_index, heuristic_baseline,
-                             word_sweep, guest_sweep, write_rows_csv,
-                             write_summary_json)
-    from .guesser import evaluate_guesser_words
+    from .evaluation import (aggregate_rows, diversity_index, evaluate_policy, metrics_row,
+                             word_sweep, guest_sweep, write_rows_csv, write_summary_json)
 
     policy = ns.policy or "random"
     mode = f"--sweep {ns.sweep}" if ns.sweep else f"--policy {policy}"
@@ -254,62 +256,41 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     if ns.diversity and cfg["diversity_games"] > cfg["games"]:
         raise ValueError(f"--diversity-games {cfg['diversity_games']} exceeds --games "
                          f"{cfg['games']}: the tuples are the first seed's games")
-    # a sweep's grid takes the place of the setting it varies
-    [corpus] = _load_split(ns.corpus, {k: v for k, v in cfg.items() if k != ns.sweep},
-                           cfg["split"])
-    if ns.sweep:
-        limit, what = ((corpus.vocab_size, "words of the vocabulary") if ns.sweep == "words"
-                       else (corpus.n_speakers, f"speakers of the {cfg['split']} split"))
-        for value in grid:
-            if value > limit:
-                raise ValueError(f"--grid {value} exceeds the {limit} {what}")
+    # a sweep's grid, at its largest, takes the place of the setting it varies
+    swept = {ns.sweep: max(grid)} if ns.sweep else {}
+    [corpus] = _load_split(ns.corpus, {**cfg, **swept}, cfg["split"], swept=ns.sweep)
     guesser = _load_checkpoint("guesser", ns.guesser, corpus)
     enquirer = (_load_checkpoint("enquirer", ns.enquirer, corpus)
                 if ns.enquirer is not None else None)
 
-    if ns.sweep:
-        if ns.sweep == "words":
-            result = word_sweep(guesser, corpus, grid, cfg["guests"], seeds,
-                                n_games=cfg["games"], enquirer=enquirer,
-                                heuristic=heuristic if ns.include_heuristic else None)
-        else:
-            result = guest_sweep(guesser, corpus, grid, cfg["words"], seeds,
-                                 n_games=cfg["games"])
-        artifacts = [
-            (f"sweep_{ns.sweep}.csv", write_rows_csv, result.rows),
-            (f"sweep_{ns.sweep}_summary.json", write_summary_json, {
-                "command": "eval", "sweep": ns.sweep, "grid": grid, "seeds": seeds,
-                "config": cfg, "aggregate": aggregate_rows(result.rows)}, corpus)]
+    if ns.sweep == "words":
+        rows = word_sweep(guesser, corpus, grid, cfg["guests"], seeds, n_games=cfg["games"],
+                          enquirer=enquirer,
+                          heuristic=heuristic if ns.include_heuristic else None).rows
+    elif ns.sweep == "guests":
+        rows = guest_sweep(guesser, corpus, grid, cfg["words"], seeds, n_games=cfg["games"]).rows
     else:
-        rows = []
-        for seed in seeds:
-            if policy in ("random", "fixed"):
-                played = evaluate_guesser_words(
-                    guesser, corpus, cfg["guests"], cfg["words"], words, cfg["games"], seed)
-            elif policy == "heuristic":
-                played = heuristic_baseline(guesser, corpus, heuristic, seed).played
-            else:
-                played = evaluate_enquirer(enquirer, guesser, corpus, cfg["guests"],
-                                           cfg["words"], cfg["games"], seed)
-            if not rows:                # the diversity tuples are the first seed's games
-                tuples = played.word_tuples[:cfg["diversity_games"]]
-            rows.append({"variable": "none", "value": cfg["words"], "policy": policy, "seed": seed,
-                         "accuracy": played.success_rate, "stderr": played.stderr})
-        artifacts = [
-            ("eval_metrics.csv", write_rows_csv, rows),
-            ("eval_summary.json", write_summary_json, {
-                "command": "eval", "policy": policy, "seeds": seeds, "config": cfg,
-                "aggregate": aggregate_rows(rows)}, corpus)]
-
-        if ns.diversity:
-            report = diversity_index(tuples)
-            artifacts += [
-                ("word_tuples.jsonl", Path.write_text, "".join(
-                    json.dumps({"words": list(t)}) + "\n" for t in report.word_tuples),
-                 "utf-8"),
-                ("diversity.json", write_summary_json, {
-                    "command": "eval", "policy": policy, "n_games": report.n_games,
-                    "tuple_size": report.tuple_size, "omega": report.omega}, corpus)]
+        played = [evaluate_policy(policy, guesser, corpus, cfg["guests"], cfg["words"],
+                                  cfg["games"], seed, words, enquirer, heuristic) for seed in seeds]
+        rows = [metrics_row("none", cfg["words"], policy, seed, each)
+                for seed, each in zip(seeds, played)]
+    rows_name, summary_name, about = (
+        (f"sweep_{ns.sweep}.csv", f"sweep_{ns.sweep}_summary.json",
+         {"sweep": ns.sweep, "grid": grid}) if ns.sweep
+        else ("eval_metrics.csv", "eval_summary.json", {"policy": policy}))
+    artifacts = [
+        (rows_name, write_rows_csv, rows),
+        (summary_name, write_summary_json, {"command": "eval", **about, "seeds": seeds,
+                                            "config": cfg, "aggregate": aggregate_rows(rows)},
+         corpus)]
+    if ns.diversity:
+        report = diversity_index(played[0].word_tuples[:cfg["diversity_games"]])
+        artifacts += [
+            ("word_tuples.jsonl", Path.write_text, "".join(
+                json.dumps({"words": list(t)}) + "\n" for t in report.word_tuples), "utf-8"),
+            ("diversity.json", write_summary_json, {
+                "command": "eval", "policy": policy, "n_games": report.n_games,
+                "tuple_size": report.tuple_size, "omega": report.omega}, corpus)]
     _write(_out_dir(ns), artifacts)
     return 0
 

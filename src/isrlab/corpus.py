@@ -243,10 +243,11 @@ def load_corpus(path) -> Corpus:
     """Load and validate an interchange file.
 
     Rejections name what is wrong: a malformed record is named by its line
-    and field, missing (speaker, word) cells are listed, as are dimension
-    mismatches and speakers with no way to get a voice print.  Voice
-    prints fall back to the mean of enrollment records when no explicit
-    voiceprint record exists.
+    and field, missing (speaker, word) cells are counted and the first ten
+    listed, as are dimension mismatches and speakers with no way to get a
+    voice print.  Voice prints fall back to the mean of enrollment records
+    when no explicit voiceprint record exists; a mean beyond the float
+    range is rejected naming the speaker.
     """
     header = None
     utter: dict[tuple[int, int], np.ndarray] = {}
@@ -254,8 +255,10 @@ def load_corpus(path) -> Corpus:
     enroll: dict[int, list[np.ndarray]] = {}
     speakers: set[int] = set()
 
-    # an undecodable byte reads as a lone surrogate, caught on its own line
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    # an undecodable byte reads as a lone surrogate, caught on its own line;
+    # v.v of huge finite entries may overflow, which the exact test clears
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh, \
+            np.errstate(over="ignore"):
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -267,7 +270,7 @@ def load_corpus(path) -> Corpus:
                     raise CorpusFormatError(f"line {line_no}: not valid UTF-8") from None
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:    # too many digits, or too deep
                 raise CorpusFormatError(f"line {line_no}: invalid JSON ({exc})") from exc
             if not isinstance(rec, dict):
                 raise CorpusFormatError(f"line {line_no}: record is not a JSON object")
@@ -340,15 +343,22 @@ def load_corpus(path) -> Corpus:
     missing = [(sid, wid) for sid in speaker_ids for wid in range(len(vocab))
                if (sid, wid) not in utter]
     if missing:
-        raise CorpusFormatError(f"missing utterance cells: {missing}")
+        raise CorpusFormatError(f"{len(missing)} missing utterance cells (speaker, word), "
+                                f"first {min(len(missing), 10)}: {missing[:10]}")
     printless = [sid for sid in speaker_ids if sid not in prints and sid not in enroll]
     if printless:
         raise CorpusFormatError(
             f"speakers with neither voiceprint nor enrollment records: {printless}")
 
-    voice_prints = np.stack([
-        prints[sid] if sid in prints else np.mean(enroll[sid], axis=0)
-        for sid in speaker_ids])
+    with np.errstate(over="ignore"):
+        voice_prints = np.stack([
+            prints[sid] if sid in prints else np.mean(enroll[sid], axis=0)
+            for sid in speaker_ids])
+    overflowed = [sid for sid, finite in zip(speaker_ids, np.isfinite(voice_prints).all(axis=1))
+                  if not finite]
+    if overflowed:
+        raise CorpusFormatError(f"speaker {overflowed[0]}: the mean of its enrollment records "
+                                "is beyond the float range")
     utterances = np.stack([
         np.stack([utter[(sid, wid)] for wid in range(len(vocab))])
         for sid in speaker_ids])

@@ -17,8 +17,8 @@ import numpy as np
 from . import neural
 from .corpus import Corpus, corpus_fingerprint
 from .enquirer import evaluate_enquirer
-from .guesser import (Games, GuesserModel, Played, evaluate_guesser, evaluate_guesser_words,
-                      guesser_success, play_games, word_pool_policy)
+from .guesser import (Games, GuesserModel, Played, evaluate_guesser_words, guesser_success,
+                      play_games, word_pool_policy)
 
 
 @dataclass
@@ -145,6 +145,32 @@ def heuristic_baseline(guesser: GuesserModel, corpus: Corpus,
         config.eval_games, seed=seed + 1))
 
 
+def evaluate_policy(policy: str, guesser: GuesserModel, corpus: Corpus, n_guests: int,
+                    n_words: int, n_games: int, seed: int, words="random", enquirer=None,
+                    heuristic: HeuristicConfig | None = None) -> Played:
+    """The seeded games of one word policy: ``random`` words, the ``fixed``
+    pool ``words``, the ``heuristic``'s list curated at ``seed`` for these
+    counts, or the greedy ``enquirer``; each names the input it lacks."""
+    if {"fixed": isinstance(words, str), "heuristic": heuristic is None,
+            "enquirer": enquirer is None}.get(policy):
+        raise ValueError(f"policy {policy!r} needs {'words' if policy == 'fixed' else policy}=")
+    if policy in ("random", "fixed"):
+        return evaluate_guesser_words(guesser, corpus, n_guests, n_words,
+                                      words if policy == "fixed" else "random", n_games, seed)
+    if policy == "heuristic":
+        return heuristic_baseline(guesser, corpus, replace(
+            heuristic, n_guests=n_guests, word_budget=n_words, eval_games=n_games), seed).played
+    if policy == "enquirer":
+        return evaluate_enquirer(enquirer, guesser, corpus, n_guests, n_words, n_games, seed)
+    raise ValueError(f"unknown policy {policy!r}: expected random, fixed, heuristic or enquirer")
+
+
+def metrics_row(variable: str, value: int, policy: str, seed: int, played: Played) -> dict:
+    """One reading's row: the setting varied, its value, policy, seed, accuracy and stderr."""
+    return {"variable": variable, "value": int(value), "policy": policy, "seed": int(seed),
+            "accuracy": played.success_rate, "stderr": played.stderr}
+
+
 @dataclass
 class SweepResult:
     rows: list[dict]           # one per grid point per seed per policy
@@ -156,31 +182,25 @@ def word_sweep(guesser: GuesserModel, corpus: Corpus, t_grid, n_guests: int,
     """Accuracy versus word budget for the configured policies.
 
     The random policy always runs; a heuristic config re-curates per grid
-    point (where it would keep every word, the random policy at the
-    heuristic's evaluation seed); an enquirer is evaluated greedily.
+    point, at least T words (where it would keep every word, the random
+    policy at the heuristic's evaluation seed); an enquirer plays greedily.
     """
     rows = []
     for t in t_grid:
+        play = partial(evaluate_policy, guesser=guesser, corpus=corpus, n_guests=n_guests,
+                       n_words=t, n_games=n_games)
         for seed in seeds:
-            readings = {"random": evaluate_guesser(guesser, corpus, n_guests, t, "random",
-                                                   n_games, seed)}
+            readings = {"random": play("random", seed=seed)}
             if heuristic is not None:
                 size = max(heuristic.curated_size, t)
-                if size == corpus.vocab_size:     # curating would keep every word
-                    readings["heuristic"] = evaluate_guesser(
-                        guesser, corpus, n_guests, t, "random", n_games, seed + 1)
-                else:
-                    played = heuristic_baseline(guesser, corpus, replace(
-                        heuristic, curated_size=size, n_guests=n_guests, word_budget=t,
-                        eval_games=n_games), seed).played
-                    readings["heuristic"] = played.success_rate, played.stderr
+                readings["heuristic"] = (
+                    play("random", seed=seed + 1) if size == corpus.vocab_size
+                    else play("heuristic", seed=seed,
+                              heuristic=replace(heuristic, curated_size=size)))
             if enquirer is not None:
-                played = evaluate_enquirer(enquirer, guesser, corpus, n_guests, t, n_games,
-                                           seed)
-                readings["enquirer"] = played.success_rate, played.stderr
-            rows += [{"variable": "word_budget", "value": int(t), "policy": policy,
-                      "seed": int(seed), "accuracy": acc, "stderr": err}
-                     for policy, (acc, err) in readings.items()]
+                readings["enquirer"] = play("enquirer", seed=seed, enquirer=enquirer)
+            rows += [metrics_row("word_budget", t, policy, seed, played)
+                     for policy, played in readings.items()]
     return SweepResult(rows=rows)
 
 
@@ -190,24 +210,27 @@ def guest_sweep(guesser: GuesserModel, corpus: Corpus, k_grid, word_budget: int,
     for k in k_grid:
         if k > corpus.n_speakers:
             raise ValueError(f"grid point {k} exceeds the {corpus.n_speakers}-speaker corpus")
-    rows = []
-    for k in k_grid:
-        for seed in seeds:
-            acc, err = evaluate_guesser(guesser, corpus, k, word_budget, "random",
-                                        n_games, seed)
-            rows.append({"variable": "n_guests", "value": int(k), "policy": "random",
-                         "seed": int(seed), "accuracy": acc, "stderr": err})
-    return SweepResult(rows=rows)
+    return SweepResult(rows=[
+        metrics_row("n_guests", k, "random", seed,
+                    evaluate_policy("random", guesser, corpus, k, word_budget, n_games, seed))
+        for k in k_grid for seed in seeds])
 
 
 def aggregate_rows(rows: list[dict]) -> list[dict]:
-    """Mean, std, and stderr of accuracy over seeds per (policy, value)."""
-    groups: dict[tuple, list[dict]] = {}
+    """Mean, std, and stderr of accuracy over seeds per (policy, value).
+
+    The seeds are independent runs, so two rows of one policy, value and
+    seed are rejected, naming them."""
+    groups: dict[tuple, dict] = {}
     for row in rows:
-        groups.setdefault((row["policy"], row["value"]), []).append(row)
+        members = groups.setdefault((row["policy"], row["value"]), {})
+        if row["seed"] in members:
+            raise ValueError(f"two rows of policy {row['policy']!r} at value {row['value']} "
+                             f"have seed {row['seed']}: each seed must be one run")
+        members[row["seed"]] = row
     out = []
     for (policy, value), members in sorted(groups.items()):
-        accs = np.array([m["accuracy"] for m in members])
+        accs = np.array([m["accuracy"] for m in members.values()])
         out.append({"policy": policy, "value": value, "n_seeds": len(members),
                     "mean_accuracy": float(accs.mean()),
                     "std_accuracy": float(accs.std(ddof=1)) if len(accs) > 1 else 0.0,

@@ -778,10 +778,10 @@ def load_params(path) -> tuple[ParamStore, str, dict]:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh, object_hook=to_array)
-        except json.JSONDecodeError as err:
-            raise fail(f"not valid JSON ({err})") from None
         except UnicodeDecodeError:
             raise fail("not valid UTF-8") from None
+        except (ValueError, RecursionError) as err:     # too many digits, or too deep
+            raise fail(f"not valid JSON ({err})") from None
     if not isinstance(payload, dict):
         raise fail(f"holds a JSON {type(payload).__name__}, not an object")
     for key in ("format_version", "kind", "arch", "arch_hash", "params"):

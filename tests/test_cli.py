@@ -346,6 +346,13 @@ _FLAG_REJECTIONS = [
     (["eval", "--policy", "fixed"], "fixed-words", "1,z,3",
      "--fixed-words value 'z' is not an integer"),
 ] + [
+    # a repeated seed or grid point once counted as another independent run
+    (["eval"], "seeds", "0,0", "--seeds value 0 is repeated"),
+    (["eval"], "seeds", "3, 1,3", "--seeds value 3 is repeated"),
+    (["eval", "--sweep", "guests"], "grid", "2,3,2", "--grid value 2 is repeated"),
+    (["eval", "--policy", "fixed"], "fixed-words", "1,2,1",
+     "--fixed-words value 1 is repeated"),
+] + [
     # corpus settings outside their range: NaN sharpness once wrote a world
     # in which no word was informative, and the noise scales were rejected
     # only after generating, naming no setting
@@ -511,16 +518,16 @@ class TestEval:
         extra = {"random": [], "fixed": ["--fixed-words", "1,3,5,6"],
                  "heuristic": ["--eta", "200", "--curated-size", "4"],
                  "enquirer": ["--enquirer", str(enquirer_path)]}[policy]
-        # each policy's evaluation, counted per call: none runs again for the tuples
-        module, name = {"heuristic": (evaluation, "heuristic_baseline"),
-                        "enquirer": (enquirer, "evaluate_enquirer")}.get(
-                            policy, (guesser, "evaluate_guesser_words"))
-        original, calls = getattr(module, name), []
+        # each policy's evaluation, counted per call where evaluate_policy looks it
+        # up: none runs again for the tuples
+        name = {"heuristic": "heuristic_baseline", "enquirer": "evaluate_enquirer"}.get(
+            policy, "evaluate_guesser_words")
+        original, calls = getattr(evaluation, name), []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(evaluation, name, counted)
         out = tmp_path / "out"
         assert run(["eval", "--corpus", str(corpus_file), "--guesser", str(guesser_ckpt),
                     "--policy", policy, "--games", "100", "--guests", "3", "--words", "2",
@@ -567,9 +574,9 @@ class TestEval:
     def test_enquirer_that_does_not_fit_the_corpus_is_named(
             self, corpus_file, guesser_ckpt, tmp_path, capsys, monkeypatch, mode, config,
             message):
-        from isrlab import enquirer, evaluation
-        for module, name in ((enquirer, "evaluate_enquirer"), (evaluation, "word_sweep")):
-            monkeypatch.setattr(module, name,
+        from isrlab import evaluation
+        for name in ("evaluate_policy", "word_sweep"):
+            monkeypatch.setattr(evaluation, name,
                                 lambda *args, **kwargs: pytest.fail("evaluation ran"))
         out = tmp_path / "out"
         capsys.readouterr()
@@ -618,8 +625,8 @@ class TestEval:
         ids=["diversity-games", "games"])
     def test_diversity_setting_rejected_before_any_evaluation(
             self, corpus_file, guesser_ckpt, tmp_path, capsys, monkeypatch, extra, message):
-        from isrlab import guesser
-        monkeypatch.setattr(guesser, "evaluate_guesser_words",
+        from isrlab import evaluation
+        monkeypatch.setattr(evaluation, "evaluate_policy",
                             lambda *args, **kwargs: pytest.fail("evaluation ran"))
         capsys.readouterr()
         code = run(["eval", "--corpus", str(corpus_file), "--guesser", str(guesser_ckpt),

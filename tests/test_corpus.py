@@ -401,6 +401,59 @@ def test_invalid_utf8_named_by_line(tmp_path):
         load_corpus(path)
 
 
+# json.loads raises RecursionError past ~1,000 levels and a bare ValueError
+# past 4,300 digits; neither is a JSONDecodeError
+DEEP = "[" * 100_000 + "]" * 100_000
+LONG_INTEGER = "1" * 5_000
+
+
+@pytest.mark.parametrize("field, text, reason", [
+    ("embedding", DEEP, "maximum recursion depth"), ("speaker", LONG_INTEGER, "digits")],
+    ids=["deep-nesting", "5000-digit-integer"])
+def test_record_json_cannot_parse_is_named_by_line(tmp_path, field, text, reason):
+    lines = [json.dumps(r) for r in [HEADER] + full_grid()]
+    record = {**UTTERANCE, field: None}
+    lines[2] = json.dumps(record).replace(f'"{field}": null', f'"{field}": {text}')
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusFormatError, match=f"^line 3: invalid JSON \\(.*{reason}"):
+        load_corpus(path)
+
+
+def test_huge_finite_embedding_loads_without_a_warning(tmp_path):
+    # v.v overflows to inf for a finite 1e200; the suite turns the overflow
+    # warning into an error
+    records = [HEADER] + full_grid()
+    records[1] = {**VOICEPRINT, "embedding": [1e200, 1.0, 0.0]}
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, records)
+    assert np.array_equal(load_corpus(path).voice_print(0), [1e200, 1.0, 0.0])
+
+
+def test_enrollment_mean_beyond_the_float_range_names_the_speaker(tmp_path):
+    records = [HEADER] + full_grid(n_speakers=3)
+    records[4:5] = [{"type": "enrollment", "speaker": 1, "embedding": [1e308, 1.0, 0.0]}] * 2
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, records)
+    with pytest.raises(CorpusFormatError, match="^speaker 1: the mean of its enrollment "
+                                                "records is beyond the float range$"):
+        load_corpus(path)
+
+
+def test_missing_cells_message_is_bounded(tmp_path):
+    # 1,000 speakers of 20 words and no utterances once made a 207,825-character message
+    header = {"type": "header", "dimension": 1, "vocab": [f"w{i}" for i in range(20)]}
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [header] + [{"type": "voiceprint", "speaker": s, "embedding": [1.0]}
+                                  for s in range(1000)])
+    with pytest.raises(CorpusFormatError) as info:
+        load_corpus(path)
+    message = str(info.value)
+    assert message == ("20000 missing utterance cells (speaker, word), first 10: "
+                       + str([(0, w) for w in range(10)]))
+    assert len(message) < 200
+
+
 VALID_FILE = "".join(json.dumps(r) + "\n"
                      for r in [HEADER] + full_grid(n_speakers=3)).encode("utf-8")
 

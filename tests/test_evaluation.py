@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isrlab.corpus import Corpus, SynthConfig, generate_synthetic
+from isrlab.enquirer import EnquirerConfig, EnquirerModel, evaluate_enquirer
 from isrlab.evaluation import (HeuristicConfig, aggregate_rows,
                                cosine_nearest_print_accuracy, diversity_index,
-                               guest_sweep, heuristic_baseline, word_sweep,
-                               write_rows_csv, write_summary_json)
-from isrlab.guesser import (GuesserTrainConfig, evaluate_guesser,
+                               evaluate_policy, guest_sweep, heuristic_baseline, metrics_row,
+                               word_sweep, write_rows_csv, write_summary_json)
+from isrlab.guesser import (GuesserTrainConfig, evaluate_guesser, evaluate_guesser_words,
                             sample_word_subsets, train_guesser)
 
 
@@ -220,6 +221,51 @@ class TestHeuristic:
                                                n_guests=50, word_budget=2), seed=0)
 
 
+class TestEvaluatePolicy:
+    """The one map from a policy name to its seeded games, and the one row."""
+
+    @pytest.mark.parametrize("policy", ["random", "fixed", "heuristic", "enquirer"])
+    def test_each_policy_plays_its_evaluators_games(self, degenerate_setup, policy):
+        corpus, guesser = degenerate_setup
+        enquirer = EnquirerModel.init(EnquirerConfig(dim=6, vocab_size=5, lstm_hidden=4,
+                                                     policy_hidden=4, value_hidden=4),
+                                      np.random.default_rng(0))
+        # the heuristic's own counts give way to the call's
+        played = evaluate_policy(policy, guesser, corpus, 4, 2, 300, 3, words=[0, 2, 4],
+                                 enquirer=enquirer,
+                                 heuristic=HeuristicConfig(games_per_word=50, curated_size=3))
+        expected = {
+            "random": lambda: evaluate_guesser_words(guesser, corpus, 4, 2, "random", 300, 3),
+            "fixed": lambda: evaluate_guesser_words(guesser, corpus, 4, 2, [0, 2, 4], 300, 3),
+            "heuristic": lambda: heuristic_baseline(guesser, corpus, HeuristicConfig(
+                games_per_word=50, curated_size=3, n_guests=4, word_budget=2,
+                eval_games=300), 3).played,
+            "enquirer": lambda: evaluate_enquirer(enquirer, guesser, corpus, 4, 2, 300, 3),
+        }[policy]()
+        assert np.array_equal(played.word_tuples, expected.word_tuples)
+        assert np.array_equal(played.success, expected.success)
+        assert played.games.guests.shape == (300, 4, 6)
+
+    @pytest.mark.parametrize("policy, message", [
+        ("fixed", "policy 'fixed' needs words="),
+        ("heuristic", "policy 'heuristic' needs heuristic="),
+        ("enquirer", "policy 'enquirer' needs enquirer="),
+        ("greedy", "unknown policy 'greedy': expected random, fixed, heuristic or enquirer")])
+    def test_a_policy_without_its_input_is_named(self, degenerate_setup, policy, message):
+        corpus, guesser = degenerate_setup
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate_policy(policy, guesser, corpus, 4, 2, 300, 0)
+
+    def test_metrics_row_holds_the_reading(self, degenerate_setup):
+        corpus, guesser = degenerate_setup
+        played = evaluate_policy("random", guesser, corpus, 4, 2, 300, 7)
+        row = metrics_row("word_budget", np.int64(2), "random", np.int64(7), played)
+        assert row == {"variable": "word_budget", "value": 2, "policy": "random", "seed": 7,
+                       "accuracy": played.success_rate, "stderr": played.stderr}
+        assert list(row) == ["variable", "value", "policy", "seed", "accuracy", "stderr"]
+        assert type(row["value"]) is int and type(row["seed"]) is int
+
+
 class TestSweeps:
     def test_word_sweep_row_shape(self, degenerate_setup):
         corpus, guesser = degenerate_setup
@@ -274,6 +320,22 @@ class TestSweeps:
         assert agg[0]["std_accuracy"] == pytest.approx(0.1, abs=1e-12)
         # the sample std over the seeds (ddof=1), over the root of their count
         assert agg[0]["stderr_accuracy"] == pytest.approx(0.1 / np.sqrt(3), abs=1e-12)
+
+    def test_rows_of_one_policy_value_and_seed_are_named(self):
+        # a seed counted twice once read as two independent runs with no spread
+        rows = [{"policy": policy, "value": 3, "seed": seed, "accuracy": 0.5}
+                for policy, seed in (("random", 0), ("enquirer", 0), ("random", 1))]
+        assert [agg["n_seeds"] for agg in aggregate_rows(rows)] == [1, 2]
+        with pytest.raises(ValueError, match=r"^two rows of policy 'random' at value 3 "
+                                             r"have seed 1: each seed must be one run$"):
+            aggregate_rows(rows + [rows[2]])
+
+    def test_repeated_seed_or_grid_point_of_a_sweep_is_named(self, degenerate_setup):
+        corpus, guesser = degenerate_setup
+        for rows in (guest_sweep(guesser, corpus, [2, 2], 2, seeds=[0], n_games=50).rows,
+                     word_sweep(guesser, corpus, [1], 2, seeds=[0, 0], n_games=50).rows):
+            with pytest.raises(ValueError, match="^two rows of policy 'random' at value "):
+                aggregate_rows(rows)
 
 
 class TestSerialization:

@@ -1226,6 +1226,21 @@ class TestCheckpoints:
                            match=f"^checkpoint {re.escape(str(path))}: not valid JSON"):
             load_params(path)
 
+    @pytest.mark.parametrize("text, reason", [
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"), ("1" * 5_000, "digits")],
+        ids=["deep-nesting", "5000-digit-integer"])
+    def test_json_that_cannot_parse_is_named(self, tmp_path, text, reason):
+        # json.load raises RecursionError past ~1,000 levels and a bare
+        # ValueError past 4,300 digits; neither is a JSONDecodeError
+        path, payload = self.saved(tmp_path)
+        payload["format_version"] = None
+        path.write_text(json.dumps(payload).replace('"format_version": null',
+                                                    f'"format_version": {text}'))
+        with pytest.raises(neural.CheckpointFormatError,
+                           match=f"^checkpoint {re.escape(str(path))}: not valid JSON "
+                                 rf"\(.*{reason}"):
+            load_params(path)
+
     def test_unknown_format_version_rejected(self, tmp_path):
         store = ParamStore()
         store.add("w", np.ones(2))

@@ -34,6 +34,13 @@ SLOW_TESTS = ("tests/test_acceptance.py", "tests/test_demos.py",
               "tests/test_artifact_digests.py")
 TIMEOUT_S = 1200
 
+# the text that the two reordering mutants below move about
+_HEURISTIC_BRANCH = ("        return heuristic_baseline(guesser, corpus, replace(\n"
+                     "            heuristic, n_guests=n_guests, word_budget=n_words, "
+                     "eval_games=n_games), seed).played\n")
+_WRITE_LOOP = "    for name, writer, *args in artifacts:\n        writer(directory / name, *args)\n"
+_PRINT_LOOP = "    for name, *_ in artifacts:\n        print(directory / name)\n"
+
 # (file under src/isrlab, old text, new text, what the mutant breaks)
 MUTANTS = [
     ("neural.py", "    e += 1.0\n    y /= e\n", "    y /= e\n",
@@ -118,6 +125,22 @@ MUTANTS = [
     ("enquirer.py", "            if not 0.0 <= getattr(self, name) <= 1.0:\n",
      "            if not 0.0 <= getattr(self, name) <= 2.0:\n",
      "PpoConfig takes a gamma above 1"),
+    ("evaluation.py",
+     '    if policy == "heuristic":\n' + _HEURISTIC_BRANCH + '    if policy == "enquirer":\n',
+     '    if policy == "enquirer":\n' + _HEURISTIC_BRANCH + '    if policy == "heuristic":\n',
+     "evaluate_policy's heuristic and enquirer branches are swapped"),
+    ("evaluation.py", '"seed": int(seed),', '"seed": int(value),',
+     "metrics_row writes the value in the seed column"),
+    ("evaluation.py", '        if row["seed"] in members:\n', "        if False:\n",
+     "aggregate_rows counts a repeated seed as another run"),
+    ("cli.py", "        if values[-1] in values[:-1]:\n", "        if False:\n",
+     "a repeated --seeds or --grid value is taken as another run"),
+    ("cli.py", "        if flag is not None:\n            out[key] = flag\n",
+     "        if flag is not None and key not in config_values:\n"
+     "            out[key] = flag\n",
+     "a --config entry overrides an explicit flag"),
+    ("cli.py", _WRITE_LOOP + _PRINT_LOOP, _PRINT_LOOP + _WRITE_LOOP,
+     "_write prints the paths before writing the files"),
 ]
 
 
